@@ -42,6 +42,7 @@ from .errors import (
     UnsupportedDimension,
     ZeroValue,
 )
+from .sieve import _frac_json
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -75,11 +76,10 @@ def _parse_center(text: str, n_dim: int):
 def _load_family(spec_text: str, n_dim: int):
     if spec_text in FAMILY_PRESETS:
         return family_from_preset(spec_text, n_dim)
-    return family_from_file(spec_text)
-
-
-def _frac_json(fr: Fraction) -> dict:
-    return {"num": str(fr.numerator), "den": str(fr.denominator)}
+    family = family_from_file(spec_text)
+    if family.n_dim != n_dim:
+        raise ValueError(f"family file has n_dim {family.n_dim}, the group {n_dim}")
+    return family
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -223,8 +224,11 @@ class RationalGroupPoint:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalGroupPoint":
-        u = tuple(tuple(int(e) for e in row) for row in d["u"])
-        z = cls(u=u, v=int(d["v"]), n_dim=int(d["n_dim"]))
+        try:
+            u = tuple(tuple(int(e) for e in row) for row in d["u"])
+            z = cls(u=u, v=int(d["v"]), n_dim=int(d["n_dim"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"point record lacks or mistypes a key: {exc!r}") from exc
         z.validate()
         return z
 
@@ -342,7 +346,8 @@ def ball_membership(z: RationalGroupPoint, ball: BallSpec) -> bool:
                 rest //= p
         finite_ok = rest == 1
     den_ok = z.v == ball.modulus
-    assert finite_ok == den_ok, "normalization broke the denominator criterion"
+    if finite_ok != den_ok:
+        raise AssertionError("normalization broke the denominator criterion")
     if not den_ok:
         return False
     return z.distance_to(ball.center) <= ball.radius
@@ -408,13 +413,23 @@ class Polynomial:
     def degree(self) -> int:
         return max(sum(e) for e, _ in self.monomials)
 
-    def eval_flat(self, values: Sequence):
+    @cached_property
+    def _terms(self) -> tuple:
+        # (coefficient, degree deficit, sparse (index, exponent) pairs)
+        deg = self.degree
+        return tuple(
+            (c, deg - sum(exps), tuple((i, e) for i, e in enumerate(exps) if e))
+            for exps, c in self.monomials
+        )
+
+    def eval_flat(self, values: Sequence, v: int = 1):
+        """Homogenized value v**degree * f(values / v): the integer F(u, v) on
+        the numerator of a point u/v, and plain f(values) for v = 1."""
         total = 0
-        for exps, c in self.monomials:
-            term = c
-            for val, e in zip(values, exps):
-                if e:
-                    term = term * val**e
+        for c, deficit, powers in self._terms:
+            term = c * v**deficit
+            for i, e in powers:
+                term = term * values[i] ** e
             total = total + term
         return total
 
@@ -423,13 +438,12 @@ class Polynomial:
 class PolynomialFamily:
     """A finite family f_1, ..., f_t of nonzero integer polynomials.
 
-    Irreducibility (and pairwise distinctness) of the members is a trusted
-    input flag; nothing here attempts to verify it.
+    The members are taken to be irreducible and pairwise distinct, as the
+    theory requires; nothing here attempts to verify it.
     """
 
     polys: tuple[Polynomial, ...]
     n_dim: int
-    assume_irreducible: bool = True
 
     def __post_init__(self):
         if not self.polys:
@@ -446,31 +460,11 @@ class PolynomialFamily:
         """Degree of the product f_1 * ... * f_t."""
         return sum(p.degree for p in self.polys)
 
-    def values(self, z: RationalGroupPoint) -> tuple[Fraction, ...]:
-        flat = tuple(Fraction(e, z.v) for e in z.flat_numerator())
-        return tuple(p.eval_flat(flat) for p in self.polys)
-
-
-def eval_family(
-    family: PolynomialFamily,
-    z: RationalGroupPoint,
-    on_numerator: bool = False,
-):
-    """Product value f(z) = f_1(z) * ... * f_t(z), exact.
-
-    With ``on_numerator`` the product is instead evaluated on the integer
-    numerator matrix, giving an integer.
-    """
-    if on_numerator:
+    def values(self, z: RationalGroupPoint) -> tuple[int, ...]:
+        """The integers v**deg(f_i) * f_i(z) on the numerator of z = u/v; each
+        is f_i(z) times a unit of Z[1/v], so it has the same coprime part."""
         flat = z.flat_numerator()
-        total = 1
-        for p in family.polys:
-            total *= p.eval_flat(flat)
-        return total
-    total = Fraction(1)
-    for val in family.values(z):
-        total *= val
-    return total
+        return tuple(p.eval_flat(flat, z.v) for p in self.polys)
 
 
 FAMILY_PRESETS = {
@@ -499,9 +493,12 @@ def family_from_file(path: str) -> PolynomialFamily:
     """Load a family from JSON: {"n_dim": N, "polys": [[[coeff, [exps...]], ...], ...]}."""
     with open(path) as fp:
         raw = json.load(fp)
-    n_dim = int(raw["n_dim"])
-    polys = []
-    for monomials in raw["polys"]:
-        mono = {tuple(exps): int(c) for c, exps in monomials}
-        polys.append(Polynomial.from_monomials(mono, n_dim))
+    try:
+        n_dim = int(raw["n_dim"])
+        polys = []
+        for monomials in raw["polys"]:
+            mono = {tuple(exps): int(c) for c, exps in monomials}
+            polys.append(Polynomial.from_monomials(mono, n_dim))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"family file lacks or mistypes a key: {exc!r}") from exc
     return PolynomialFamily(polys=tuple(polys), n_dim=n_dim)

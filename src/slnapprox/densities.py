@@ -298,9 +298,7 @@ def delta_n(
             break
         samples += 1
         flat = tuple(e for row in gamma for e in row)
-        w = Fraction(1)
-        for poly in family.polys:
-            w *= poly.eval_flat(flat)
+        w = math.prod(poly.eval_flat(flat) for poly in family.polys)
         if w == 0:
             zeros += 1
             continue

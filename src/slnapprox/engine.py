@@ -10,6 +10,7 @@ matrix of cells.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,9 +168,7 @@ def find_witness(
     best_count = None
     zeros = 0
     for z in result.points:
-        prod = Fraction(1)
-        for val in family.values(z):
-            prod *= val
+        prod = math.prod(family.values(z))
         if prod == 0:
             zeros += 1
             continue

@@ -88,7 +88,7 @@ class SievedValue:
     composite can).
     """
 
-    raw: Fraction
+    raw: Fraction | int
     n: int
     coprime_part: int
     factors: tuple[tuple[int, int], ...]
@@ -103,7 +103,6 @@ class SievedValue:
 
 def coprime_part(w, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue:
     """Split w in Z[1/n] into unit times [w]_n and factor the integer part."""
-    w = Fraction(w)
     if w == 0:
         raise ZeroValue("coprime part of 0 is undefined")
     m = n_coprime_part(w, n)
@@ -118,11 +117,13 @@ def coprime_part(w, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue:
     )
 
 
-def _family_product(family: PolynomialFamily, z: RationalGroupPoint) -> Fraction:
-    prod = Fraction(1)
-    for val in family.values(z):
-        prod *= val
-    return prod
+def _family_value(family: PolynomialFamily, z: RationalGroupPoint, n: int) -> int:
+    """The integer v**deg * f(z), which is f(z) times a unit of Z[1/n]."""
+    if z.n_dim != family.n_dim:
+        raise ValueError(f"point of n_dim {z.n_dim}, family of n_dim {family.n_dim}")
+    if n_coprime_part(z.v, n) != 1:
+        raise ValueError(f"denominator {z.v} is not a unit of Z[1/{n}]")
+    return math.prod(family.values(z))
 
 
 def is_r_prime(
@@ -137,7 +138,7 @@ def is_r_prime(
     Returns True or False when decidable; None when factorization was
     incomplete and the certified lower bound does not already exceed r.
     """
-    value = _family_product(family, point)
+    value = _family_value(family, point, n)
     sv = coprime_part(value, n, config)
     if sv.complete:
         return sv.factor_count <= r
@@ -166,7 +167,7 @@ def almost_prime_count(
     count = 0
     zeros = 0
     for pt in _point_seq(points):
-        value = _family_product(family, pt)
+        value = _family_value(family, pt, n)
         if value == 0:
             zeros += 1
             if zero_policy == "include":
@@ -211,7 +212,7 @@ def value_histogram(
     """a_k = number of points whose coprime part equals k; zeros land at 0."""
     a = Counter()
     for pt in _point_seq(points):
-        value = _family_product(family, pt)
+        value = _family_value(family, pt, n)
         a[0 if value == 0 else n_coprime_part(value, n)] += 1
     return a
 
@@ -219,16 +220,16 @@ def value_histogram(
 def congruence_count_direct(points, family: PolynomialFamily, q: int) -> int:
     """#{points : f(z) = 0 mod q}, by reducing the exact value mod q.
 
-    The value's denominator must be invertible mod q; with q coprime to the
+    Every point denominator must be invertible mod q, so that v**deg * f(z)
+    vanishes mod q exactly when f(z) does; with q coprime to the
     denominator modulus that always holds.  Kept separate from the
     histogram route so the two can be compared.
     """
     count = 0
     for pt in _point_seq(points):
-        value = _family_product(family, pt)
-        if math.gcd(value.denominator, q) != 1:
-            raise ValueError(f"denominator not invertible mod {q}")
-        if value.numerator % q == 0:
+        if math.gcd(pt.v, q) != 1:
+            raise ValueError(f"denominator {pt.v} not invertible mod {q}")
+        if math.prod(family.values(pt)) % q == 0:
             count += 1
     return count
 

@@ -118,7 +118,8 @@ def projective_vertices(q: int, config: Config = DEFAULT_CONFIG) -> tuple[Mat2, 
                     m = ((a, b), (c, d))
                     if proj_canon(m, q, units) == m:
                         verts.append(m)
-    assert len(verts) == expected, (len(verts), expected)
+    if len(verts) != expected:
+        raise AssertionError(f"found {len(verts)} vertices, expected {expected}")
     return tuple(verts)
 
 
@@ -218,7 +219,8 @@ def build_hecke_graph(
         raise ValueError(f"unknown rep_reduction {rep_reduction!r}")
     degree = local_ball_volume(p, ell, config=config)
     reps = hnf_representatives(p, ell)
-    assert len(reps) == degree
+    if len(reps) != degree:
+        raise AssertionError(f"{len(reps)} coset representatives for degree {degree}")
     if rep_reduction == "lagrange":
         reps = [lagrange_reduce(g) for g in reps]
     units = _units(q)
@@ -238,7 +240,8 @@ def build_hecke_graph(
             w = proj_canon(_mat_mul_mod(gbar, u, q), q, units)
             op[j, index[w]] += mult
             total += mult
-        assert total == degree
+        if total != degree:
+            raise AssertionError(f"row {j} has weight {total}, expected {degree}")
     op /= degree
     return HeckeOperatorGraph(
         p=p,

@@ -390,5 +390,6 @@ def harish_chandra_xi_group_oracle(p: int, ell: int, max_group_size: int = 10**6
                 e = min(ell + av, cv - ell)
                 total += g * Fraction(p) ** e
                 count += g
-    assert count == order
+    if count != order:
+        raise AssertionError(f"scanned {count} group elements, expected {order}")
     return total / count

@@ -1,9 +1,14 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slnapprox
 from slnapprox.cli import main
 from slnapprox.errors import (
     EXIT_BUDGET,
@@ -17,6 +22,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = str(Path(slnapprox.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from slnapprox.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestEnumerate:
@@ -110,6 +126,20 @@ class TestDensity:
         assert code == EXIT_INVALID
         assert "square-free" in err
 
+    def test_family_file_of_other_dimension(self, capsys, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n_dim": 3, "polys": [[[1, [0] * 8 + [1]]]]}))
+        code, _, err = run(capsys, "density", "--poly", str(path), "--q", "2")
+        assert code == EXIT_INVALID
+        assert "n_dim" in err
+
+    def test_family_file_without_polys(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n_dim": 2}))
+        code, _, err = run_process("density", "--poly", str(path), "--q", "2")
+        assert code == EXIT_INVALID
+        assert "Traceback" not in err
+
 
 class TestSieve:
     def test_end_to_end(self, capsys, tmp_path):
@@ -128,6 +158,13 @@ class TestSieve:
         assert blob["consistent"] is True
         r5 = [r for r in blob["remainders"] if r["q"] == 5]
         assert r5[0]["R"] == {"num": "-4", "den": "3"}
+
+    def test_point_record_without_v(self, tmp_path):
+        cell = tmp_path / "cell.jsonl"
+        cell.write_text('{"n_dim": 2, "u": [["1", "0"], ["0", "1"]]}\n')
+        code, _, err = run_process("sieve", "--points", str(cell), "-n", "1")
+        assert code == EXIT_INVALID
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "sieve", "--points", "/nonexistent.jsonl")

@@ -2,18 +2,23 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import slnapprox
 from slnapprox.core import (
     BallSpec,
     Polynomial,
     PolynomialFamily,
     RationalGroupPoint,
     ball_membership,
-    eval_family,
+    FAMILY_PRESETS,
     family_from_file,
     family_from_preset,
     identity_matrix,
@@ -22,6 +27,7 @@ from slnapprox.core import (
     reduce,
     snap_dyadic,
 )
+from slnapprox.enumeration import enumerate_points
 from slnapprox.errors import NotUnimodular
 
 F = Fraction
@@ -38,6 +44,18 @@ def random_point(rng, n=None, size=8):
     a = reduce(upper)
     b = reduce(lower)
     return a.mul(b)
+
+
+def fraction_oracle(fam, z):
+    """f_1(z) * ... * f_t(z) over Fractions, straight from the monomials."""
+    x = [e for row in z.entries() for e in row]
+    out = F(1)
+    for poly in fam.polys:
+        out *= sum(
+            c * math.prod(xi**e for xi, e in zip(x, exps))
+            for exps, c in poly.monomials
+        )
+    return out
 
 
 class TestReduce:
@@ -162,6 +180,21 @@ class TestBallMembership:
         assert ball_membership(reduce(IDENTITY), ball)
         assert not ball_membership(reduce(((1, F(1, 2)), (0, 1))), ball)
 
+    def test_unnormalized_point_raises_under_optimize(self):
+        # the invariant check must survive python -O, which strips assert
+        code = (
+            "from slnapprox.core import BallSpec, RationalGroupPoint, ball_membership\n"
+            "z = RationalGroupPoint(u=((2, 0), (0, 2)), v=2, n_dim=2)\n"
+            "ball_membership(z, BallSpec.make(((1, 0), (0, 1)), 0.5, 2))\n"
+        )
+        src = str(Path(slnapprox.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode != 0
+        assert "AssertionError" in proc.stderr
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             BallSpec.make(IDENTITY, F(1, 2), 0)
@@ -170,32 +203,57 @@ class TestBallMembership:
 class TestPolynomials:
     def test_entry_family_on_identity(self):
         fam = family_from_preset("entry11")
-        assert eval_family(fam, reduce(IDENTITY)) == 1
+        assert math.prod(fam.values(reduce(IDENTITY))) == 1
 
     def test_entry_family_reads_corner(self):
         fam = family_from_preset("entry11")
         z = reduce(((F(1, 6), 1), (F(5, 6), 11)))
-        assert eval_family(fam, z) == F(1, 6)
+        assert math.prod(fam.values(z)) == 1  # 6 * (1/6)
 
     def test_two_member_product(self):
         fam = PolynomialFamily(
             polys=(Polynomial.entry(0, 0), Polynomial.entry(1, 1)), n_dim=2
         )
         z = reduce(((1, F(1, 2)), (0, 1)))
-        assert eval_family(fam, z) == 1
+        assert fam.values(z) == (2, 2)
+        assert math.prod(fam.values(z)) == 4  # 2**2 * (1 * 1)
         assert fam.t == 2
         assert fam.total_degree == 2
 
     def test_numerator_evaluation_is_integral(self):
-        fam = family_from_preset("entry11")
         z = reduce(((F(1, 6), 1), (F(5, 6), 11)))
-        assert eval_family(fam, z, on_numerator=True) == 1
+        expected_values = {"entry11": 1, "trace-minus-2": 55, "sum-entries": 78}
+        for name, expected in expected_values.items():
+            vals = family_from_preset(name).values(z)
+            assert vals == (expected,)
+            assert type(vals[0]) is int
 
     def test_trace_minus_two_kills_unipotents(self):
         fam = family_from_preset("trace-minus-2")
-        assert eval_family(fam, reduce(((1, F(1, 2)), (0, 1)))) == 0
+        assert math.prod(fam.values(reduce(((1, F(1, 2)), (0, 1))))) == 0
         z = reduce(((F(1, 6), 1), (F(5, 6), 11)))
-        assert eval_family(fam, z) == F(1, 6) + 11 - 2
+        # homogenized: 1 + 66 - 2 * 6, i.e. 6 * (1/6 + 11 - 2)
+        assert math.prod(fam.values(z)) == 55
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_values_match_fraction_oracle(self, n):
+        mixed = PolynomialFamily(
+            polys=(
+                Polynomial.from_monomials(
+                    {(2, 0, 0, 0): 1, (0, 1, 0, 0): 3, (0, 0, 0, 0): -5}, 2
+                ),
+                Polynomial.trace_minus(2),
+            ),
+            n_dim=2,
+        )
+        families = [family_from_preset(name) for name in FAMILY_PRESETS] + [mixed]
+        points = enumerate_points(BallSpec.make(IDENTITY, F(1, 2), n)).points
+        assert points
+        for fam in families:
+            for z in points:
+                assert math.prod(fam.values(z)) == (
+                    z.v**fam.total_degree * fraction_oracle(fam, z)
+                )
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +272,7 @@ class TestPolynomials:
         )
         fam = family_from_file(str(path))
         assert fam.t == 2
-        assert eval_family(fam, reduce(IDENTITY)) == 1
+        assert math.prod(fam.values(reduce(IDENTITY))) == 1
 
 
 class TestCoprimePart:

@@ -1,6 +1,7 @@
 """Exponent thresholds, witness search, counting ratio verification."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -117,9 +118,7 @@ class TestFindWitness:
         ball = BallSpec.make(IDENTITY, rec.epsilon, 6)
         assert ball_membership(rec.z, ball)
         for z in enumerate_points(ball).points:
-            prod = F(1)
-            for val in ENTRY11.values(z):
-                prod *= val
+            prod = math.prod(ENTRY11.values(z))
             if prod == 0:
                 continue
             assert rec.factor_count <= coprime_part(prod, 6).factor_count

@@ -151,6 +151,24 @@ class TestHistogramAndCounts:
         ]
         assert counts == sorted(counts, reverse=True)
 
+    def test_foreign_denominator_rejected(self):
+        # f(z) = 1 here, but v = 6 is not a unit of Z[1/2] and not invertible mod 3
+        z = reduce(((1, F(1, 6)), (0, 1)))
+        with pytest.raises(ValueError, match="not a unit"):
+            value_histogram([z], ENTRY11, 2)
+        with pytest.raises(ValueError, match="not a unit"):
+            almost_prime_count([z], ENTRY11, 2, z=5)
+        with pytest.raises(ValueError, match="not a unit"):
+            is_r_prime(z, ENTRY11, 2, 1)
+        with pytest.raises(ValueError, match="not invertible"):
+            congruence_count_direct([z], ENTRY11, 3)
+        assert congruence_count_direct([z], ENTRY11, 5) == 0
+
+    def test_dimension_mismatch_rejected(self):
+        z = reduce(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ValueError, match="n_dim"):
+            value_histogram([z], ENTRY11, 1)
+
     def test_zero_policy(self, cell8):
         trace = family_from_preset("trace-minus-2")
         assert almost_prime_count(cell8, trace, 2, z=3) == 0
