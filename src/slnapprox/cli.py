@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: enumerate, volumes, density, sieve, spectral, params, witness,
-verify-count.  Exit codes: 0 success, 2 budget exhausted, 3 no witness
-found, 4 invalid parameters or input.
+verify-count.  Exit codes: 0 success, 2 budget exhausted (including an
+eigensolve that did not converge), 3 no witness found, 4 invalid
+parameters or input.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
 from .errors import (
     AlphaTooLarge,
     BudgetExceeded,
+    ConvergenceFailure,
     EnumerationAborted,
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -59,18 +61,26 @@ def _parse_int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
 
 
+def _center_matrix(raw, n_dim: int):
+    """An n_dim x n_dim matrix of rationals from parsed JSON, else ValueError."""
+    if not (
+        isinstance(raw, list)
+        and len(raw) == n_dim
+        and all(isinstance(row, list) and len(row) == n_dim for row in raw)
+    ):
+        raise ValueError(f"bad center matrix: {raw!r} is not {n_dim}x{n_dim}")
+    try:
+        return to_fraction_matrix([[Fraction(str(e)) for e in row] for row in raw])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad center matrix: {exc}") from exc
+
+
 def _parse_center(text: str, n_dim: int):
     # called from the command handlers, so failures must surface as the
     # ValueError family that main() maps to the invalid-parameters code
     if text == "identity":
         return identity_matrix(n_dim)
-    try:
-        raw = json.loads(text)
-        return to_fraction_matrix(
-            [[Fraction(str(e)) for e in row] for row in raw]
-        )
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad center matrix: {exc}") from exc
+    return _center_matrix(json.loads(text), n_dim)
 
 
 def _load_family(spec_text: str, n_dim: int):
@@ -316,10 +326,9 @@ def _cmd_verify_count(args, cfg: Config, n_dim: int) -> int:
     else:
         with open(args.centers) as fh:
             raw = json.load(fh)
-        centers = [
-            to_fraction_matrix([[Fraction(str(e)) for e in row] for row in mat])
-            for mat in raw
-        ]
+        if not isinstance(raw, list):
+            raise ValueError("a centers file holds a JSON list of matrices")
+        centers = [_center_matrix(mat, n_dim) for mat in raw]
     report = engine.counting_verification(
         centers, args.n_list, args.epsilon, count_threshold=args.threshold, config=cfg
     )
@@ -363,7 +372,9 @@ def main(argv=None) -> int:
     try:
         cfg = _make_config(args)
         return _COMMANDS[args.command](args, cfg, n_dim)
-    except (SearchSpaceTooLarge, BudgetExceeded, EnumerationAborted) as exc:
+    except (
+        SearchSpaceTooLarge, BudgetExceeded, EnumerationAborted, ConvergenceFailure
+    ) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NoWitness as exc:

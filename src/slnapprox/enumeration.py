@@ -342,6 +342,8 @@ def read_jsonl_points(fp) -> list[RationalGroupPoint]:
         if not line:
             continue
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"point record is not a JSON object: {line[:60]!r}")
         if "u" in d:
             pts.append(RationalGroupPoint.from_json_dict(d))
     return pts

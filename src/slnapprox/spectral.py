@@ -26,12 +26,20 @@ and have to be handled explicitly rather than measured:
   orthocomplement of the functions constant on each determinant class:
   that subspace is exactly where decay is possible, and on it the blocks
   carry isomorphic copies of the walk on the determinant-one classes.
+
+No n x n matrix is formed.  A table indexed by the integer code of a
+matrix mod q gives the vertex of its scalar class, left multiplication by
+each distinct generator image is stored as the vertex permutation it
+induces, and the gap comes from a Lanczos eigensolve (ARPACK) that applies
+the permutations and the class-mean projection to a vector.  Memory is
+about (images + 1) * n ints plus the q**4 code table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -70,57 +78,65 @@ def _units(q: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, q) if math.gcd(x, q) == 1)
 
 
-def proj_canon(m: Mat2, q: int, units: Sequence[int]) -> Mat2:
-    """Lexicographically least matrix in the unit-scalar orbit of m mod q."""
-    best = None
-    for lam in units:
-        cand = (
-            (lam * m[0][0] % q, lam * m[0][1] % q),
-            (lam * m[1][0] % q, lam * m[1][1] % q),
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+@dataclass(frozen=True)
+class LevelTable:
+    """Scalar classes of invertible 2x2 matrices mod q, indexed by code.
+
+    A matrix [[a, b], [c, d]] mod q has the code ((a*q + b)*q + c)*q + d,
+    so code order is the lexicographic order of matrices.  Each class is
+    represented by its least member; ``vertices`` lists these in code order
+    and ``entries`` holds the same matrices as an (n, 4) int array of
+    (a, b, c, d).  ``index[code]`` is the vertex index of the class of any
+    invertible matrix and -1 for a singular one.
+    """
+
+    q: int
+    vertices: tuple[Mat2, ...]
+    entries: np.ndarray
+    index: np.ndarray
 
 
-def _mat_mul_mod(a: Mat2, b: Mat2, q: int) -> Mat2:
-    return (
-        (
-            (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % q,
-            (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % q,
-        ),
-        (
-            (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % q,
-            (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % q,
-        ),
-    )
+def _encode(q: int, a, b, c, d):
+    """Code of [[a, b], [c, d]] mod q, entrywise over int arrays."""
+    return ((a % q * q + b % q) * q + c % q) * q + d % q
 
 
-def projective_vertices(q: int, config: Config = DEFAULT_CONFIG) -> tuple[Mat2, ...]:
-    """All scalar classes of invertible matrices mod q, canonical form each.
+@lru_cache(maxsize=1)
+def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
+    """Canonical vertices and the code -> vertex table of level q.
 
-    The expected count comes from the order formula first so oversized
-    levels fail fast; the enumeration then confirms it exactly.
+    The expected vertex count comes from the order formula first, so an
+    oversized level fails before any table is allocated; the vectorized
+    scan over all q**4 codes then confirms it exactly.  The last table is
+    kept, read-only, so the radii of one level share it.
     """
     expected = projective_order(q)
     if expected > config.spectral_vertex_budget:
         raise BudgetExceeded(
             f"{expected} vertices at level {q}, budget {config.spectral_vertex_budget}"
         )
-    units = _units(q)
-    verts = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if math.gcd(a * d - b * c, q) != 1:
-                        continue
-                    m = ((a, b), (c, d))
-                    if proj_canon(m, q, units) == m:
-                        verts.append(m)
-    if len(verts) != expected:
-        raise AssertionError(f"found {len(verts)} vertices, expected {expected}")
-    return tuple(verts)
+    codes = np.arange(q**4, dtype=np.int64)
+    a, b, c, d = (codes // q**3, codes // q**2 % q, codes // q % q, codes % q)
+    invertible = np.gcd(a * d - b * c, q) == 1
+    least = codes.copy()
+    for lam in _units(q)[1:]:
+        np.minimum(least, _encode(q, lam * a, lam * b, lam * c, lam * d), out=least)
+    vertex_codes = codes[invertible & (least == codes)]
+    if len(vertex_codes) != expected:
+        raise AssertionError(f"found {len(vertex_codes)} vertices, expected {expected}")
+    index = np.full(q**4, -1, dtype=np.intp)
+    index[vertex_codes] = np.arange(len(vertex_codes))
+    index = np.where(invertible, index[least], -1)
+    entries = np.stack([x[vertex_codes] for x in (a, b, c, d)], axis=1)
+    vertices = tuple(((e[0], e[1]), (e[2], e[3])) for e in entries.tolist())
+    entries.flags.writeable = False
+    index.flags.writeable = False
+    return LevelTable(q=q, vertices=vertices, entries=entries, index=index)
+
+
+def projective_vertices(q: int, config: Config = DEFAULT_CONFIG) -> tuple[Mat2, ...]:
+    """All scalar classes of invertible matrices mod q, least member each."""
+    return level_table(q, config).vertices
 
 
 def det_class_partition(
@@ -184,6 +200,13 @@ def lagrange_reduce(m: Mat2) -> Mat2:
 class HeckeOperatorGraph:
     """Left-multiplication averaging operator on the projective level group.
 
+    Left multiplication by an invertible matrix permutes the vertices, so
+    the operator is stored as one permutation per distinct generator image:
+    ``operator[i, j]`` is the index of the vertex image_i * vertex_j, and
+    ``weights[i]`` counts the generators with that image.  The operator
+    averages f over the images, (A f)(j) = sum_i weights[i] *
+    f(operator[i, j]) / degree; it is never formed as an n x n matrix.
+
     ``invariant_classes`` lists vertex-index blocks known to be preserved
     by the walk for structural reasons (the determinant classes, for built
     graphs); the gap is measured orthogonally to functions constant on
@@ -195,7 +218,8 @@ class HeckeOperatorGraph:
     q: int
     ell: int
     vertices: tuple[Mat2, ...]
-    operator: np.ndarray  # row-stochastic, shape (len(vertices),) * 2
+    operator: np.ndarray  # int vertex permutations, shape (images, len(vertices))
+    weights: np.ndarray  # int multiplicities, shape (images,), summing to degree
     degree: int
     rep_reduction: str
     invariant_classes: tuple[tuple[int, ...], ...]
@@ -223,35 +247,33 @@ def build_hecke_graph(
         raise AssertionError(f"{len(reps)} coset representatives for degree {degree}")
     if rep_reduction == "lagrange":
         reps = [lagrange_reduce(g) for g in reps]
-    units = _units(q)
-    # distinct mod-q images with multiplicity; identical images act identically
-    images: dict[Mat2, int] = {}
-    for g in reps:
-        gbar = ((g[0][0] % q, g[0][1] % q), (g[1][0] % q, g[1][1] % q))
-        gbar = proj_canon(gbar, q, units)
-        images[gbar] = images.get(gbar, 0) + 1
-    vertices = projective_vertices(q, config)
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    op = np.zeros((n, n))
-    for j, u in enumerate(vertices):
-        total = 0
-        for gbar, mult in images.items():
-            w = proj_canon(_mat_mul_mod(gbar, u, q), q, units)
-            op[j, index[w]] += mult
-            total += mult
-        if total != degree:
-            raise AssertionError(f"row {j} has weight {total}, expected {degree}")
-    op /= degree
+    level = level_table(q, config)
+    # distinct images as vertices, with multiplicity; equal images act equally
+    g = np.array([(m[0][0], m[0][1], m[1][0], m[1][1]) for m in reps], dtype=np.int64)
+    images, weights = np.unique(level.index[_encode(q, *g.T)], return_counts=True)
+    # row i of the products: image_i times every vertex, all at once
+    ga, gb, gc, gd = (col[:, None] for col in level.entries[images].T)
+    va, vb, vc, vd = level.entries.T
+    perms = level.index[
+        _encode(
+            q, ga * va + gb * vc, ga * vb + gb * vd, gc * va + gd * vc, gc * vb + gd * vd
+        )
+    ]
+    n = len(level.vertices)
+    if perms.min() < 0 or (np.sort(perms, axis=1) != np.arange(n)).any():
+        raise AssertionError("a generator image does not permute the vertices")
+    if int(weights.sum()) != degree:
+        raise AssertionError(f"image weights sum to {weights.sum()}, expected {degree}")
     return HeckeOperatorGraph(
         p=p,
         q=q,
         ell=ell,
-        vertices=vertices,
-        operator=op,
+        vertices=level.vertices,
+        operator=perms,
+        weights=weights,
         degree=degree,
         rep_reduction=rep_reduction,
-        invariant_classes=det_class_partition(vertices, q),
+        invariant_classes=det_class_partition(level.vertices, q),
     )
 
 
@@ -259,30 +281,47 @@ def second_singular_value(graph: HeckeOperatorGraph, tol: float = 1e-10) -> floa
     """Norm of the symmetrized operator outside the invariant-class space.
 
     The generator multiset is only inversion-closed up to scalars, so the
-    operator is averaged with its transpose first.  The value is the
-    largest absolute eigenvalue on the orthocomplement of the functions
-    constant on each invariant class, with the eigenpair residual checked
-    against ``tol``.
+    operator is averaged with its transpose: S f = (A f + A^T f) / 2, where
+    A^T applies the inverse permutations.  The value is the largest absolute
+    eigenvalue of P S P, with P subtracting the mean of each invariant
+    class, found by Lanczos iteration (ARPACK) from a fixed start vector.
+    The eigenpair residual against S is checked against ``tol``.
     """
-    a = graph.operator
-    n = a.shape[0]
-    s = (a + a.T) / 2.0
+    perms = graph.operator
+    n = len(graph.vertices)
     classes = graph.invariant_classes or (tuple(range(n)),)
     k = len(classes)
     if k >= n:
         return 1.0  # every function is class-constant, nothing to measure
-    ind = np.zeros((n, k))
-    for col, block in enumerate(classes):
-        ind[list(block), col] = 1.0
-    qmat, _ = np.linalg.qr(ind, mode="complete")
-    q2 = qmat[:, k:]
-    small = q2.T @ s @ q2
-    small = (small + small.T) / 2.0
-    vals, vecs = np.linalg.eigh(small)
-    idx = int(np.argmax(np.abs(vals)))
-    lam = float(vals[idx])
-    v = q2 @ vecs[:, idx]
-    residual = float(np.max(np.abs(s @ v - lam * v)))
+    labels = np.full(n, -1, dtype=np.intp)
+    for c, block in enumerate(classes):
+        labels[list(block)] = c
+    if labels.min() < 0:
+        raise ValueError("invariant classes must cover every vertex")
+    sizes = np.bincount(labels, minlength=k)
+    inverses = np.empty_like(perms)
+    np.put_along_axis(inverses, perms, np.arange(n)[None, :], axis=1)
+    w = graph.weights / (2.0 * graph.degree)
+
+    def sym(x):
+        return w @ x[perms] + w @ x[inverses]
+
+    def project(x):
+        return x - (np.bincount(labels, weights=x, minlength=k) / sizes)[labels]
+
+    # imported here, not at module level: scipy.sparse.linalg adds about
+    # 0.3 s to an import of about 0.55 s, and only this eigensolve needs it
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    op = LinearOperator((n, n), matvec=lambda x: project(sym(project(x))), dtype=float)
+    v0 = project(np.random.default_rng(0).standard_normal(n))
+    try:
+        vals, vecs = eigsh(op, k=1, which="LM", tol=0, v0=v0)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"Lanczos eigensolve did not converge: {exc}") from exc
+    lam = float(vals[0])
+    v = vecs[:, 0]
+    residual = float(np.max(np.abs(sym(v) - lam * v)))
     if residual > tol:
         raise ConvergenceFailure(f"eigenpair residual {residual:.3e} exceeds {tol:g}")
     return abs(lam)

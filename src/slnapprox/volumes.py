@@ -80,6 +80,10 @@ def hnf_representatives(p: int, ell: int) -> list[tuple[tuple[int, int], tuple[i
 
 @lru_cache(maxsize=None)
 def _local_volume_checked(p: int, ell: int, crosscheck_limit: int) -> int:
+    # primality is checked here, under the cache: growth_exponent(10**5)
+    # asks for about 10**4 distinct (p, ell) pairs some 2.7 * 10**5 times
+    if p < 2 or prime_factorization(p) != {p: 1}:
+        raise ValueError(f"p must be a prime, got {p}")
     closed = 1 if ell == 0 else (p + 1) * p ** (2 * ell - 1)
     if p ** (2 * ell) <= crosscheck_limit:
         counted = hnf_coset_oracle(p, ell)
@@ -95,12 +99,11 @@ def local_ball_volume(
 ) -> int:
     """Volume of the norm-p**ell shell: (p+1) * p**(2*ell-1), 1 at ell = 0.
 
-    Cross-checked against the Hermite count whenever p**(2*ell) is within
-    the configured crosscheck limit.
+    p must be a prime (ValueError otherwise).  Cross-checked against the
+    Hermite count whenever p**(2*ell) is within the configured crosscheck
+    limit.
     """
     _require_sl2(n_dim)
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return _local_volume_checked(p, ell, config.volume_crosscheck_limit)

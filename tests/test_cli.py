@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slnapprox
@@ -183,6 +184,38 @@ class TestSpectral:
         assert [line.split(",")[1] for line in lines[1:4]] == ["6", "24", "96"]
         assert lines[-1].startswith("# slope ")
         assert "passed true" in lines[-1]
+
+
+    def test_eigensolve_failure_is_budget_exit(self, capsys, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def stalled(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(sla, "eigsh", stalled)
+        code, _, err = run(capsys, "spectral", "--p", "2", "--q", "5", "--lmax", "1")
+        assert code == EXIT_BUDGET
+        assert "converge" in err
+
+
+@pytest.mark.parametrize(
+    "argv,file_text",
+    [
+        (["volumes", "--p-list", "4"], None),
+        (["spectral", "--p", "4", "--q", "5"], None),
+        (["verify-count", "--centers", "{file}"], "[[1,2]]"),
+        (["sieve", "--points", "{file}", "-n", "1"], "5\n"),
+    ],
+    ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
+         "point-line-not-object"],
+)
+def test_malformed_input_exits_invalid(tmp_path, argv, file_text):
+    path = tmp_path / "input.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    code, _, err = run_process(*(arg.format(file=path) for arg in argv))
+    assert code == EXIT_INVALID
+    assert "Traceback" not in err
 
 
 class TestParams:

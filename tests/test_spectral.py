@@ -1,29 +1,131 @@
 """Projective level graphs, averaging operators, gap decay."""
 
 import dataclasses
+import math
 import random
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from slnapprox.config import DEFAULT_CONFIG
-from slnapprox.errors import BudgetExceeded
+from slnapprox.errors import BudgetExceeded, ConvergenceFailure
 from slnapprox.spectral import (
     HeckeOperatorGraph,
     build_hecke_graph,
     det_class_partition,
     gap_decay_report,
     lagrange_reduce,
-    proj_canon,
+    level_table,
     projective_order,
     projective_vertices,
     second_singular_value,
 )
 from slnapprox.spectral import _units
+from slnapprox.volumes import hnf_representatives
 
 
 def det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def code(entries, q):
+    """Level-table code of the matrix with entries (a, b, c, d) mod q."""
+    a, b, c, d = (e % q for e in entries)
+    return ((a * q + b) * q + c) * q + d
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: the loop enumeration, the n x n operator and a full eigh,
+# independent of the level table, the permutation tables and Lanczos
+
+
+def proj_canon(m, q, units):
+    """Lexicographically least matrix in the unit-scalar orbit of m mod q."""
+    return min(
+        ((lam * m[0][0] % q, lam * m[0][1] % q), (lam * m[1][0] % q, lam * m[1][1] % q))
+        for lam in units
+    )
+
+
+def mat_mul_mod(a, b, q):
+    return (
+        (
+            (a[0][0] * b[0][0] + a[0][1] * b[1][0]) % q,
+            (a[0][0] * b[0][1] + a[0][1] * b[1][1]) % q,
+        ),
+        (
+            (a[1][0] * b[0][0] + a[1][1] * b[1][0]) % q,
+            (a[1][0] * b[0][1] + a[1][1] * b[1][1]) % q,
+        ),
+    )
+
+
+@lru_cache(maxsize=None)
+def oracle_vertices(q):
+    units = _units(q)
+    return tuple(
+        m
+        for a in range(q)
+        for b in range(q)
+        for c in range(q)
+        for d in range(q)
+        if math.gcd(a * d - b * c, q) == 1
+        and proj_canon(m := ((a, b), (c, d)), q, units) == m
+    )
+
+
+def oracle_operator(p, q, ell, rep_reduction="lagrange"):
+    """Row-stochastic n x n averaging matrix, one product at a time."""
+    reps = hnf_representatives(p, ell)
+    if rep_reduction == "lagrange":
+        reps = [lagrange_reduce(g) for g in reps]
+    units = _units(q)
+    vertices = oracle_vertices(q)
+    index = {v: i for i, v in enumerate(vertices)}
+    images = Counter(tuple(tuple(e % q for e in row) for row in g) for g in reps)
+    op = np.zeros((len(vertices), len(vertices)))
+    for j, u in enumerate(vertices):
+        for gbar, mult in images.items():
+            op[j, index[proj_canon(mat_mul_mod(gbar, u, q), q, units)]] += mult
+    return op / len(reps)
+
+
+def oracle_lambda2(p, q, ell, rep_reduction="lagrange"):
+    """Largest |eigenvalue| of the symmetrized matrix off the det classes."""
+    a = oracle_operator(p, q, ell, rep_reduction)
+    n = a.shape[0]
+    s = (a + a.T) / 2.0
+    classes = det_class_partition(oracle_vertices(q), q)
+    ind = np.zeros((n, len(classes)))
+    for col, block in enumerate(classes):
+        ind[list(block), col] = 1.0
+    qmat, _ = np.linalg.qr(ind, mode="complete")
+    q2 = qmat[:, len(classes):]
+    vals = np.linalg.eigvalsh(q2.T @ s @ q2)
+    return float(np.max(np.abs(vals)))
+
+
+def dense(graph):
+    """The n x n matrix a permutation-table graph stands for."""
+    n = len(graph.vertices)
+    op = np.zeros((n, n))
+    for perm, w in zip(graph.operator, graph.weights):
+        op[np.arange(n), perm] += w
+    return op / graph.degree
+
+
+ORACLE_CASES = [
+    (p, q, ell, "lagrange")
+    for p, q, ell in (
+        [(2, 5, ell) for ell in range(5)]
+        + [(3, 5, ell) for ell in range(1, 5)]
+        + [(2, 7, ell) for ell in range(1, 5)]
+        + [(2, 11, ell) for ell in range(1, 4)]
+        + [(2, 9, 2), (5, 8, 1), (2, 15, 1), (7, 4, 1)]
+    )
+] + [(2, 5, 2, "hermite"), (2, 9, 2, "hermite"), (5, 8, 1, "hermite"), (7, 4, 1, "hermite")]
 
 
 class TestProjectiveGroup:
@@ -36,17 +138,28 @@ class TestProjectiveGroup:
         assert len(projective_vertices(7)) == 336
 
     def test_canonical_under_scalars(self):
+        # every scalar multiple of m maps to the vertex of m's least member
         q = 5
         units = _units(q)
+        level = level_table(q)
         rng = random.Random(11)
         for _ in range(20):
             m = ((rng.randrange(q), rng.randrange(q)), (rng.randrange(q), rng.randrange(q)))
             if det2(m) % q == 0:
                 continue
-            base = proj_canon(m, q, units)
+            base = level.vertices.index(proj_canon(m, q, units))
             for s in units:
-                scaled = tuple(tuple(s * e % q for e in row) for row in m)
-                assert proj_canon(scaled, q, units) == base
+                assert level.index[code(tuple(s * e for row in m for e in row), q)] == base
+
+    @pytest.mark.parametrize("q", [4, 5, 8, 9, 15])
+    def test_vertices_match_loop_enumeration(self, q):
+        assert projective_vertices(q) == oracle_vertices(q)
+
+    def test_singular_codes_have_no_vertex(self):
+        q = 6
+        level = level_table(q)
+        for m in [(0, 0, 0, 0), (2, 0, 0, 3), (1, 2, 2, 4), (3, 3, 1, 1)]:
+            assert level.index[code(m, q)] == -1
 
     def test_determinant_classes_split_evenly(self):
         verts = projective_vertices(5)
@@ -101,10 +214,31 @@ class TestLagrangeReduce:
 
 class TestOperator:
     def test_doubly_stochastic(self):
+        # every image permutes the vertices and the multiplicities sum to
+        # the degree, which is what makes the average doubly stochastic
         g = build_hecke_graph(2, 5, 1)
         assert g.degree == 6
-        np.testing.assert_allclose(g.operator.sum(axis=0), 1.0, atol=1e-12)
-        np.testing.assert_allclose(g.operator.sum(axis=1), 1.0, atol=1e-12)
+        assert g.operator.shape == (len(g.weights), 120)
+        assert int(g.weights.sum()) == g.degree
+        for perm in g.operator:
+            assert sorted(perm) == list(range(120))
+        np.testing.assert_allclose(dense(g).sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(dense(g).sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "p,q,ell,reps",
+        [(2, 5, 2, "lagrange"), (3, 5, 1, "hermite"), (5, 8, 1, "lagrange"),
+         (2, 9, 1, "lagrange"), (7, 4, 1, "hermite")],
+    )
+    def test_permutation_table_matches_dense_build(self, p, q, ell, reps):
+        g = build_hecke_graph(p, q, ell, rep_reduction=reps)
+        np.testing.assert_array_equal(dense(g), oracle_operator(p, q, ell, reps))
+
+    def test_radii_share_the_level_table(self):
+        g1 = build_hecke_graph(2, 7, 1)
+        assert build_hecke_graph(2, 7, 2).vertices is g1.vertices
+        with pytest.raises(ValueError):
+            level_table(7, DEFAULT_CONFIG).index[0] = 5
 
     def test_degree_larger_radius(self):
         g = build_hecke_graph(2, 7, 1)
@@ -122,6 +256,10 @@ class TestOperator:
     def test_unknown_reduction(self):
         with pytest.raises(ValueError):
             build_hecke_graph(2, 5, 1, rep_reduction="smith")
+
+    def test_composite_p_rejected(self):
+        with pytest.raises(ValueError, match="prime"):
+            build_hecke_graph(4, 5, 1)
 
 
 class TestSecondSingularValue:
@@ -143,15 +281,13 @@ class TestSecondSingularValue:
     def test_disconnected_two_copy_fixture(self):
         g = build_hecke_graph(2, 5, 1)
         n = len(g.vertices)
-        double = np.zeros((2 * n, 2 * n))
-        double[:n, :n] = g.operator
-        double[n:, n:] = g.operator
         fixture = HeckeOperatorGraph(
             p=2,
             q=5,
             ell=1,
             vertices=g.vertices + g.vertices,
-            operator=double,
+            operator=np.concatenate([g.operator, g.operator + n], axis=1),
+            weights=g.weights,
             degree=g.degree,
             rep_reduction="lagrange",
             invariant_classes=(tuple(range(2 * n)),),
@@ -159,18 +295,39 @@ class TestSecondSingularValue:
         assert abs(second_singular_value(fixture) - 1.0) < 1e-9
 
     def test_everything_class_constant(self):
-        op = np.array([[0.0, 1.0], [1.0, 0.0]])
         fixture = HeckeOperatorGraph(
             p=2,
             q=5,
             ell=1,
             vertices=(((1, 0), (0, 1)),) * 2,
-            operator=op,
+            operator=np.array([[1, 0]]),
+            weights=np.array([1]),
             degree=1,
             rep_reduction="lagrange",
             invariant_classes=((0,), (1,)),
         )
         assert second_singular_value(fixture) == 1.0
+
+    def test_classes_must_cover_vertices(self):
+        g = build_hecke_graph(2, 5, 1)
+        partial = dataclasses.replace(g, invariant_classes=g.invariant_classes[:1])
+        with pytest.raises(ValueError, match="cover"):
+            second_singular_value(partial)
+
+    @pytest.mark.parametrize("p,q,ell,reps", ORACLE_CASES)
+    def test_matches_dense_oracle(self, p, q, ell, reps):
+        lam = second_singular_value(build_hecke_graph(p, q, ell, rep_reduction=reps))
+        assert abs(lam - oracle_lambda2(p, q, ell, reps)) < 1e-9
+
+    def test_arpack_failure_is_convergence_failure(self, monkeypatch):
+        import scipy.sparse.linalg as sla
+
+        def stalled(*args, **kwargs):
+            raise sla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+        monkeypatch.setattr(sla, "eigsh", stalled)
+        with pytest.raises(ConvergenceFailure):
+            second_singular_value(build_hecke_graph(2, 5, 1))
 
 
 class TestGapDecay:

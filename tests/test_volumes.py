@@ -56,6 +56,10 @@ class TestLocalVolumes:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             local_ball_volume(1, 1)
+        # composite p: the closed form would disagree with the class count
+        for composite in (4, 9):
+            with pytest.raises(ValueError, match="prime"):
+                local_ball_volume(composite, 1)
         with pytest.raises(ValueError):
             local_ball_volume(2, -1)
         with pytest.raises(UnsupportedDimension):
