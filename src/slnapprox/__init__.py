@@ -38,7 +38,7 @@ from .engine import (
     find_witness,
     exponent_parameters,
 )
-from .enumeration import EnumerationResult, count_table, enumerate_points
+from .enumeration import EnumerationResult, enumerate_points
 from .errors import SlnApproxError
 from .sieve import (
     SievedValue,
@@ -63,7 +63,6 @@ from .volumes import (
     harish_chandra_xi,
     hnf_coset_oracle,
     local_ball_volume,
-    poincare_rationality_check,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +92,6 @@ __all__ = [
     "beta_sieve_lower_bound",
     "build_hecke_graph",
     "coprime_part",
-    "count_table",
     "counting_verification",
     "delta_n",
     "density_table",
@@ -112,7 +110,6 @@ __all__ = [
     "local_density",
     "n_coprime_part",
     "padic_norm",
-    "poincare_rationality_check",
     "reduce",
     "run_sieve",
     "second_singular_value",

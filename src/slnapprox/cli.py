@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import random
 import sys
 from fractions import Fraction
 
@@ -30,7 +29,6 @@ from .errors import (
     AlphaTooLarge,
     BudgetExceeded,
     ConvergenceFailure,
-    EnumerationAborted,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_NO_WITNESS,
@@ -40,7 +38,6 @@ from .errors import (
     NotUnimodular,
     NoWitness,
     SearchSpaceTooLarge,
-    SlnApproxError,
     UnsupportedDimension,
     ZeroValue,
 )
@@ -108,11 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         "enumeration, volumes, densities, sieve bounds, spectral decay.",
     )
     parser.add_argument("--group", choices=["sl2", "sl3"], default="sl2")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="force JSON output")
-    fmt.add_argument("--csv", action="store_true", help="force CSV output")
     parser.add_argument("--budget", type=int, help="override enumeration budgets")
-    parser.add_argument("--seed", type=int, help="seed for randomized fallbacks")
     parser.add_argument("--config", help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -150,12 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", choices=["lagrange", "hermite"], default="lagrange")
 
     p = sub.add_parser("params", help="exponent threshold and almost-prime bound")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=_parse_fraction, required=True)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--deg", type=int, default=1)
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--d", type=int, default=3)
-    p.add_argument("--a", default="2")
+    p.add_argument("--a", type=_parse_fraction, default=Fraction(2))
 
     p = sub.add_parser("witness", help="best approximant in the exponent ball")
     p.add_argument("--center", default="identity")
@@ -272,10 +265,9 @@ def _cmd_spectral(args, cfg: Config, n_dim: int) -> int:
 
 def _cmd_params(args, cfg: Config, n_dim: int) -> int:
     del n_dim
-    alpha = Fraction(args.alpha)
     tp = engine.exponent_parameters(
-        alpha, t=args.t, deg_f=args.deg, delta_n=args.delta,
-        d=args.d, a=Fraction(args.a), config=cfg,
+        args.alpha, t=args.t, deg_f=args.deg, delta_n=args.delta,
+        d=args.d, a=args.a, config=cfg,
     )
     out = {
         "d": tp.d,
@@ -321,6 +313,8 @@ def _cmd_witness(args, cfg: Config, n_dim: int) -> int:
 
 
 def _cmd_verify_count(args, cfg: Config, n_dim: int) -> int:
+    if n_dim != 2:
+        raise UnsupportedDimension("count verification is for the 2x2 group")
     if args.centers == "bounded5":
         centers = list(engine.BOUNDED_CENTERS)
     else:
@@ -366,15 +360,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     n_dim = 2 if args.group == "sl2" else 3
     try:
         cfg = _make_config(args)
         return _COMMANDS[args.command](args, cfg, n_dim)
-    except (
-        SearchSpaceTooLarge, BudgetExceeded, EnumerationAborted, ConvergenceFailure
-    ) as exc:
+    except (SearchSpaceTooLarge, BudgetExceeded, ConvergenceFailure) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NoWitness as exc:

@@ -30,6 +30,9 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+# the JSON values each field annotation accepts (annotations are strings here)
+_JSON_TYPES = {"int": int, "int | None": (int, type(None)), "float": (int, float)}
+
 
 @dataclass(frozen=True)
 class Config:
@@ -64,12 +67,20 @@ class Config:
 
     @classmethod
     def from_json(cls, path: str) -> "Config":
+        """Read a config file; unknown keys and ill-typed values raise ValueError."""
         with open(path) as fp:
             raw = json.load(fp)
-        known = {f.name for f in dataclasses.fields(cls)}
-        bad = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError("a config file holds a JSON object")
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        bad = set(raw) - set(types)
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
+        for key, value in raw.items():
+            # JSON true/false load as bool, an int subclass; no field takes one
+            kind = types[key]
+            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+                raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
         return cls(**raw)
 
 

@@ -27,7 +27,7 @@ from .core import (
     n_coprime_part,
     prime_factorization,
 )
-from .errors import BudgetExceeded, MissingDensities, NonStabilized, UnsupportedDimension
+from .errors import BudgetExceeded, MissingDensities, UnsupportedDimension
 
 log = logging.getLogger(__name__)
 
@@ -105,13 +105,13 @@ def local_density(
     family: PolynomialFamily,
     q: int,
     n_dim: int = 2,
-    method: str = "auto",
+    method: str = "product",
     config: Config = DEFAULT_CONFIG,
 ) -> Fraction:
     """rho(q) for square-free q, exact.
 
-    ``method`` is "auto" (product over primes when q is composite),
-    "direct" (one enumeration of the full group mod q), or "product".
+    ``method`` is "product" (the product of the single-prime values) or
+    "direct" (one enumeration of the full group mod q), its oracle.
     """
     if q < 1:
         raise ValueError("q must be positive")
@@ -119,10 +119,10 @@ def local_density(
         raise ValueError(f"q = {q} is not square-free")
     if q == 1:
         return Fraction(1)
-    if method not in ("auto", "direct", "product"):
+    if method not in ("direct", "product"):
         raise ValueError(f"unknown method {method!r}")
     primes = list(prime_factorization(q))
-    if method == "product" or (method == "auto" and len(primes) > 1):
+    if method == "product" and len(primes) > 1:
         out = Fraction(1)
         for p in primes:
             out *= local_density(family, p, n_dim, method="direct", config=config)
@@ -273,20 +273,21 @@ def delta_n(
     family: PolynomialFamily,
     n: int,
     n_dim: int = 2,
-    budget: int | None = None,
-    window: int | None = None,
-    require_certified: bool = False,
     config: Config = DEFAULT_CONFIG,
 ) -> GcdCertificate:
     """Stabilized gcd of the n-coprime parts of f over group words.
 
-    The value divides every f(gamma) coprime part by construction; the
-    stabilization window is a heuristic stopping rule, so the certificate
-    only claims "no change over the last `window` samples", not a proof of
-    minimality.  Zero values of f are skipped and counted.
+    At most ``config.word_budget`` words are sampled; the scan stops once
+    the gcd has not changed over ``config.gcd_window`` samples, or has
+    reached 1.  The value divides every f(gamma) coprime part by
+    construction; the window is a heuristic stopping rule, so the
+    certificate only claims "no change over the last `window` samples",
+    not a proof of minimality.  A scan that runs out of budget first is
+    logged and returned with ``certified`` False.  Zero values of f are
+    skipped and counted.
     """
-    budget = budget if budget is not None else config.word_budget
-    window = window if window is not None else config.gcd_window
+    budget = config.word_budget
+    window = config.gcd_window
     if budget < 100:
         raise ValueError("word budget below 100 is not meaningful")
     g = 0
@@ -312,10 +313,6 @@ def delta_n(
             break
     certified = stable >= window or g == 1
     if not certified:
-        if require_certified:
-            raise NonStabilized(
-                f"gcd still moving after {samples} samples (window {window})"
-            )
         log.warning(
             "delta_n(%s): gcd %d not stabilized after %d samples", n, g, samples
         )

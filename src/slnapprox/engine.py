@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .core import (
@@ -67,21 +67,22 @@ def exponent_parameters(
     d: int = 3,
     a=2,
     config: Config = DEFAULT_CONFIG,
-    a_restricted=None,
 ) -> ExponentParameters:
     """Evaluate the exponent threshold and the almost-prime bound exactly.
 
     Float inputs are read through their decimal form, so alpha=0.1 is
     exactly 1/10.  The admissible range is 0 < alpha < alpha0, the
     boundary excluded; outside it AlphaTooLarge reports the threshold.
-    ``a_restricted`` feeds the informational variant threshold
-    a_P / (2 iota d); it defaults to a.
+    ``alpha0_restricted`` is the informational variant threshold
+    a / (2 iota d).
     """
     alpha = _exact(alpha)
     a = _exact(a)
     if d < 1 or a <= 0 or t < 1 or deg_f < 1 or delta_n < 0 or alpha <= 0:
         raise ValueError("invalid parameter ranges")
     iota = config.derived_iota
+    if iota < 1:
+        raise ValueError(f"iota must be positive, got {iota} (r_g = {config.r_g})")
     alpha0 = a / (d * 4 * iota)
     if alpha >= alpha0:
         raise AlphaTooLarge(alpha, alpha0)
@@ -92,7 +93,6 @@ def exponent_parameters(
     tau0 = (Fraction(1, 4 * iota) - alpha_prime * d) / (
         (d + 1) ** 2 * (1 - alpha_prime * d)
     )
-    a_p = a if a_restricted is None else _exact(a_restricted)
     return ExponentParameters(
         d=d,
         a=a,
@@ -107,7 +107,7 @@ def exponent_parameters(
         r=r,
         kappa=kappa,
         tau0=tau0,
-        alpha0_restricted=a_p / (d * 2 * iota),
+        alpha0_restricted=a / (d * 2 * iota),
     )
 
 
@@ -124,8 +124,10 @@ class WitnessRecord:
     factor_count: int
     candidates: int
     zero_values_skipped: int
-    almost_prime_order: int | None
     elapsed_s: float
+
+
+PROBE_DOUBLINGS = 20  # radius doublings tried before NoWitness gives up
 
 
 def find_witness(
@@ -133,8 +135,6 @@ def find_witness(
     n: int,
     alpha: float,
     family: PolynomialFamily,
-    almost_prime_order: int | None = None,
-    probe_doublings: int = 20,
     config: Config = DEFAULT_CONFIG,
 ) -> WitnessRecord:
     """Search the radius-n^(-alpha) ball for the best denominator-n point.
@@ -142,11 +142,14 @@ def find_witness(
     Among the enumerated points (zero polynomial values skipped) the
     witness minimizes the factor count of the value's n-coprime part, ties
     broken by the canonical point order.  An empty ball raises NoWitness;
-    before giving up, the radius is doubled up to ``probe_doublings`` times
-    to report the smallest radius at which a point does exist.
+    before giving up, the radius is doubled up to PROBE_DOUBLINGS times to
+    report the smallest radius at which a point does exist.  The exponent
+    must be positive (ValueError otherwise).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if not alpha > 0:  # also rejects nan
+        raise ValueError(f"alpha must be positive, got {alpha}")
     t0 = time.monotonic()
     eps = Fraction(float(n) ** (-float(alpha)))
     ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
@@ -154,7 +157,7 @@ def find_witness(
     if result.count == 0:
         smallest = None
         probe = eps
-        for _ in range(probe_doublings):
+        for _ in range(PROBE_DOUBLINGS):
             probe = probe * 2
             wide = BallSpec.make(x, probe, n, snap_bits=config.dyadic_bits)
             try:
@@ -187,7 +190,6 @@ def find_witness(
         factor_count=best_count,
         candidates=result.count,
         zero_values_skipped=zeros,
-        almost_prime_order=almost_prime_order,
         elapsed_s=time.monotonic() - t0,
     )
 
@@ -237,22 +239,26 @@ BOUNDED_CENTERS: tuple[FracMatrix, ...] = (
 def counting_verification(
     x_list: Sequence,
     n_list: Sequence[int],
-    epsilon_rule,
+    epsilon,
     count_threshold: int = 1000,
     config: Config = DEFAULT_CONFIG,
 ) -> CountingReport:
-    """Ratio T / ((2 eps)^3 m) across a matrix of cells, with its spread.
+    """Point counts T and ratios T / ((2 eps)^3 m) over a matrix of cells.
 
-    ``epsilon_rule`` is a fixed radius or a callable n -> radius.  Cells
-    below ``count_threshold`` points, and cells whose enumeration exceeds
-    the budget, stay in the table but are excluded from the spread; the
-    spread is only reported when at least one significant cell exists.
+    Every center of ``x_list`` is paired with every modulus of ``n_list``
+    at the one radius ``epsilon``; rows come center by center.  Cells below
+    ``count_threshold`` points, and cells whose enumeration exceeds the
+    budget (reported with T = None and the reason in ``skipped``), stay in
+    the table but are excluded from the spread; the spread is only reported
+    when at least one significant cell exists.
     """
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise ValueError(f"epsilon must be positive, got {eps}")
     rows = []
     ratios = []
     for x in x_list:
         for n in n_list:
-            eps = Fraction(epsilon_rule(n) if callable(epsilon_rule) else epsilon_rule)
             vol = finite_volume(n, config=config)
             ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
             try:

@@ -9,10 +9,8 @@ det(u) = n**n_dim together with gcd(u, n) = 1.
 Two strategies are provided.  The oracle scans the full integer box and is
 the ground truth; the optimized strategy (2x2 only) scans the top row and
 solves the linear equation a*d - b*c = n**2 for the bottom row with an
-extended gcd, visiting only genuine solutions.  Both scan the outermost
-range in disjoint chunks and sort the merged result into canonical order
-(lexicographic on the flattened numerator), so results are deterministic
-however the chunks are processed.
+extended gcd, visiting only genuine solutions.  Both sort their result
+into canonical order (lexicographic on the flattened numerator).
 """
 
 from __future__ import annotations
@@ -20,11 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from .config import DEFAULT_CONFIG, Config
 from .core import (
@@ -34,8 +29,7 @@ from .core import (
     frac_ceil,
     frac_floor,
 )
-from .errors import EnumerationAborted, SearchSpaceTooLarge, UnsupportedDimension
-from . import volumes
+from .errors import SearchSpaceTooLarge, UnsupportedDimension
 
 
 @dataclass(frozen=True)
@@ -61,24 +55,7 @@ def entry_bounds(ball: BallSpec) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _chunk_ranges(lo: int, hi: int, chunk: int) -> list[tuple[int, int]]:
-    if hi < lo:
-        return []
-    return [(a, min(a + chunk - 1, hi)) for a in range(lo, hi + 1, chunk)]
-
-
-def _check_cancel(cancel, done, total):
-    if cancel is not None and cancel.is_set():
-        raise EnumerationAborted(done, total)
-
-
-def _oracle_scan(
-    ball: BallSpec,
-    n_dim: int,
-    budget: int,
-    chunk: int,
-    cancel: threading.Event | None,
-) -> list[tuple[int, ...]]:
+def _oracle_scan(ball: BallSpec, n_dim: int, budget: int) -> list[tuple[int, ...]]:
     bounds = entry_bounds(ball)
     flat_bounds = [b for row in bounds for b in row]
     cells = 1
@@ -90,29 +67,18 @@ def _oracle_scan(
         raise SearchSpaceTooLarge(cells, budget, what="cells")
     n = ball.modulus
     target = n**n_dim
-    first_lo, first_hi = flat_bounds[0]
-    rest = flat_bounds[1:]
-    chunks = _chunk_ranges(first_lo, first_hi, chunk)
     found: list[tuple[int, ...]] = []
-    for ci, (clo, chi) in enumerate(chunks):
-        _check_cancel(cancel, ci, len(chunks))
-        for head in range(clo, chi + 1):
-            for tail in itertools.product(
-                *(range(lo, hi + 1) for lo, hi in rest)
-            ):
-                flat = (head,) + tail
-                u = tuple(
-                    flat[i * n_dim : (i + 1) * n_dim] for i in range(n_dim)
-                )
-                if _det(u, n_dim) != target:
-                    continue
-                g = n
-                for e in flat:
-                    g = math.gcd(g, e)
-                    if g == 1:
-                        break
-                if g == 1:
-                    found.append(flat)
+    for flat in itertools.product(*(range(lo, hi + 1) for lo, hi in flat_bounds)):
+        u = tuple(flat[i * n_dim : (i + 1) * n_dim] for i in range(n_dim))
+        if _det(u, n_dim) != target:
+            continue
+        g = n
+        for e in flat:
+            g = math.gcd(g, e)
+            if g == 1:
+                break
+        if g == 1:
+            found.append(flat)
     return found
 
 
@@ -165,12 +131,7 @@ def _solve_bottom_row(a, b, m, c_lo, c_hi, d_lo, d_hi):
         yield c0 + dc * j, d0 + dd * j
 
 
-def _optimized_scan_sl2(
-    ball: BallSpec,
-    budget: int,
-    chunk: int,
-    cancel: threading.Event | None,
-) -> list[tuple[int, ...]]:
+def _optimized_scan_sl2(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
     bounds = entry_bounds(ball)
     (a_lo, a_hi), (b_lo, b_hi) = bounds[0]
     (c_lo, c_hi), (d_lo, d_hi) = bounds[1]
@@ -181,15 +142,12 @@ def _optimized_scan_sl2(
         raise SearchSpaceTooLarge(rows, budget, what="rows")
     n = ball.modulus
     m = n * n
-    chunks = _chunk_ranges(a_lo, a_hi, chunk)
     found: list[tuple[int, ...]] = []
-    for ci, (clo, chi) in enumerate(chunks):
-        _check_cancel(cancel, ci, len(chunks))
-        for a in range(clo, chi + 1):
-            for b in range(b_lo, b_hi + 1):
-                for c, d in _solve_bottom_row(a, b, m, c_lo, c_hi, d_lo, d_hi):
-                    if math.gcd(math.gcd(a, b), math.gcd(math.gcd(c, d), n)) == 1:
-                        found.append((a, b, c, d))
+    for a in range(a_lo, a_hi + 1):
+        for b in range(b_lo, b_hi + 1):
+            for c, d in _solve_bottom_row(a, b, m, c_lo, c_hi, d_lo, d_hi):
+                if math.gcd(math.gcd(a, b), math.gcd(math.gcd(c, d), n)) == 1:
+                    found.append((a, b, c, d))
     return found
 
 
@@ -197,8 +155,6 @@ def enumerate_points(
     ball: BallSpec,
     strategy: str = "optimized",
     config: Config = DEFAULT_CONFIG,
-    cancel: threading.Event | None = None,
-    chunk: int = 64,
 ) -> EnumerationResult:
     """All group points of denominator exactly ``ball.modulus`` in the box.
 
@@ -213,14 +169,12 @@ def enumerate_points(
     if strategy in ("optimized", "both") and n_dim != 2:
         raise UnsupportedDimension("optimized enumeration is 2x2 only")
     if strategy == "oracle":
-        flats = _oracle_scan(ball, n_dim, config.oracle_cell_budget, chunk, cancel)
+        flats = _oracle_scan(ball, n_dim, config.oracle_cell_budget)
     elif strategy == "optimized":
-        flats = _optimized_scan_sl2(ball, config.optimized_row_budget, chunk, cancel)
+        flats = _optimized_scan_sl2(ball, config.optimized_row_budget)
     else:
-        flats = _optimized_scan_sl2(ball, config.optimized_row_budget, chunk, cancel)
-        oracle = sorted(
-            _oracle_scan(ball, n_dim, config.oracle_cell_budget, chunk, cancel)
-        )
+        flats = _optimized_scan_sl2(ball, config.optimized_row_budget)
+        oracle = sorted(_oracle_scan(ball, n_dim, config.oracle_cell_budget))
         if sorted(flats) != oracle:
             raise AssertionError(
                 "optimized and oracle enumerations disagree; this is a bug"
@@ -243,77 +197,6 @@ def enumerate_points(
         strategy=strategy,
         elapsed_ms=elapsed,
     )
-
-
-# ---------------------------------------------------------------------------
-# count tables
-
-
-@dataclass(frozen=True)
-class CountRow:
-    n: int
-    epsilon: Fraction
-    count: int | None
-    elapsed_ms: float
-    strategy: str
-    skipped: str | None = None
-
-
-def count_table(
-    center: Sequence[Sequence],
-    n_list: Iterable[int],
-    epsilon_rule,
-    strategy: str = "optimized",
-    n_dim: int = 2,
-    config: Config = DEFAULT_CONFIG,
-    snap_bits: int | None = 53,
-) -> list[CountRow]:
-    """Point counts over a list of moduli.
-
-    ``epsilon_rule`` is either a fixed radius or a callable n -> radius
-    (snapped to the dyadic grid when inexact input sneaks in).  Rows whose
-    scan would blow the budget are reported as skipped, never silently
-    dropped or partially counted.
-    """
-    rows = []
-    for n in n_list:
-        eps = epsilon_rule(n) if callable(epsilon_rule) else epsilon_rule
-        eps = Fraction(eps)
-        ball = BallSpec.make(center, eps, n, snap_bits=snap_bits)
-        try:
-            res = enumerate_points(ball, strategy=strategy, config=config)
-        except SearchSpaceTooLarge as exc:
-            rows.append(
-                CountRow(
-                    n=n,
-                    epsilon=eps,
-                    count=None,
-                    elapsed_ms=0.0,
-                    strategy=strategy,
-                    skipped=str(exc),
-                )
-            )
-            continue
-        rows.append(
-            CountRow(
-                n=n,
-                epsilon=eps,
-                count=res.count,
-                elapsed_ms=res.elapsed_ms,
-                strategy=strategy,
-            )
-        )
-    return rows
-
-
-def power_epsilon_rule(alpha_prime: float, n_dim: int = 2, config: Config = DEFAULT_CONFIG) -> Callable[[int], Fraction]:
-    """Radius rule eps_n = finite_volume(n) ** -alpha_prime, dyadic-snapped."""
-
-    def rule(n: int) -> Fraction:
-        vol = volumes.finite_volume(n, n_dim, config)
-        return Fraction(float(vol) ** (-alpha_prime))
-
-    return rule
 
 
 def write_jsonl(result: EnumerationResult, fp) -> None:

@@ -39,31 +39,8 @@ class BudgetExceeded(SlnApproxError):
     """A non-enumeration computation would exceed its configured budget."""
 
 
-class EnumerationAborted(SlnApproxError):
-    """A scan was cancelled before finishing; no partial result is returned."""
-
-    def __init__(self, chunks_done, chunks_total):
-        self.chunks_done = chunks_done
-        self.chunks_total = chunks_total
-        super().__init__(
-            f"enumeration aborted after {chunks_done} of {chunks_total} chunks"
-        )
-
-
-class NoRecurrenceFound(SlnApproxError):
-    """No linear recurrence of the allowed order fits the sequence."""
-
-
 class LevelInsufficient(SlnApproxError):
     """A congruence level too coarse to resolve an integrand, after escalation."""
-
-
-class NonStabilized(SlnApproxError):
-    """A stabilizing scan ran out of budget before its window was met.
-
-    Only raised when the caller asked for a certified answer; the default
-    path returns a flagged best-so-far value instead.
-    """
 
 
 class ZeroValue(SlnApproxError):

@@ -24,16 +24,9 @@ import sympy
 
 from .config import DEFAULT_CONFIG, Config
 from .core import PolynomialFamily, RationalGroupPoint, n_coprime_part
-from .errors import MissingDensities, ZeroValue
+from .errors import ZeroValue
 
 log = logging.getLogger(__name__)
-
-
-def _rho_value(rho, q: int) -> Fraction:
-    """Accept a DensityFunction-style handle or a plain callable."""
-    if hasattr(rho, "value"):
-        return Fraction(rho.value(q))
-    return Fraction(rho(q))
 
 
 def sieving_primes(z: float, n: int, delta: int = 1) -> tuple[int, ...]:
@@ -153,16 +146,12 @@ def almost_prime_count(
     n: int,
     z: float,
     delta: int = 1,
-    zero_policy: str = "exclude",
 ) -> int:
     """Count points whose value avoids every sieving prime p <= z.
 
     Sieving primes are those coprime to delta * n.  Points where the value
-    vanishes follow ``zero_policy``: "exclude" (default, logged) or
-    "include".
+    vanishes are excluded (and their number logged).
     """
-    if zero_policy not in ("exclude", "include"):
-        raise ValueError(f"unknown zero_policy {zero_policy!r}")
     primes = sieving_primes(z, n, delta)
     count = 0
     zeros = 0
@@ -170,13 +159,11 @@ def almost_prime_count(
         value = _family_value(family, pt, n)
         if value == 0:
             zeros += 1
-            if zero_policy == "include":
-                count += 1
             continue
         m = n_coprime_part(value, n)
         if all(m % p for p in primes):
             count += 1
-    if zeros and zero_policy == "exclude":
+    if zeros:
         log.info("almost_prime_count: excluded %d zero values", zeros)
     return count
 
@@ -288,7 +275,7 @@ def axiom_report(
     remainders = []
     for q in moduli:
         direct = sum(cnt for k, cnt in a.items() if k % q == 0)
-        r_q = Fraction(direct) - _rho_value(rho, q) / q * T
+        r_q = Fraction(direct) - rho.value(q) / q * T
         remainders.append((q, r_q))
     sum_abs = sum((abs(r) for _, r in remainders), Fraction(0))
     if T > 1 and sum_abs > 0:
@@ -298,13 +285,13 @@ def axiom_report(
     # deviations of the prime sum from t*log(z/w), over starting points w
     primes = [p for p in sieving_primes(z, n, delta) if p < z]
     for p in primes:
-        _rho_value(rho, p)  # raises MissingDensities early if absent
+        rho.value(p)  # raises MissingDensities early if absent
     rows = []
     for w in range(2, max(2, int(z)) + 1):
         if w > z:
             break
         partial = sum(
-            float(_rho_value(rho, p)) * math.log(p) / p for p in primes if p >= w
+            float(rho.value(p)) * math.log(p) / p for p in primes if p >= w
         )
         rows.append((w, partial - t * math.log(z / w)))
     devs = [d for _, d in rows]
@@ -369,8 +356,7 @@ def beta_sieve_lower_bound(
     primes = sieving_primes(z, n, delta)
     W = Fraction(1)
     for p in primes:
-        rho_p = _rho_value(rho, p)
-        W *= 1 - rho_p / p
+        W *= 1 - rho.value(p) / p
     degenerate = T <= 1
     if degenerate:
         value = T * float(W) * C1

@@ -18,12 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import (
-    BudgetExceeded,
-    LevelInsufficient,
-    NoRecurrenceFound,
-    UnsupportedDimension,
-)
+from .errors import BudgetExceeded, LevelInsufficient, UnsupportedDimension
 from .core import prime_factorization
 
 
@@ -190,100 +185,6 @@ def growth_exponent(
         fitted_exponent=sxy / sxx,
         window=(1, n_max),
         degenerate=False,
-    )
-
-
-# ---------------------------------------------------------------------------
-# rationality of the volume generating sequence
-
-
-@dataclass(frozen=True)
-class RecurrenceReport:
-    p: int
-    length: int
-    order: int
-    coefficients: tuple[Fraction, ...]
-    start_index: int
-    verified: bool
-
-
-def fit_linear_recurrence(
-    seq, max_order: int = 3, start_index: int = 0
-) -> tuple[int, tuple[Fraction, ...]]:
-    """Smallest-order exact linear recurrence valid from start_index on.
-
-    Returns (order, coefficients c_1..c_k) with
-    seq[i] = c_1*seq[i-1] + ... + c_k*seq[i-k] for all i >= start_index + k.
-    Raises NoRecurrenceFound if nothing of order <= max_order fits.
-    """
-    tail = [Fraction(x) for x in seq[start_index:]]
-    for k in range(1, max_order + 1):
-        if len(tail) < 2 * k:
-            break
-        # solve the k x k system from the first 2k terms by elimination
-        rows = [tail[i : i + k] + [tail[i + k]] for i in range(k)]
-        coeffs = _solve_exact(rows)
-        if coeffs is None:
-            continue
-        ok = all(
-            tail[i + k] == sum(coeffs[j] * tail[i + k - 1 - j] for j in range(k))
-            for i in range(len(tail) - k)
-        )
-        if ok:
-            return k, tuple(coeffs)
-    raise NoRecurrenceFound(
-        f"no linear recurrence of order <= {max_order} fits the sequence"
-    )
-
-
-def _solve_exact(rows):
-    """Gaussian elimination over the rationals; None when singular.
-
-    Row i encodes seq[i..i+k-1] and the target seq[i+k]; unknowns are the
-    recurrence coefficients applied to the most recent terms first.
-    """
-    k = len(rows)
-    # reorder each row so column j multiplies c_{j+1} (most recent term first)
-    mat = [[Fraction(r[k - 1 - j]) for j in range(k)] + [Fraction(r[k])] for r in rows]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if mat[r][col] != 0), None)
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(k):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return [mat[j][k] for j in range(k)]
-
-
-def poincare_rationality_check(
-    p: int,
-    length: int,
-    max_order: int = 3,
-    n_dim: int = 2,
-    config: Config = DEFAULT_CONFIG,
-) -> RecurrenceReport:
-    """Fit an exact recurrence to the shell volumes v(0..length).
-
-    The constant-coefficient recurrence certifies rationality of the
-    generating function; for the 2x2 group the tail ell >= 1 satisfies
-    v(ell+1) = p**2 * v(ell).
-    """
-    _require_sl2(n_dim)
-    seq = [local_ball_volume(p, ell, n_dim, config) for ell in range(length + 1)]
-    # v(0) = 1 sits off the geometric tail, so fit from index 1
-    start = 1 if length >= 1 else 0
-    order, coeffs = fit_linear_recurrence(seq, max_order=max_order, start_index=start)
-    return RecurrenceReport(
-        p=p,
-        length=length,
-        order=order,
-        coefficients=coeffs,
-        start_index=start,
-        verified=True,
     )
 
 

@@ -32,6 +32,7 @@ def run_process(*argv):
         [sys.executable, "-c", "import sys; from slnapprox.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -205,9 +206,22 @@ class TestSpectral:
         (["spectral", "--p", "4", "--q", "5"], None),
         (["verify-count", "--centers", "{file}"], "[[1,2]]"),
         (["sieve", "--points", "{file}", "-n", "1"], "5\n"),
+        (["params", "--alpha", "1/0"], None),
+        (["params", "--alpha", "1/100", "--a", "1/0"], None),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"r_g": "x"}'),
+        (["--config", "{file}", "spectral", "--p", "2", "--q", "5"],
+         '{"spectral_vertex_budget": null}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"r_g": 0}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"], "5"),
+        (["witness", "-n", "30", "--alpha", "-1"], None),
+        (["--group", "sl3", "verify-count"], None),
+        (["verify-count", "--n-list", "2", "--epsilon", "0"], None),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
-         "point-line-not-object"],
+         "point-line-not-object", "alpha-zero-denominator", "a-zero-denominator",
+         "config-string-int", "config-null-budget", "config-zero-r_g",
+         "config-not-object", "witness-negative-alpha", "sl3-verify-count",
+         "verify-count-zero-epsilon"],
 )
 def test_malformed_input_exits_invalid(tmp_path, argv, file_text):
     path = tmp_path / "input.json"

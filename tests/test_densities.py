@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from slnapprox.core import PolynomialFamily, Polynomial, family_from_preset
-from slnapprox.config import DEFAULT_CONFIG
+from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.densities import (
     DensityFunction,
     delta_n,
@@ -22,7 +22,6 @@ from slnapprox.densities import (
 from slnapprox.errors import (
     BudgetExceeded,
     MissingDensities,
-    NonStabilized,
     UnsupportedDimension,
 )
 
@@ -225,15 +224,16 @@ class TestDeltaN:
 
     def test_budget_too_small(self):
         with pytest.raises(ValueError):
-            delta_n(ENTRY11, 2, budget=10)
+            delta_n(ENTRY11, 2, config=Config(word_budget=10))
 
     def test_non_stabilized_paths(self):
         # a huge window cannot be met inside the budget unless gcd hits 1
         fam = family_from_preset("sum-entries")
-        cert = delta_n(fam, 1, budget=150, window=10**6)
-        if not cert.certified:
-            with pytest.raises(NonStabilized):
-                delta_n(fam, 1, budget=150, window=10**6, require_certified=True)
+        cfg = Config(word_budget=150, gcd_window=10**6)
+        cert = delta_n(fam, 1, config=cfg)
+        assert cert.sample_size <= 150
+        assert cert.window == 10**6
+        assert cert.certified is (cert.delta == 1)
 
     def test_zero_skips_counted(self):
         fam = family_from_preset("trace-minus-2")

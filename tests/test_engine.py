@@ -58,8 +58,6 @@ class TestExponentParameters:
     def test_restricted_threshold(self):
         par = exponent_parameters(0.1, config=SPHERICAL_CONFIG)
         assert par.alpha0_restricted == F(1, 6) * 2  # a / (2 iota d)
-        par2 = exponent_parameters(0.1, config=SPHERICAL_CONFIG, a_restricted=1)
-        assert par2.alpha0_restricted == F(1, 6)
 
     def test_boundary_rejected(self):
         with pytest.raises(AlphaTooLarge) as info:

@@ -9,11 +9,10 @@ import pytest
 
 from slnapprox.config import DEFAULT_CONFIG
 from slnapprox.core import BallSpec, ball_membership, reduce
+from slnapprox.engine import counting_verification
 from slnapprox.enumeration import (
-    count_table,
     entry_bounds,
     enumerate_points,
-    power_epsilon_rule,
     read_jsonl_points,
     write_jsonl,
 )
@@ -140,12 +139,6 @@ class TestResultContract:
         assert set(small.points) <= set(large.points)
         assert small.count <= large.count
 
-    def test_chunk_size_irrelevant(self):
-        ball = BallSpec.make(IDENTITY, F(3, 4), 10)
-        baseline = flats(enumerate_points(ball, chunk=64))
-        for chunk in (1, 3, 1000):
-            assert flats(enumerate_points(ball, chunk=chunk)) == baseline
-
     def test_budget_enforced(self):
         tight = dataclasses.replace(
             DEFAULT_CONFIG, oracle_cell_budget=10, optimized_row_budget=10
@@ -168,36 +161,30 @@ class TestEntryBounds:
 
 
 class TestCountTable:
+    """Point counts over a list of moduli, read from counting_verification."""
+
     def test_fixed_epsilon_rows(self):
-        rows = count_table(IDENTITY, [2, 3, 5], F(1, 2))
-        assert [r.count for r in rows] == [8, 8, 16]
+        rows = counting_verification([IDENTITY], [2, 3, 5], F(1, 2)).rows
+        assert [r.T for r in rows] == [8, 8, 16]
         assert all(r.skipped is None for r in rows)
+        assert all(r.epsilon == F(1, 2) for r in rows)
         # counts ordered like the finite volumes 6, 12, 30
-        assert rows[0].count <= rows[1].count <= rows[2].count
+        assert rows[0].T <= rows[1].T <= rows[2].T
 
     def test_integral_count_is_one(self):
-        rows = count_table(IDENTITY, [1], F(1, 2))
-        assert rows[0].count == 1
+        rows = counting_verification([IDENTITY], [1], F(1, 2)).rows
+        assert rows[0].T == 1
 
     def test_empty_n_list(self):
-        assert count_table(IDENTITY, [], F(1, 2)) == []
-
-    def test_callable_rule(self):
-        rows = count_table(IDENTITY, [2], lambda n: F(1, n))
-        assert rows[0].epsilon == F(1, 2)
-        assert rows[0].count == 8
-
-    def test_power_rule_snaps(self):
-        rule = power_epsilon_rule(0.25)
-        eps = rule(2)
-        # finite volume at n=2 is 6; 6**-0.25 is about 0.639
-        assert F(3, 5) < eps < F(2, 3)
+        rep = counting_verification([IDENTITY], [], F(1, 2))
+        assert rep.rows == ()
+        assert rep.spread is None
 
     def test_skipped_rows_marked(self):
         tight = dataclasses.replace(DEFAULT_CONFIG, optimized_row_budget=10)
-        rows = count_table(IDENTITY, [2, 1000], F(1, 2), config=tight)
-        assert rows[0].count == 8
-        assert rows[1].count is None
+        rows = counting_verification([IDENTITY], [2, 1000], F(1, 2), config=tight).rows
+        assert rows[0].T == 8
+        assert rows[1].T is None
         assert "budget" in rows[1].skipped
 
 

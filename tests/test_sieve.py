@@ -170,11 +170,10 @@ class TestHistogramAndCounts:
             value_histogram([z], ENTRY11, 1)
 
     def test_zero_policy(self, cell8):
+        # trace - 2 vanishes on every point of the cell; zero values are excluded
         trace = family_from_preset("trace-minus-2")
+        assert value_histogram(cell8, trace, 2) == {0: 8}
         assert almost_prime_count(cell8, trace, 2, z=3) == 0
-        assert almost_prime_count(cell8, trace, 2, z=3, zero_policy="include") == 8
-        with pytest.raises(ValueError):
-            almost_prime_count(cell8, trace, 2, z=3, zero_policy="drop")
 
 
 class TestAxiomReport:

@@ -1,4 +1,4 @@
-"""Shell volumes, growth fit, recurrence rationality, spherical decay."""
+"""Shell volumes, growth fit, geometric tail, spherical decay."""
 
 import math
 import random
@@ -6,21 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from slnapprox.errors import (
-    BudgetExceeded,
-    NoRecurrenceFound,
-    UnsupportedDimension,
-)
+from slnapprox.errors import BudgetExceeded, UnsupportedDimension
 from slnapprox.volumes import (
     finite_volume,
-    fit_linear_recurrence,
     growth_exponent,
     harish_chandra_xi,
     harish_chandra_xi_group_oracle,
     hnf_coset_oracle,
     hnf_representatives,
     local_ball_volume,
-    poincare_rationality_check,
 )
 
 F = Fraction
@@ -115,24 +109,16 @@ class TestGrowthExponent:
 
 
 class TestRecurrence:
+    """Shell volumes grow geometrically: v(ell + 1) = p**2 v(ell) for ell >= 1."""
+
     def test_geometric_tail_p2(self):
-        rep = poincare_rationality_check(2, 5)
-        assert rep.order == 1
-        assert rep.coefficients == (F(4),)
-        assert rep.verified
+        vols = [local_ball_volume(2, ell) for ell in range(6)]
+        assert vols[:2] == [1, 6]
+        assert all(vols[ell + 1] == 4 * vols[ell] for ell in range(1, 5))
 
     def test_geometric_tail_p3(self):
-        rep = poincare_rationality_check(3, 5)
-        assert rep.coefficients == (F(9),)
-
-    def test_constant_sequence(self):
-        order, coeffs = fit_linear_recurrence([1, 1, 1, 1, 1])
-        assert order == 1
-        assert coeffs == (F(1),)
-
-    def test_no_recurrence_raises(self):
-        with pytest.raises(NoRecurrenceFound):
-            fit_linear_recurrence([1, 1, 2, 6, 24, 120, 720], max_order=2)
+        vols = [local_ball_volume(3, ell) for ell in range(6)]
+        assert all(vols[ell + 1] == 9 * vols[ell] for ell in range(1, 5))
 
 
 class TestSphericalDecay:
