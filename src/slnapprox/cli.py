@@ -33,7 +33,6 @@ from .errors import (
     EXIT_INVALID,
     EXIT_NO_WITNESS,
     EXIT_OK,
-    LevelInsufficient,
     MissingDensities,
     NotUnimodular,
     NoWitness,
@@ -49,6 +48,16 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+
+
+def _parse_nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -120,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volumes", help="local shell volumes vs the class count")
     p.add_argument("--p-list", type=_parse_int_list, default=[2, 3, 5, 7, 11, 13])
-    p.add_argument("--lmax", type=int, default=3)
+    p.add_argument("--lmax", type=_parse_nonnegative_int, default=3)
 
     p = sub.add_parser("density", help="zero densities of a polynomial family")
     p.add_argument("--poly", default="entry11")
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", help="averaging operator gap decay")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--lmax", type=int, default=3)
+    p.add_argument("--lmax", type=_parse_nonnegative_int, default=3)
     p.add_argument("--reps", choices=["lagrange", "hermite"], default="lagrange")
 
     p = sub.add_parser("params", help="exponent threshold and almost-prime bound")
@@ -372,7 +381,6 @@ def main(argv=None) -> int:
         return EXIT_NO_WITNESS
     except (
         AlphaTooLarge,
-        LevelInsufficient,
         MissingDensities,
         NotUnimodular,
         UnsupportedDimension,

@@ -26,7 +26,7 @@ from .core import (
     identity_matrix,
     to_fraction_matrix,
 )
-from .enumeration import enumerate_points
+from .enumeration import count_points, enumerate_points
 from .errors import AlphaTooLarge, NoWitness, SearchSpaceTooLarge, ZeroValue
 from .sieve import coprime_part
 from .volumes import finite_volume
@@ -144,7 +144,8 @@ def find_witness(
     broken by the canonical point order.  An empty ball raises NoWitness;
     before giving up, the radius is doubled up to PROBE_DOUBLINGS times to
     report the smallest radius at which a point does exist.  The exponent
-    must be positive (ValueError otherwise).
+    must be positive, and n^(-alpha) must not underflow to a zero radius
+    (ValueError otherwise).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -152,6 +153,8 @@ def find_witness(
         raise ValueError(f"alpha must be positive, got {alpha}")
     t0 = time.monotonic()
     eps = Fraction(float(n) ** (-float(alpha)))
+    if eps == 0:  # a radius that underflowed could never be doubled
+        raise ValueError(f"radius {n}^(-{alpha}) underflows to 0")
     ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
     result = enumerate_points(ball, strategy="optimized", config=config)
     if result.count == 0:
@@ -161,7 +164,7 @@ def find_witness(
             probe = probe * 2
             wide = BallSpec.make(x, probe, n, snap_bits=config.dyadic_bits)
             try:
-                if enumerate_points(wide, strategy="optimized", config=config).count:
+                if count_points(wide, config):
                     smallest = probe
                     break
             except SearchSpaceTooLarge:
@@ -245,6 +248,8 @@ def counting_verification(
 ) -> CountingReport:
     """Point counts T and ratios T / ((2 eps)^3 m) over a matrix of cells.
 
+    T comes from ``count_points``, so no point object is built.
+
     Every center of ``x_list`` is paired with every modulus of ``n_list``
     at the one radius ``epsilon``; rows come center by center.  Cells below
     ``count_threshold`` points, and cells whose enumeration exceeds the
@@ -262,7 +267,7 @@ def counting_verification(
             vol = finite_volume(n, config=config)
             ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
             try:
-                res = enumerate_points(ball, strategy="optimized", config=config)
+                T = count_points(ball, config)
             except SearchSpaceTooLarge as exc:
                 rows.append(
                     CountingCell(
@@ -277,8 +282,8 @@ def counting_verification(
                     )
                 )
                 continue
-            ratio = Fraction(res.count) / ((2 * eps) ** 3 * vol)
-            significant = res.count >= count_threshold
+            ratio = Fraction(T) / ((2 * eps) ** 3 * vol)
+            significant = T >= count_threshold
             if significant:
                 ratios.append(ratio)
             rows.append(
@@ -286,7 +291,7 @@ def counting_verification(
                     center=ball.center,
                     n=n,
                     epsilon=eps,
-                    T=res.count,
+                    T=T,
                     volume=vol,
                     ratio=ratio,
                     significant=significant,

@@ -11,6 +11,8 @@ the ground truth; the optimized strategy (2x2 only) scans the top row and
 solves the linear equation a*d - b*c = n**2 for the bottom row with an
 extended gcd, visiting only genuine solutions.  Both sort their result
 into canonical order (lexicographic on the flattened numerator).
+``count_points`` runs the optimized scan for callers that need only the
+number of points; it builds no point objects.
 """
 
 from __future__ import annotations
@@ -104,13 +106,18 @@ def _step_interval(x0: int, step: int, lo: int, hi: int):
     return (-((hi - x0) // s), (x0 - lo) // s)
 
 
-def _solve_bottom_row(a, b, m, c_lo, c_hi, d_lo, d_hi):
-    """Integer solutions (c, d) of a*d - b*c = m with c, d in closed boxes."""
+def _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi):
+    """Solutions of a*d - b*c = m with c, d in closed boxes, as a progression.
+
+    Returns (c0, dc, d0, dd, j_lo, j_hi): the solutions are
+    (c0 + dc*j, d0 + dd*j) for j_lo <= j <= j_hi, a range that may be empty.
+    None when the equation has no integer solution at all.
+    """
     if a == 0 and b == 0:
-        return
+        return None
     g, s, t = egcd(a, b)
     if m % g:
-        return
+        return None
     k = m // g
     d0 = s * k
     c0 = -t * k
@@ -127,28 +134,78 @@ def _solve_bottom_row(a, b, m, c_lo, c_hi, d_lo, d_hi):
     else:
         j_lo = max(ic[0], idd[0])
         j_hi = min(ic[1], idd[1])
-    for j in range(j_lo, j_hi + 1):
-        yield c0 + dc * j, d0 + dd * j
+    return c0, dc, d0, dd, j_lo, j_hi
 
 
-def _optimized_scan_sl2(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
+def _sl2_box(ball: BallSpec, budget: int):
+    """The (lo, hi) intervals of the entries a, b, c, d of a 2x2 ball.
+
+    None when one interval is empty; SearchSpaceTooLarge when the top rows
+    exceed ``budget``.
+    """
     bounds = entry_bounds(ball)
     (a_lo, a_hi), (b_lo, b_hi) = bounds[0]
     (c_lo, c_hi), (d_lo, d_hi) = bounds[1]
     if a_hi < a_lo or b_hi < b_lo or c_hi < c_lo or d_hi < d_lo:
-        return []
+        return None
     rows = (a_hi - a_lo + 1) * (b_hi - b_lo + 1)
     if rows > budget:
         raise SearchSpaceTooLarge(rows, budget, what="rows")
+    return (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi)
+
+
+def _optimized_scan_sl2(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
+    box = _sl2_box(ball, budget)
+    if box is None:
+        return []
+    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi) = box
     n = ball.modulus
     m = n * n
     found: list[tuple[int, ...]] = []
     for a in range(a_lo, a_hi + 1):
         for b in range(b_lo, b_hi + 1):
-            for c, d in _solve_bottom_row(a, b, m, c_lo, c_hi, d_lo, d_hi):
+            prog = _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi)
+            if prog is None:
+                continue
+            c0, dc, d0, dd, j_lo, j_hi = prog
+            for j in range(j_lo, j_hi + 1):
+                c = c0 + dc * j
+                d = d0 + dd * j
                 if math.gcd(math.gcd(a, b), math.gcd(math.gcd(c, d), n)) == 1:
                     found.append((a, b, c, d))
     return found
+
+
+def count_points(ball: BallSpec, config: Config = DEFAULT_CONFIG) -> int:
+    """The count of ``enumerate_points(ball)``, building no point (2x2 only).
+
+    Same bounds, budget and errors as the optimized scan.  A top row with
+    gcd(a, b, n) = 1 makes every bottom-row solution primitive, so such a
+    row adds the length of its solution progression without visiting it.
+    """
+    if ball.n_dim != 2:
+        raise UnsupportedDimension("point counting is 2x2 only")
+    box = _sl2_box(ball, config.optimized_row_budget)
+    if box is None:
+        return 0
+    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi) = box
+    n = ball.modulus
+    m = n * n
+    count = 0
+    for a in range(a_lo, a_hi + 1):
+        for b in range(b_lo, b_hi + 1):
+            prog = _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi)
+            if prog is None:
+                continue
+            c0, dc, d0, dd, j_lo, j_hi = prog
+            h = math.gcd(math.gcd(a, b), n)
+            if h == 1:
+                count += max(0, j_hi - j_lo + 1)
+                continue
+            for j in range(j_lo, j_hi + 1):
+                if math.gcd(math.gcd(c0 + dc * j, d0 + dd * j), h) == 1:
+                    count += 1
+    return count
 
 
 def enumerate_points(

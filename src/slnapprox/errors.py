@@ -39,10 +39,6 @@ class BudgetExceeded(SlnApproxError):
     """A non-enumeration computation would exceed its configured budget."""
 
 
-class LevelInsufficient(SlnApproxError):
-    """A congruence level too coarse to resolve an integrand, after escalation."""
-
-
 class ZeroValue(SlnApproxError):
     """A polynomial value is zero where a nonzero value is required."""
 

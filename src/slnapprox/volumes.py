@@ -8,6 +8,10 @@ Hermite normal forms [[a, b], [0, d]] with a*d = p**(2*ell), 0 <= b < d and
 gcd(a, b, d) = 1, so the volume equals that count.  The closed form
 (p+1) * p**(2*ell - 1) is always checked against the count at small sizes,
 never trusted alone.
+
+The spherical decay value Xi(p, ell) is likewise a closed form, the
+spherical function of the (p+1)-regular tree, checked at small sizes
+against a brute-force average over residues mod p**(2*ell).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import BudgetExceeded, LevelInsufficient, UnsupportedDimension
+from .errors import BudgetExceeded, UnsupportedDimension
 from .core import prime_factorization
 
 
@@ -27,6 +31,11 @@ def _require_sl2(n_dim: int) -> None:
         raise UnsupportedDimension(
             f"volume formulas are implemented for 2x2 matrices, got n_dim={n_dim}"
         )
+
+
+def _require_prime(p: int) -> None:
+    if p < 2 or prime_factorization(p) != {p: 1}:
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 @lru_cache(maxsize=None)
@@ -77,8 +86,7 @@ def hnf_representatives(p: int, ell: int) -> list[tuple[tuple[int, int], tuple[i
 def _local_volume_checked(p: int, ell: int, crosscheck_limit: int) -> int:
     # primality is checked here, under the cache: growth_exponent(10**5)
     # asks for about 10**4 distinct (p, ell) pairs some 2.7 * 10**5 times
-    if p < 2 or prime_factorization(p) != {p: 1}:
-        raise ValueError(f"p must be a prime, got {p}")
+    _require_prime(p)
     closed = 1 if ell == 0 else (p + 1) * p ** (2 * ell - 1)
     if p ** (2 * ell) <= crosscheck_limit:
         counted = hnf_coset_oracle(p, ell)
@@ -203,8 +211,8 @@ def _valuation_capped(c: int, p: int, cap: int) -> int:
     return v
 
 
-def _xi_column_sum(p: int, ell: int, level_exp: int) -> tuple[Fraction, bool]:
-    """Average the Iwasawa height over primitive first columns mod p**level_exp.
+def _xi_column_sum(p: int, ell: int) -> Fraction:
+    """Average the Iwasawa height over primitive first columns mod p**(2*ell).
 
     A compact-group element contributes through its first column only: the
     upper-triangular part of diag(p**ell, p**-ell) * u has corner entry a
@@ -212,33 +220,37 @@ def _xi_column_sum(p: int, ell: int, level_exp: int) -> tuple[Fraction, bool]:
     integrand is p ** min(ell + val(u11), val(u21) - ell).  The average over
     the group at a principal congruence level equals the average over
     primitive columns because the group permutes them transitively with
-    fibers of equal size.
-
-    Returns (value, resolved); resolved is False when some residue class
-    leaves the min ambiguous at this level.
+    fibers of equal size.  Brute force over all p**(4*ell) residue pairs,
+    kept as the oracle of the closed form.
     """
-    level = p**level_exp
-    total = Fraction(0)
-    count = 0
-    powers = {k: Fraction(p) ** k for k in range(-ell, ell + 1)}
-    for c1 in range(level):
-        a = _valuation_capped(c1, p, level_exp)
-        for c2 in range(level):
-            b = _valuation_capped(c2, p, level_exp)
+    level_exp = 2 * ell
+    # A capped valuation never changes the min at this level: a column is
+    # primitive, so a capped u11 (val >= 2*ell) forces val(u21) = 0 and the
+    # min is -ell either way, and a capped u21 forces val(u11) = 0 and the
+    # min is ell either way.
+    vals = [_valuation_capped(c, p, level_exp) for c in range(p**level_exp)]
+    tally: dict[int, int] = {}
+    for a in vals:
+        for b in vals:
             if a >= 1 and b >= 1:
                 continue  # not primitive
-            t1 = ell + a
-            t2 = b - ell
-            # a capped valuation leaves the min ambiguous only if the other
-            # term exceeds the cap's guaranteed floor
-            if a >= level_exp and ell + level_exp < t2:
-                return Fraction(0), False
-            if b >= level_exp and level_exp - ell < t1:
-                return Fraction(0), False
-            e = min(t1, t2)
-            total += powers[e] if e in powers else Fraction(p) ** e
-            count += 1
-    return total / count, True
+            e = min(ell + a, b - ell)
+            tally[e] = tally.get(e, 0) + 1
+    total = sum(count * Fraction(p) ** e for e, count in tally.items())
+    return total / sum(tally.values())
+
+
+@lru_cache(maxsize=None)
+def _xi_checked(p: int, ell: int, crosscheck_limit: int) -> Fraction:
+    _require_prime(p)
+    closed = Fraction(p + 1 + 2 * ell * (p - 1), (p + 1) * p**ell)
+    if p ** (4 * ell) <= crosscheck_limit:
+        summed = _xi_column_sum(p, ell)
+        if summed != closed:
+            raise AssertionError(
+                f"Xi mismatch at (p={p}, ell={ell}): closed {closed}, column sum {summed}"
+            )
+    return closed
 
 
 def harish_chandra_xi(
@@ -247,23 +259,17 @@ def harish_chandra_xi(
     """Exact spherical decay value at the diagonal element diag(p**ell, p**-ell).
 
     Integral over the compact group of the inverse square root of the Borel
-    modulus of the upper-triangular Iwasawa component, computed as an exact
-    coset average at principal congruence level p**(2*ell).  If a level ever
-    fails to resolve the integrand it is escalated once, then
-    LevelInsufficient is raised.
+    modulus of the upper-triangular Iwasawa component.  It is the spherical
+    function of the (p+1)-regular tree at distance 2*ell,
+    p**-ell * (1 + 2*ell*(p-1)/(p+1)) (Macdonald 1971; Figa-Talamanca and
+    Nebbia 1991).  p must be a prime (ValueError otherwise).  Cross-checked
+    against the column sum over residues mod p**(2*ell) whenever p**(4*ell)
+    is within the configured crosscheck limit.
     """
     _require_sl2(n_dim)
-    if p < 2 or ell < 0:
-        raise ValueError("need a prime p and nonnegative ell")
-    if ell == 0:
-        return Fraction(1)
-    for level_exp in (2 * ell, 2 * ell + 1):
-        value, resolved = _xi_column_sum(p, ell, level_exp)
-        if resolved:
-            return value
-    raise LevelInsufficient(
-        f"integrand for (p={p}, ell={ell}) unresolved at level p**{2 * ell + 1}"
-    )
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    return _xi_checked(p, ell, config.volume_crosscheck_limit)
 
 
 def harish_chandra_xi_group_oracle(p: int, ell: int, max_group_size: int = 10**6) -> Fraction:

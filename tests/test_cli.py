@@ -216,12 +216,17 @@ class TestSpectral:
         (["witness", "-n", "30", "--alpha", "-1"], None),
         (["--group", "sl3", "verify-count"], None),
         (["verify-count", "--n-list", "2", "--epsilon", "0"], None),
+        (["volumes", "--lmax", "-1"], None),
+        (["spectral", "--p", "2", "--q", "5", "--lmax", "-1"], None),
+        (["witness", "-n", "30", "--alpha", "300"], None),
+        (["witness", "-n", "30", "--alpha", "inf"], None),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
          "point-line-not-object", "alpha-zero-denominator", "a-zero-denominator",
          "config-string-int", "config-null-budget", "config-zero-r_g",
          "config-not-object", "witness-negative-alpha", "sl3-verify-count",
-         "verify-count-zero-epsilon"],
+         "verify-count-zero-epsilon", "volumes-negative-lmax",
+         "spectral-negative-lmax", "witness-radius-underflow", "witness-alpha-inf"],
 )
 def test_malformed_input_exits_invalid(tmp_path, argv, file_text):
     path = tmp_path / "input.json"

@@ -21,7 +21,6 @@ from slnapprox.core import (
     FAMILY_PRESETS,
     family_from_file,
     family_from_preset,
-    identity_matrix,
     n_coprime_part,
     padic_norm,
     reduce,

@@ -10,7 +10,6 @@ import pytest
 from slnapprox.core import PolynomialFamily, Polynomial, family_from_preset
 from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.densities import (
-    DensityFunction,
     delta_n,
     density_table,
     group_order_mod,

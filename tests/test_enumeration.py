@@ -2,15 +2,20 @@
 
 import dataclasses
 import io
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slnapprox.config import DEFAULT_CONFIG
 from slnapprox.core import BallSpec, ball_membership, reduce
-from slnapprox.engine import counting_verification
+from slnapprox.engine import BOUNDED_CENTERS, counting_verification
 from slnapprox.enumeration import (
+    count_points,
     entry_bounds,
     enumerate_points,
     read_jsonl_points,
@@ -60,6 +65,7 @@ class TestFrozenCells:
         ball = BallSpec.make(IDENTITY, F(2, 5), 2)
         for strategy in ("oracle", "optimized"):
             assert enumerate_points(ball, strategy=strategy).count == 0
+        assert count_points(ball) == 0
 
     def test_integral_ball_contains_identity(self):
         ball = BallSpec.make(IDENTITY, F(2), 1)
@@ -107,6 +113,8 @@ class TestStrategyEquivalence:
         ball = BallSpec.make(center3, F(1, 2), 2)
         with pytest.raises(UnsupportedDimension):
             enumerate_points(ball, strategy="optimized")
+        with pytest.raises(UnsupportedDimension):
+            count_points(ball)
 
     def test_oracle_handles_3x3(self):
         center3 = tuple(
@@ -144,11 +152,45 @@ class TestResultContract:
             DEFAULT_CONFIG, oracle_cell_budget=10, optimized_row_budget=10
         )
         ball = BallSpec.make(IDENTITY, F(1, 2), 100)
-        for strategy in ("oracle", "optimized"):
+        for count in (
+            lambda: enumerate_points(ball, strategy="oracle", config=tight),
+            lambda: enumerate_points(ball, strategy="optimized", config=tight),
+            lambda: count_points(ball, tight),
+        ):
             with pytest.raises(SearchSpaceTooLarge) as info:
-                enumerate_points(ball, strategy=strategy, config=tight)
+                count()
             assert info.value.budget == 10
             assert info.value.needed > 10
+
+
+class TestCountPoints:
+    """count_points against the points the enumeration actually builds."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        center=st.sampled_from(BOUNDED_CENTERS),
+        radius=st.integers(1, 16).map(lambda k: F(k, 32)),
+        n=st.integers(1, 20),
+    )
+    def test_matches_enumeration(self, center, radius, n):
+        ball = BallSpec.make(center, radius, n)
+        assert count_points(ball) == enumerate_points(ball, strategy="both").count
+
+    def test_composite_n_rejects_imprimitive_rows(self):
+        # n = 12: top rows sharing a factor with n keep only the bottom rows
+        # that make the point primitive, so the gcd test matters there
+        ball = BallSpec.make(IDENTITY, F(1, 2), 12)
+        pts = enumerate_points(ball, strategy="both").points
+        assert count_points(ball) == len(pts) == 192
+        assert any(math.gcd(z.u[0][0], z.u[0][1], 12) > 1 for z in pts)
+        (a, b), (c, d) = entry_bounds(ball)
+        solutions = sum(
+            u11 * u22 - u12 * u21 == 144
+            for u11, u12, u21, u22 in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in (a, b, c, d))
+            )
+        )
+        assert solutions > len(pts)
 
 
 class TestEntryBounds:

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from slnapprox import volumes
+from slnapprox.config import Config
 from slnapprox.errors import BudgetExceeded, UnsupportedDimension
 from slnapprox.volumes import (
+    _xi_column_sum,
     finite_volume,
     growth_exponent,
     harish_chandra_xi,
@@ -139,8 +142,7 @@ class TestSphericalDecay:
         assert harish_chandra_xi_group_oracle(3, 1) == F(2, 3)
 
     def test_rescaled_profile_is_linear(self):
-        # p**ell * Xi grows by the constant 2(p-1)/(p+1) per step; the scan
-        # is quadratic in the level p**(2*ell), so the range shrinks with p
+        # p**ell * Xi grows by the constant 2(p-1)/(p+1) per step
         for p, lmax in ((2, 4), (3, 2), (5, 2)):
             prof = [p**ell * harish_chandra_xi(p, ell) for ell in range(lmax + 1)]
             diffs = {b - a for a, b in zip(prof, prof[1:])}
@@ -150,8 +152,28 @@ class TestSphericalDecay:
         with pytest.raises(BudgetExceeded):
             harish_chandra_xi_group_oracle(2, 2, max_group_size=10)
 
+    # every (p, ell) with p**(4*ell) <= 6 * 10**5
+    @pytest.mark.parametrize(
+        "p,ell",
+        [(2, ell) for ell in range(1, 5)]
+        + [(3, ell) for ell in range(1, 4)]
+        + [(5, ell) for ell in range(1, 3)]
+        + [(p, 1) for p in (7, 11, 13, 17, 19, 23)],
+    )
+    def test_closed_form_matches_column_sum(self, p, ell):
+        assert harish_chandra_xi(p, ell) == _xi_column_sum(p, ell)
+
+    def test_column_sum_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(volumes, "_xi_column_sum", lambda p, ell: F(0))
+        # a crosscheck limit of its own, so no cached value answers the call
+        with pytest.raises(AssertionError, match="mismatch"):
+            harish_chandra_xi(2, 1, config=Config(volume_crosscheck_limit=17))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             harish_chandra_xi(2, -1)
+        for composite in (4, 6):
+            with pytest.raises(ValueError, match="prime"):
+                harish_chandra_xi(composite, 1)
         with pytest.raises(UnsupportedDimension):
             harish_chandra_xi(2, 1, n_dim=3)
