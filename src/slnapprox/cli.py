@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
         "enumeration, volumes, densities, sieve bounds, spectral decay.",
     )
     parser.add_argument("--group", choices=["sl2", "sl3"], default="sl2")
-    parser.add_argument("--budget", type=int, help="override enumeration budgets")
+    parser.add_argument(
+        "--budget", type=_parse_nonnegative_int, help="override enumeration budgets"
+    )
     parser.add_argument("--config", help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -211,7 +213,9 @@ def _cmd_volumes(args, cfg: Config, n_dim: int) -> int:
 def _cmd_density(args, cfg: Config, n_dim: int) -> int:
     family = _load_family(args.poly, n_dim)
     moduli = list(args.q or [])
-    if args.p_range:
+    if args.p_range is not None:
+        if args.p_range < 2:
+            raise ValueError(f"--p-range needs a bound of at least 2, got {args.p_range}")
         moduli.extend(sympy.primerange(2, args.p_range + 1))
     if not moduli:
         moduli = [2, 3, 5, 7, 11, 13]
@@ -234,13 +238,14 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
         if len(dens) != 1:
             raise ValueError("points have mixed denominators; pass -n explicitly")
         n = dens.pop()
-    if args.delta is not None:
-        delta = args.delta
-    else:
+    delta = args.delta
+    # z and q_max do not depend on delta: check the arguments before delta_n
+    z, q_max = sieve.sieve_level(
+        len(points), family.t, args.tau, args.s,
+        1 if delta is None else delta, args.q_max,
+    )
+    if delta is None:
         delta = densities.delta_n(family, n, n_dim, config=cfg).delta
-    T = len(points)
-    z = float(T) ** (args.tau / args.s) if T else 1.0
-    q_max = args.q_max if args.q_max is not None else max(1, int(z))
     needed = set(sieve.squarefree_moduli(q_max, delta * n))
     needed.update(sieve.sieving_primes(z, n, delta))
     rho = densities.density_table(family, sorted(needed), n_dim, cfg)

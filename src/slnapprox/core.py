@@ -85,29 +85,22 @@ def prime_factorization(n: int) -> dict[int, int]:
     return out
 
 
-def n_coprime_part(w: Fraction | int, n: int) -> int:
-    """The positive part of w left after stripping every prime dividing n.
+def n_coprime_part(w: int, n: int) -> int:
+    """The positive part of the integer w left after stripping every prime of n.
 
-    w must be nonzero and its denominator must only involve primes of n
-    (so that w is a unit times an integer coprime to n).
+    w must be nonzero and n positive.  The primes are stripped by gcd, so n
+    is never factored: every prime of n still dividing m also divides g.
     """
-    w = Fraction(w)
     if w == 0:
         raise ValueError("zero has no coprime part")
-    num = abs(w.numerator)
-    den = w.denominator
-    if n == 1:
-        if den != 1:
-            raise ValueError(f"denominator {den} is not a unit for n = 1")
-        return num
-    if den != 1:
-        for p in prime_factorization(den):
-            if n % p:
-                raise ValueError(f"denominator has prime {p} not dividing n = {n}")
-    for p in prime_factorization(n):
-        while num % p == 0:
-            num //= p
-    return num
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    m = abs(w)
+    g = math.gcd(m, n)
+    while g > 1:
+        m //= g
+        g = math.gcd(m, g)
+    return m
 
 
 def snap_dyadic(x, bits: int = 53) -> Fraction:

@@ -26,6 +26,7 @@ from .core import (
     mat_mul,
     n_coprime_part,
     prime_factorization,
+    reduce,
 )
 from .errors import BudgetExceeded, MissingDensities, UnsupportedDimension
 
@@ -279,12 +280,13 @@ def delta_n(
 
     At most ``config.word_budget`` words are sampled; the scan stops once
     the gcd has not changed over ``config.gcd_window`` samples, or has
-    reached 1.  The value divides every f(gamma) coprime part by
-    construction; the window is a heuristic stopping rule, so the
-    certificate only claims "no change over the last `window` samples",
-    not a proof of minimality.  A scan that runs out of budget first is
-    logged and returned with ``certified`` False.  Zero values of f are
-    skipped and counted.
+    reached 1.  Each word gamma = u/v is evaluated on its numerator, the
+    integer v^deg * f(gamma), which has the coprime part of f(gamma).  The
+    value divides every such coprime part by construction; the window is a
+    heuristic stopping rule, so the certificate only claims "no change over
+    the last `window` samples", not a proof of minimality.  A scan that
+    runs out of budget first is logged and returned with ``certified``
+    False.  Zero values of f are skipped and counted.
     """
     budget = config.word_budget
     window = config.gcd_window
@@ -298,8 +300,7 @@ def delta_n(
         if samples >= budget:
             break
         samples += 1
-        flat = tuple(e for row in gamma for e in row)
-        w = math.prod(poly.eval_flat(flat) for poly in family.polys)
+        w = math.prod(family.values(reduce(gamma)))
         if w == 0:
             zeros += 1
             continue

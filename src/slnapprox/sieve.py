@@ -1,10 +1,11 @@
 """Arithmetic of Z[1/n] values, sieve axiom checks, and the lower bound.
 
-A nonzero rational w whose denominator only involves primes of n splits as
-(unit of Z[1/n]) times a positive integer coprime to n, the coprime part
-[w]_n.  Everything here works with that integer: factor counting, r-prime
-tests, congruence counts against density data, and the combinatorial lower
-bound
+The value of a polynomial family on a point z = u/v is the integer
+v^deg * f(z), which is f(z) times a unit of Z[1/n].  A nonzero integer w
+splits as (unit of Z[1/n]) times a positive integer coprime to n, the
+coprime part [w]_n.  Everything here works with that integer: factor
+counting, r-prime tests, congruence counts against density data, and the
+combinatorial lower bound
 
     S >= T * W(z) * (C1 - C2 * l * (loglog 3T)^(3t+2) / log T)
 
@@ -81,7 +82,7 @@ class SievedValue:
     composite can).
     """
 
-    raw: Fraction | int
+    raw: int
     n: int
     coprime_part: int
     factors: tuple[tuple[int, int], ...]
@@ -94,8 +95,8 @@ class SievedValue:
         return base + (2 if self.cofactor > 1 else 0)
 
 
-def coprime_part(w, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue:
-    """Split w in Z[1/n] into unit times [w]_n and factor the integer part."""
+def coprime_part(w: int, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue:
+    """Split the integer w into a unit of Z[1/n] times [w]_n and factor [w]_n."""
     if w == 0:
         raise ZeroValue("coprime part of 0 is undefined")
     m = n_coprime_part(w, n)
@@ -150,22 +151,15 @@ def almost_prime_count(
     """Count points whose value avoids every sieving prime p <= z.
 
     Sieving primes are those coprime to delta * n.  Points where the value
-    vanishes are excluded (and their number logged).
+    vanishes are excluded.  The count is read off the value histogram.
     """
-    primes = sieving_primes(z, n, delta)
-    count = 0
-    zeros = 0
-    for pt in _point_seq(points):
-        value = _family_value(family, pt, n)
-        if value == 0:
-            zeros += 1
-            continue
-        m = n_coprime_part(value, n)
-        if all(m % p for p in primes):
-            count += 1
-    if zeros:
-        log.info("almost_prime_count: excluded %d zero values", zeros)
-    return count
+    a = value_histogram(points, family, n)
+    return _avoiding_count(a.items(), sieving_primes(z, n, delta))
+
+
+def _avoiding_count(a_k, primes: Sequence[int]) -> int:
+    """Points of the histogram a_k with a nonzero value free of every prime."""
+    return sum(cnt for k, cnt in a_k if k and all(k % p for p in primes))
 
 
 def _point_seq(points) -> Sequence[RationalGroupPoint]:
@@ -202,23 +196,6 @@ def value_histogram(
         value = _family_value(family, pt, n)
         a[0 if value == 0 else n_coprime_part(value, n)] += 1
     return a
-
-
-def congruence_count_direct(points, family: PolynomialFamily, q: int) -> int:
-    """#{points : f(z) = 0 mod q}, by reducing the exact value mod q.
-
-    Every point denominator must be invertible mod q, so that v**deg * f(z)
-    vanishes mod q exactly when f(z) does; with q coprime to the
-    denominator modulus that always holds.  Kept separate from the
-    histogram route so the two can be compared.
-    """
-    count = 0
-    for pt in _point_seq(points):
-        if math.gcd(pt.v, q) != 1:
-            raise ValueError(f"denominator {pt.v} not invertible mod {q}")
-        if math.prod(family.values(pt)) % q == 0:
-            count += 1
-    return count
 
 
 @dataclass(frozen=True)
@@ -326,6 +303,37 @@ class SieveBound:
     degenerate: bool
 
 
+def sieve_level(
+    T: int,
+    t: int,
+    tau: float,
+    s: float,
+    delta: int = 1,
+    q_max: int | None = None,
+) -> tuple[float, int]:
+    """The sieve level z = T^(tau/s) and the largest remainder modulus.
+
+    z is 1 on an empty cell; q_max defaults to max(1, floor(z)).  Raises
+    ValueError unless T >= 0, 0 < tau < inf, s > 9t, delta >= 1 and
+    q_max >= 1, or when z overflows.
+    """
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not s > 9 * t:
+        raise ValueError(f"need s > 9t, got s={s}, t={t}")
+    if delta < 1:
+        raise ValueError(f"delta must be at least 1, got {delta}")
+    if q_max is not None and q_max < 1:
+        raise ValueError(f"q_max must be at least 1, got {q_max}")
+    try:
+        z = float(T) ** (tau / s) if T > 0 else 1.0
+    except OverflowError:
+        raise ValueError(f"sieve level {T}^({tau}/{s}) overflows") from None
+    return z, max(1, int(z)) if q_max is None else q_max
+
+
 def beta_sieve_lower_bound(
     T: int,
     rho,
@@ -341,18 +349,14 @@ def beta_sieve_lower_bound(
 ) -> SieveBound:
     """Evaluate the combinatorial lower bound at level z = T^(tau/s).
 
-    Requires s > 9t.  W(z) is computed exactly from the density handle; the
-    result may be negative, in which case it is flagged vacuous.  T <= 1
-    degenerates to T * W * C1 (the log-power correction needs log T > 0).
+    Without z the level comes from ``sieve_level``, which checks the
+    arguments (s > 9t among them).  W(z) is computed exactly from the
+    density handle; the result may be negative, in which case it is
+    flagged vacuous.  T <= 1 degenerates to T * W * C1 (the log-power
+    correction needs log T > 0).
     """
-    if s <= 9 * t:
-        raise ValueError(f"need s > 9t, got s={s}, t={t}")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if T < 0:
-        raise ValueError("T must be nonnegative")
     if z is None:
-        z = float(T) ** (tau / s) if T > 0 else 1.0
+        z, _ = sieve_level(T, t, tau, s, delta)
     primes = sieving_primes(z, n, delta)
     W = Fraction(1)
     for p in primes:
@@ -408,18 +412,20 @@ def run_sieve(
     C1: float = 1.0,
     C2: float = 1.0,
 ) -> SieveReport:
-    """Axiom check, lower bound, and direct count on one enumerated cell."""
+    """Axiom check, lower bound, and direct count on one enumerated cell.
+
+    The direct count is read off the axiom report's value histogram, over
+    the lower bound's sieving primes, so every point is evaluated once.
+    """
     pts = _point_seq(points)
     T = len(pts)
     t = family.t
-    z = float(T) ** (tau / s) if T > 0 else 1.0
-    if q_max is None:
-        q_max = max(1, int(z))
+    z, q_max = sieve_level(T, t, tau, s, delta, q_max)
     axioms = axiom_report(pts, family, q_max, rho, n, delta=delta, z=z)
     bound = beta_sieve_lower_bound(
         T, rho, t, tau, s, axioms.a2_l, z=z, C1=C1, C2=C2, n=n, delta=delta
     )
-    direct = almost_prime_count(pts, family, n, z, delta=delta)
+    direct = _avoiding_count(axioms.a_k, bound.primes_used)
     consistent = bound.vacuous or bound.value <= direct
     return SieveReport(
         T=T,

@@ -134,11 +134,6 @@ def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
     return LevelTable(q=q, vertices=vertices, entries=entries, index=index)
 
 
-def projective_vertices(q: int, config: Config = DEFAULT_CONFIG) -> tuple[Mat2, ...]:
-    """All scalar classes of invertible matrices mod q, least member each."""
-    return level_table(q, config).vertices
-
-
 def det_class_partition(
     vertices: Sequence[Mat2], q: int
 ) -> tuple[tuple[int, ...], ...]:

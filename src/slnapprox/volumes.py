@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import BudgetExceeded, UnsupportedDimension
+from .errors import UnsupportedDimension
 from .core import prime_factorization
 
 
@@ -270,36 +270,3 @@ def harish_chandra_xi(
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return _xi_checked(p, ell, config.volume_crosscheck_limit)
-
-
-def harish_chandra_xi_group_oracle(p: int, ell: int, max_group_size: int = 10**6) -> Fraction:
-    """Reference computation averaging over the full congruence quotient.
-
-    Enumerates every 2x2 determinant-1 matrix mod p**(2*ell) and averages the
-    same integrand over them.  Exponential in ell, so only for cross-checks.
-    """
-    if ell == 0:
-        return Fraction(1)
-    m = p ** (2 * ell)
-    # |SL2(Z/m)| = m**3 * (1 - p**-2), exactly
-    order = m**3 * (p * p - 1) // (p * p)
-    if order > max_group_size:
-        raise BudgetExceeded(f"group of order {order} exceeds {max_group_size}")
-    total = Fraction(0)
-    count = 0
-    for a in range(m):
-        g = math.gcd(a, m)
-        av = _valuation_capped(a, p, 2 * ell)
-        for b in range(m):
-            for c in range(m):
-                # number of d with a*d == 1 + b*c (mod m) is g when g divides
-                # the right side, else zero; the integrand ignores b and d
-                if (1 + b * c) % g:
-                    continue
-                cv = _valuation_capped(c, p, 2 * ell)
-                e = min(ell + av, cv - ell)
-                total += g * Fraction(p) ** e
-                count += g
-    if count != order:
-        raise AssertionError(f"scanned {count} group elements, expected {order}")
-    return total / count

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import slnapprox
 from slnapprox.cli import main
@@ -199,6 +203,10 @@ class TestSpectral:
         assert "converge" in err
 
 
+# one denominator-2 point record, the first point `enumerate -n 2` prints
+POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
+
+
 @pytest.mark.parametrize(
     "argv,file_text",
     [
@@ -220,13 +228,27 @@ class TestSpectral:
         (["spectral", "--p", "2", "--q", "5", "--lmax", "-1"], None),
         (["witness", "-n", "30", "--alpha", "300"], None),
         (["witness", "-n", "30", "--alpha", "inf"], None),
+        (["sieve", "--points", "{file}", "--s", "0"], POINT_LINE),
+        (["sieve", "--points", "{file}", "--delta", "0"], POINT_LINE),
+        (["sieve", "--points", "{file}", "--delta", "-3"], POINT_LINE),
+        (["sieve", "--points", "{file}", "--q-max", "-3"], POINT_LINE),
+        (["sieve", "--points", "{file}", "-n", "0"], POINT_LINE),
+        (["sieve", "--points", "{file}", "-n", "-5"], POINT_LINE),
+        (["--budget", "-1", "enumerate", "--radius", "1/2", "-n", "2"], None),
+        (["density", "--p-range", "0"], None),
+        (["density", "--p-range", "-5"], None),
+        (["density", "--p-range", "1"], None),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
          "point-line-not-object", "alpha-zero-denominator", "a-zero-denominator",
          "config-string-int", "config-null-budget", "config-zero-r_g",
          "config-not-object", "witness-negative-alpha", "sl3-verify-count",
          "verify-count-zero-epsilon", "volumes-negative-lmax",
-         "spectral-negative-lmax", "witness-radius-underflow", "witness-alpha-inf"],
+         "spectral-negative-lmax", "witness-radius-underflow", "witness-alpha-inf",
+         "sieve-zero-s", "sieve-zero-delta", "sieve-negative-delta",
+         "sieve-negative-q-max", "sieve-zero-n", "sieve-negative-n",
+         "negative-budget", "density-p-range-0", "density-p-range-negative",
+         "density-p-range-1"],
 )
 def test_malformed_input_exits_invalid(tmp_path, argv, file_text):
     path = tmp_path / "input.json"
@@ -235,6 +257,111 @@ def test_malformed_input_exits_invalid(tmp_path, argv, file_text):
     code, _, err = run_process(*(arg.format(file=path) for arg in argv))
     assert code == EXIT_INVALID
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--s", "0"], ["--tau", "-1"], ["--q-max", "-3"]])
+def test_sieve_checks_arguments_before_delta_scan(capsys, monkeypatch, tmp_path, flags):
+    def scan(*args, **kwargs):
+        raise AssertionError("delta_n ran on invalid sieve arguments")
+
+    monkeypatch.setattr(slnapprox.densities, "delta_n", scan)
+    path = tmp_path / "cell.jsonl"
+    path.write_text(POINT_LINE)
+    code, _, _ = run(capsys, "sieve", "--points", str(path), *flags)
+    assert code == EXIT_INVALID
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: command lines drawn from bounded pools, run in-process
+
+INTS = [str(i) for i in range(-3, 61)]
+ODD = ["1/2", "-2/3", "1/0", "0.25", "nan", "inf", "-inf", "", "x", "[[1,0", "3,,5"]
+VALUES = INTS + ODD
+# the shell degree (p+1) p^(2l-1) of `spectral` has no budget (the generator
+# list is built whole), so p and l stay where it is at most a few thousand;
+# `volumes` runs the Hermite count for every shell, so its l stays small too
+SMALL = [str(i) for i in range(-3, 14)] + ["x", "1/2", "nan"]
+SPECTRAL_P = [str(i) for i in range(-3, 8)] + ["x", "1/2"]
+SPECTRAL_LMAX = [str(i) for i in range(-3, 4)] + ["x", "1/2"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {
+        "points": POINT_LINE * 3,
+        "junk": "not json\n",
+        "family": json.dumps({"n_dim": 2, "polys": [[[1, [1, 0, 0, 0]]]]}),
+        "centers": json.dumps([[["1", "0"], ["0", "1"]]]),
+        # small budgets keep every drawn command line quick
+        "config": json.dumps(
+            {"density_order_budget": 20000, "spectral_vertex_budget": 2000,
+             "word_budget": 200, "volume_crosscheck_limit": 2000}
+        ),
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return {name: str(root / name) for name in files} | {"missing": str(root / "nope")}
+
+
+def _flag_pools(files):
+    paths = [files["points"], files["junk"], files["missing"], files["family"],
+             files["centers"]]
+    presets = ["entry11", "trace-minus-2", "sum-entries"]
+    centers = ["identity", '[["1","0"],["0","1"]]', '[["1",2]]'] + ODD
+    return {
+        "enumerate": {"--center": centers, "--radius": VALUES, "-n": VALUES,
+                      "--strategy": ["optimized", "oracle", "both", "x"]},
+        "volumes": {"--p-list": VALUES + ["2,3", "4,5"], "--lmax": SMALL},
+        "density": {"--poly": presets + paths, "--q": VALUES + ["2,5,10", "4"],
+                    "--p-range": VALUES},
+        "sieve": {"--points": paths, "--poly": presets + paths, "-n": VALUES,
+                  "--tau": VALUES, "--s": VALUES, "--q-max": VALUES,
+                  "--delta": VALUES},
+        "spectral": {"--p": SPECTRAL_P, "--q": SMALL, "--lmax": SPECTRAL_LMAX,
+                     "--reps": ["lagrange", "hermite", "x"]},
+        "params": {"--alpha": VALUES, "--t": VALUES, "--deg": VALUES,
+                   "--delta": VALUES, "--d": VALUES, "--a": VALUES},
+        "witness": {"--center": centers, "-n": VALUES, "--alpha": VALUES,
+                    "--poly": presets + paths},
+        "verify-count": {"--centers": ["bounded5"] + paths, "--n-list": VALUES,
+                         "--epsilon": VALUES, "--threshold": VALUES},
+    }
+
+
+REQUIRED = {"enumerate": ["--radius", "-n"], "sieve": ["--points"],
+            "spectral": ["--p", "--q"], "params": ["--alpha"],
+            "witness": ["-n", "--alpha"]}
+
+
+@st.composite
+def command_lines(draw, files):
+    pools = _flag_pools(files)
+    command = draw(st.sampled_from(sorted(pools)))
+    flags = pools[command]
+    argv = ["--budget", "2000", "--config", files["config"]]
+    argv += draw(st.sampled_from([[], [], ["--group", "sl3"]]))
+    argv.append(command)
+    optional = draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True))
+    for flag in REQUIRED.get(command, []) + optional:
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    return argv
+
+
+@settings(
+    derandomize=True, max_examples=600, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_argv_fuzz_exit_codes(fuzz_files, data):
+    argv = data.draw(command_lines(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejections
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_BUDGET, EXIT_NO_WITNESS, EXIT_INVALID), argv
 
 
 class TestParams:

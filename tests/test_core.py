@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slnapprox
 from slnapprox.core import (
@@ -23,6 +25,7 @@ from slnapprox.core import (
     family_from_preset,
     n_coprime_part,
     padic_norm,
+    prime_factorization,
     reduce,
     snap_dyadic,
 )
@@ -274,19 +277,46 @@ class TestPolynomials:
         assert math.prod(fam.values(reduce(IDENTITY))) == 1
 
 
+def strip_by_factorization(w, n):
+    """Oracle: divide |w| by every prime of n, found by factoring n."""
+    m = abs(w)
+    for p in prime_factorization(n):
+        while m % p == 0:
+            m //= p
+    return m
+
+
 class TestCoprimePart:
     def test_strips_modulus_primes(self):
-        assert n_coprime_part(F(12), 6) == 1
-        assert n_coprime_part(F(12), 5) == 12
-        assert n_coprime_part(F(-35, 2), 2) == 35
+        assert n_coprime_part(12, 6) == 1
+        assert n_coprime_part(12, 5) == 12
+        assert n_coprime_part(-140, 2) == 35
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            n_coprime_part(F(0), 6)
+            n_coprime_part(0, 6)
 
-    def test_rejects_foreign_denominator(self):
-        with pytest.raises(ValueError):
-            n_coprime_part(F(1, 5), 6)
+    def test_rejects_nonpositive_modulus(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="positive"):
+                n_coprime_part(12, n)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        base=st.integers(-(10**12), 10**12).filter(bool),
+        n=st.one_of(
+            st.just(1),
+            st.builds(pow, st.sampled_from([2, 3, 5, 7, 97]), st.integers(1, 6)),
+            st.integers(2, 10**5),
+        ),
+        e=st.integers(0, 4),
+    )
+    def test_matches_factorization_strip(self, base, n, e):
+        w = base * n**e
+        m = n_coprime_part(w, n)
+        assert m == strip_by_factorization(w, n)
+        assert m == n_coprime_part(base, n)
+        assert math.gcd(m, n) == 1
 
 
 class TestJsonRoundTrip:

@@ -207,8 +207,9 @@ class TestDeltaN:
         from slnapprox.core import n_coprime_part
 
         for gamma in itertools.islice(group_words(2), 10**3):
+            # f(gamma) on the rational entries; its denominator is a power of 2
             flat = tuple(e for row in gamma for e in row)
-            w = fam.polys[0].eval_flat(flat)
+            w = fam.polys[0].eval_flat(flat).numerator
             if w == 0:
                 continue
             count += 1

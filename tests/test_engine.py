@@ -112,14 +112,29 @@ class TestFindWitness:
         assert rec.distance <= rec.epsilon
 
     def test_witness_is_certified_best(self):
-        rec = find_witness(IDENTITY, 6, 0.4, ENTRY11)
-        ball = BallSpec.make(IDENTITY, rec.epsilon, 6)
-        assert ball_membership(rec.z, ball)
-        for z in enumerate_points(ball).points:
-            prod = math.prod(ENTRY11.values(z))
-            if prod == 0:
-                continue
-            assert rec.factor_count <= coprime_part(prod, 6).factor_count
+        balls = [(IDENTITY, 6, 0.4, "entry11")] + [
+            (BOUNDED_CENTERS[c], n, 0.3, preset)
+            for c in (1, 3, 4)
+            for n in (12, 30, 53)
+            for preset in ("entry11", "trace-minus-2", "sum-entries")
+        ]
+        for center, n, alpha, preset in balls:
+            family = family_from_preset(preset)
+            rec = find_witness(center, n, alpha, family)
+            ball = BallSpec.make(center, rec.epsilon, n)
+            assert ball_membership(rec.z, ball)
+            # per-point oracle: first point of least factor count, zeros skipped
+            best, best_count, zeros = None, None, 0
+            for z in enumerate_points(ball).points:
+                prod = math.prod(family.values(z))
+                if prod == 0:
+                    zeros += 1
+                    continue
+                fc = coprime_part(prod, n).factor_count
+                if best_count is None or fc < best_count:
+                    best, best_count = z, fc
+            found = (rec.z, rec.factor_count, rec.zero_values_skipped)
+            assert found == (best, best_count, zeros), (center, n, preset)
 
     def test_integral_target(self):
         rec = find_witness(IDENTITY, 1, 0.5, ENTRY11)

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slnapprox.config import DEFAULT_CONFIG
-from slnapprox.core import BallSpec, ball_membership, reduce
+from slnapprox.core import BallSpec, ball_membership, identity_matrix, mat_mul, reduce
 from slnapprox.engine import BOUNDED_CENTERS, counting_verification
 from slnapprox.enumeration import (
+    EnumerationResult,
     count_points,
     entry_bounds,
     enumerate_points,
@@ -242,3 +243,34 @@ class TestJsonl:
         assert '"strategy":"optimized"' in lines[-1]
         buf.seek(0)
         assert read_jsonl_points(buf) == list(res.points)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        n_dim=st.sampled_from([2, 3]),
+        n=st.integers(1, 60),
+        steps=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-(10**20), 10**20)),
+            max_size=6,
+        ),
+    )
+    def test_round_trip_random_points(self, n_dim, n, steps):
+        # products of elementary matrices 1 + (k/n) e_ij: group points of
+        # denominator dividing a power of n, with entries past 64 bits
+        pts = []
+        m = identity_matrix(n_dim)
+        for i, j, k in steps:
+            i, j = i % n_dim, j % n_dim
+            if i == j:
+                continue
+            e = [[F(int(r == c)) for c in range(n_dim)] for r in range(n_dim)]
+            e[i][j] = F(k, n)
+            m = mat_mul(m, e)
+            pts.append(reduce(m))
+        ball = BallSpec.make(identity_matrix(n_dim), F(1, 2), n)
+        res = EnumerationResult(
+            points=tuple(pts), count=len(pts), ball=ball, strategy="oracle", elapsed_ms=0.0
+        )
+        buf = io.StringIO()
+        write_jsonl(res, buf)
+        buf.seek(0)
+        assert read_jsonl_points(buf) == pts

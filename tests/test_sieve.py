@@ -9,18 +9,19 @@ from fractions import Fraction
 import pytest
 
 from slnapprox.config import DEFAULT_CONFIG
-from slnapprox.core import BallSpec, family_from_preset, reduce
+from slnapprox.core import BallSpec, family_from_preset, n_coprime_part, reduce
 from slnapprox.densities import density_table
+from slnapprox.engine import BOUNDED_CENTERS
 from slnapprox.enumeration import enumerate_points
 from slnapprox.errors import MissingDensities, ZeroValue
 from slnapprox.sieve import (
     almost_prime_count,
     axiom_report,
     beta_sieve_lower_bound,
-    congruence_count_direct,
     coprime_part,
     is_r_prime,
     run_sieve,
+    sieve_level,
     sieve_report_to_json_dict,
     sieving_primes,
     squarefree_moduli,
@@ -31,6 +32,37 @@ F = Fraction
 
 IDENTITY = ((F(1), F(0)), (F(0), F(1)))
 ENTRY11 = family_from_preset("entry11")
+
+
+# ---------------------------------------------------------------------------
+# per-point oracles: every point evaluated and tested on its own, apart from
+# the value histogram the package counts from
+
+
+def congruence_count_direct(points, family, q):
+    """#{points : f(z) = 0 mod q}, by reducing the exact value mod q.
+
+    Every point denominator must be invertible mod q, so that v**deg * f(z)
+    vanishes mod q exactly when f(z) does.
+    """
+    count = 0
+    for pt in points:
+        if math.gcd(pt.v, q) != 1:
+            raise ValueError(f"denominator {pt.v} not invertible mod {q}")
+        if math.prod(family.values(pt)) % q == 0:
+            count += 1
+    return count
+
+
+def almost_prime_count_direct(points, family, n, z, delta=1):
+    """#{points : f(z) != 0 and no sieving prime divides its coprime part}."""
+    primes = sieving_primes(z, n, delta)
+    count = 0
+    for pt in points:
+        value = math.prod(family.values(pt))
+        if value and all(n_coprime_part(value, n) % p for p in primes):
+            count += 1
+    return count
 
 
 @pytest.fixture(scope="module")
@@ -46,25 +78,25 @@ def rho_small():
 
 class TestCoprimePart:
     def test_unit_value(self):
-        sv = coprime_part(F(1, 6), 6)
+        sv = coprime_part(36, 6)
         assert sv.coprime_part == 1
         assert sv.factor_count == 0
         assert sv.complete
 
     def test_strips_only_modulus_primes(self):
-        sv = coprime_part(F(3, 2), 2)
+        sv = coprime_part(-12, 2)
         assert sv.coprime_part == 3
         assert sv.factors == ((3, 1),)
         assert sv.factor_count == 1
 
     def test_twelve_at_coprime_modulus(self):
-        sv = coprime_part(F(12), 35)
+        sv = coprime_part(12, 35)
         assert sv.coprime_part == 12
         assert sv.factor_count == 3  # 2, 2, 3
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroValue):
-            coprime_part(F(0), 2)
+            coprime_part(0, 2)
 
     def test_factor_count_additive(self):
         rng = random.Random(10)
@@ -73,9 +105,9 @@ class TestCoprimePart:
             b = rng.randrange(2, 10**4)
             if math.gcd(a, b) != 1:
                 continue
-            fa = coprime_part(F(a), 1)
-            fb = coprime_part(F(b), 1)
-            fab = coprime_part(F(a * b), 1)
+            fa = coprime_part(a, 1)
+            fb = coprime_part(b, 1)
+            fab = coprime_part(a * b, 1)
             assert fab.factor_count == fa.factor_count + fb.factor_count
 
     def test_incomplete_factorization_lower_bound(self):
@@ -83,7 +115,7 @@ class TestCoprimePart:
             DEFAULT_CONFIG, factor_trial_limit=10, factor_bit_budget=8
         )
         m = 10007 * 10009
-        sv = coprime_part(F(m), 1, config=stingy)
+        sv = coprime_part(m, 1, config=stingy)
         assert not sv.complete
         assert sv.cofactor == m
         assert sv.factor_count == 2  # composite cofactor counts at least 2
@@ -138,7 +170,7 @@ class TestHistogramAndCounts:
         a = value_histogram(cell8, ENTRY11, 2)
         for q in (1, 3, 5, 7, 9):
             via_hist = sum(cnt for k, cnt in a.items() if k % q == 0)
-            assert congruence_count_direct(cell8, ENTRY11, q) == via_hist
+            assert congruence_count_direct(cell8.points, ENTRY11, q) == via_hist
 
     def test_almost_prime_counts(self, cell8):
         assert almost_prime_count(cell8, ENTRY11, 2, z=1) == 8
@@ -248,6 +280,25 @@ class TestLowerBound:
 
 
 class TestRunSieve:
+    @pytest.mark.parametrize("preset", ["entry11", "trace-minus-2", "sum-entries"])
+    @pytest.mark.parametrize("n", [6, 12, 30])
+    def test_counts_match_per_point_oracle(self, preset, n):
+        # composite n, and trace - 2 vanishes on part of every cell
+        family = family_from_preset(preset)
+        pts = enumerate_points(BallSpec.make(BOUNDED_CENTERS[3], F(1, 2), n)).points
+        if preset == "trace-minus-2":
+            assert any(math.prod(family.values(z)) == 0 for z in pts)
+        z, q_max = sieve_level(len(pts), family.t, 3.0, 9.5)
+        needed = set(squarefree_moduli(q_max, n)) | set(sieving_primes(z, n))
+        rho = density_table(family, sorted(needed))
+        rep = run_sieve(pts, family, n, rho, tau=3.0, s=9.5)
+        assert rep.direct_count == almost_prime_count_direct(pts, family, n, rep.z)
+        for zz in (1, 2, 3, 5, 7, 11, 13):
+            for delta in (1, 7):
+                assert almost_prime_count(
+                    pts, family, n, zz, delta
+                ) == almost_prime_count_direct(pts, family, n, zz, delta)
+
     def test_consistent_on_cell(self, cell8, rho_small):
         rep = run_sieve(cell8, ENTRY11, 2, rho_small, tau=0.5, s=10.0)
         assert rep.T == 8

@@ -19,7 +19,6 @@ from slnapprox.spectral import (
     lagrange_reduce,
     level_table,
     projective_order,
-    projective_vertices,
     second_singular_value,
 )
 from slnapprox.spectral import _units
@@ -28,6 +27,11 @@ from slnapprox.volumes import hnf_representatives
 
 def det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def projective_vertices(q, config=DEFAULT_CONFIG):
+    """All scalar classes of invertible matrices mod q, least member each."""
+    return level_table(q, config).vertices
 
 
 def code(entries, q):
