@@ -19,6 +19,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import NotUnimodular
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -83,6 +85,13 @@ def prime_factorization(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def check_int64_modulus(q: int) -> None:
+    """ValueError unless 1 <= q < 2**31, where residues mod q multiply
+    without leaving int64: (q - 1)**2 < 2**62."""
+    if not 1 <= q < 2**31:
+        raise ValueError(f"modulus {q} outside the int64 range [1, 2**31)")
 
 
 def n_coprime_part(w: int, n: int) -> int:
@@ -424,6 +433,26 @@ class Polynomial:
             for i, e in powers:
                 term = term * values[i] ** e
             total = total + term
+        return total
+
+    def eval_mod(self, columns: np.ndarray, q: int) -> np.ndarray:
+        """f mod q on many matrices at once, as an int64 array in [0, q).
+
+        ``columns`` is an int64 array of shape (n_dim**2, m) whose row i holds
+        entry i (row major) of each of the m matrices, reduced mod q.  Every
+        product is reduced before the next, so no intermediate value reaches
+        q**2; q must therefore be below 2**31 (ValueError otherwise).
+        """
+        check_int64_modulus(q)
+        total = np.zeros(columns.shape[1], dtype=np.int64)
+        for c, _, powers in self._terms:
+            term = np.full(columns.shape[1], c % q, dtype=np.int64)
+            for i, e in powers:
+                for _ in range(e):
+                    np.multiply(term, columns[i], out=term)
+                    np.remainder(term, q, out=term)
+            np.add(total, term, out=total)
+            np.remainder(total, q, out=total)
         return total
 
 

@@ -4,10 +4,12 @@ The density at a square-free modulus q is
 
     rho(q) = q * #[zeros of f in the matrix group mod q] / #[group mod q]
 
-computed by exhaustive enumeration.  For a modulus with several prime
-factors the density is also the product of the single-prime values, which
-is cheaper; the direct enumeration stays available so multiplicativity can
-be confirmed rather than assumed.
+and it is multiplicative in q.  ``density_table`` scans the group mod p
+once for each distinct prime p of its moduli and multiplies; the direct
+scan of the group mod a composite q stays available as the oracle of that
+product rule.  A scan generates the group mod q in int64 blocks of
+columns (the 2x2 determinant equation is solved for d on whole arrays)
+and evaluates the family on each block with reductions mod q.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     FracMatrix,
     PolynomialFamily,
+    check_int64_modulus,
     mat_mul,
     n_coprime_part,
     prime_factorization,
@@ -31,6 +35,9 @@ from .core import (
 from .errors import BudgetExceeded, MissingDensities, UnsupportedDimension
 
 log = logging.getLogger(__name__)
+
+# bound on the group elements in one block of ``iterate_group_mod``
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def group_order_mod(q: int, n_dim: int = 2) -> int:
@@ -50,55 +57,102 @@ def group_order_mod(q: int, n_dim: int = 2) -> int:
 
 
 def iterate_group_mod(q: int, n_dim: int = 2):
-    """Yield all determinant-1 matrices mod q as flat tuples.
+    """Yield the determinant-1 matrices mod q in blocks of columns.
 
-    For 2x2 this solves a*d == 1 + b*c (mod q) for d instead of filtering a
-    full scan, so the work is close to the group order itself.
+    Each block is an int64 array of shape (n_dim**2, m) whose row i holds
+    entry i (row major) of m group elements, with m at most about
+    ``_BLOCK_ELEMENTS``.  For 2x2 the equation a*d == 1 + b*c (mod q) is
+    solved for d on whole arrays of (b, c), through gcd(a, q) when q is
+    composite; for 3x3 the entries below each first row are filtered by
+    det == 1 (mod q).  q must be below 2**31 (ValueError otherwise).
     """
+    check_int64_modulus(q)
     if n_dim == 2:
-        for a in range(q):
-            g = math.gcd(a, q)
-            step = q // g
-            inv = pow(a // g, -1, step) if g < q else 0
-            for b in range(q):
-                for c in range(q):
-                    r = (1 + b * c) % q
-                    if r % g:
-                        continue
-                    if g == q:
-                        for d in range(q):
-                            yield (a, b, c, d)
-                    else:
-                        d0 = ((r // g) * inv) % step
-                        for d in range(d0, q, step):
-                            yield (a, b, c, d)
+        yield from _sl2_blocks(q)
     elif n_dim == 3:
-        for flat in iproduct(range(q), repeat=9):
-            det = (
-                flat[0] * (flat[4] * flat[8] - flat[5] * flat[7])
-                - flat[1] * (flat[3] * flat[8] - flat[5] * flat[6])
-                + flat[2] * (flat[3] * flat[7] - flat[4] * flat[6])
-            )
-            if det % q == 1 % q:
-                yield flat
+        yield from _sl3_blocks(q)
     else:
         raise UnsupportedDimension(f"n_dim={n_dim}")
 
 
-def _is_squarefree(q: int) -> bool:
-    return all(a == 1 for a in prime_factorization(q).values())
+def _sl2_blocks(q: int):
+    # a*d == r (mod q) with r = 1 + b*c is solvable iff g = gcd(a, q) divides
+    # r, and then d runs over d0 + k*(q/g), k < g, with d0 = (r/g)*(a/g)^-1
+    a_all = np.arange(q, dtype=np.int64)
+    g_all = np.gcd(a_all, q)
+    step_all = q // g_all
+    inv_all = np.array(
+        [pow(a // g, -1, q // g) for a, g in zip(range(q), g_all.tolist())],
+        dtype=np.int64,
+    )
+    c = np.arange(q, dtype=np.int64)
+    # each (a, b) row has at most q solutions (c, d): q/g values of c, g of d
+    rows = max(1, _BLOCK_ELEMENTS // q)
+    for start in range(0, q * q, rows):
+        a, b = np.divmod(np.arange(start, min(start + rows, q * q), dtype=np.int64), q)
+        r = (1 + b[:, None] * c) % q
+        hit_row, hit_c = np.nonzero(r % g_all[a][:, None] == 0)
+        if not len(hit_row):
+            continue
+        a_hit = a[hit_row]
+        g = g_all[a_hit]
+        d0 = (r[hit_row, hit_c] // g * inv_all[a_hit]) % step_all[a_hit]
+        # expand each solution (a, b, c, d0) into its g values of d
+        pick = np.repeat(np.arange(len(g)), g)
+        k = np.arange(len(pick)) - np.repeat(np.cumsum(g) - g, g)
+        yield np.stack(
+            (a_hit[pick], b[hit_row][pick], hit_c[pick], d0[pick] + step_all[a_hit][pick] * k)
+        )
+
+
+def _sl3_blocks(q: int):
+    # det = r1 . (r2 x r3): the cofactors of (r2, r3) pairs are computed once
+    # per chunk of second rows and reused for every first row
+    one = 1 % q
+    rows = np.indices((q, q, q), dtype=np.int64).reshape(3, -1)
+    chunk = max(1, _BLOCK_ELEMENTS // q**3)
+    for start in range(0, q**3, chunk):
+        r2 = np.repeat(rows[:, start:start + chunk], q**3, axis=1)
+        r3 = np.tile(rows, min(chunk, q**3 - start))
+        cof = (
+            (r2[1] * r3[2] - r2[2] * r3[1]) % q,
+            (r2[2] * r3[0] - r2[0] * r3[2]) % q,
+            (r2[0] * r3[1] - r2[1] * r3[0]) % q,
+        )
+        lower = np.concatenate((r2, r3))
+        for r1 in rows.T.tolist():
+            det = ((r1[0] * cof[0] + r1[1] * cof[1]) % q + r1[2] * cof[2]) % q
+            hit = np.flatnonzero(det == one)
+            if len(hit):
+                first = np.repeat(np.array(r1, dtype=np.int64)[:, None], len(hit), axis=1)
+                yield np.concatenate((first, lower[:, hit]))
+
+
+def _squarefree_primes(q: int) -> list[int]:
+    """The primes of a square-free positive q; ValueError for any other q."""
+    if q < 1:
+        raise ValueError("q must be positive")
+    fac = prime_factorization(q)
+    if any(a > 1 for a in fac.values()):
+        raise ValueError(f"q = {q} is not square-free")
+    return list(fac)
+
+
+def _check_scan_budget(elements: int, what: str, config: Config) -> None:
+    if elements > config.density_order_budget:
+        raise BudgetExceeded(
+            f"{what} has {elements} elements, budget {config.density_order_budget}"
+        )
 
 
 def _zero_count(family: PolynomialFamily, q: int, n_dim: int) -> int:
+    """Number of group elements mod q at which the product of the family is 0."""
     count = 0
-    for flat in iterate_group_mod(q, n_dim):
-        prod = 1
-        for poly in family.polys:
-            prod = (prod * poly.eval_flat(flat)) % q
-            if prod == 0:
-                break
-        if prod % q == 0:
-            count += 1
+    for block in iterate_group_mod(q, n_dim):
+        prod = family.polys[0].eval_mod(block, q)
+        for poly in family.polys[1:]:
+            prod = prod * poly.eval_mod(block, q) % q
+        count += int(np.count_nonzero(prod == 0))
     return count
 
 
@@ -111,30 +165,20 @@ def local_density(
 ) -> Fraction:
     """rho(q) for square-free q, exact.
 
-    ``method`` is "product" (the product of the single-prime values) or
-    "direct" (one enumeration of the full group mod q), its oracle.
+    ``method`` is "product" (the product of the single-prime values, as
+    ``density_table`` computes them) or "direct" (one scan of the full
+    group mod q), its oracle.
     """
-    if q < 1:
-        raise ValueError("q must be positive")
-    if not _is_squarefree(q):
-        raise ValueError(f"q = {q} is not square-free")
+    _squarefree_primes(q)
     if q == 1:
         return Fraction(1)
-    if method not in ("direct", "product"):
+    if method == "product":
+        return density_table(family, [q], n_dim, config).values[q]
+    if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    primes = list(prime_factorization(q))
-    if method == "product" and len(primes) > 1:
-        out = Fraction(1)
-        for p in primes:
-            out *= local_density(family, p, n_dim, method="direct", config=config)
-        return out
     order = group_order_mod(q, n_dim)
-    if order > config.density_order_budget:
-        raise BudgetExceeded(
-            f"group mod {q} has order {order}, budget {config.density_order_budget}"
-        )
-    zeros = _zero_count(family, q, n_dim)
-    return Fraction(q * zeros, order)
+    _check_scan_budget(order, f"group mod {q}", config)
+    return Fraction(q * _zero_count(family, q, n_dim), order)
 
 
 @dataclass(frozen=True)
@@ -163,12 +207,28 @@ def density_table(
     n_dim: int = 2,
     config: Config = DEFAULT_CONFIG,
 ) -> DensityFunction:
-    values: dict[int, Fraction] = {}
-    orders: dict[int, int] = {}
-    for q in moduli:
-        values[q] = local_density(family, q, n_dim, config=config)
-        orders[q] = group_order_mod(q, n_dim)
-    return DensityFunction(family=family, values=values, group_orders=orders)
+    """rho(q) for each square-free q in ``moduli``.
+
+    Each distinct prime of the moduli is scanned once and rho(q) is the
+    product of its primes' values.  The total number of group elements
+    those scans visit is checked against ``config.density_order_budget``
+    before any scan starts.
+    """
+    primes_of = {q: _squarefree_primes(q) for q in moduli}
+    primes = sorted({p for ps in primes_of.values() for p in ps})
+    orders = {p: group_order_mod(p, n_dim) for p in primes}
+    _check_scan_budget(
+        sum(orders.values()), f"the density scan over {len(primes)} primes", config
+    )
+    rho = {p: Fraction(p * _zero_count(family, p, n_dim), orders[p]) for p in primes}
+    return DensityFunction(
+        family=family,
+        values={
+            q: math.prod((rho[p] for p in ps), start=Fraction(1))
+            for q, ps in primes_of.items()
+        },
+        group_orders={q: group_order_mod(q, n_dim) for q in primes_of},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, Config
 from .errors import UnsupportedDimension
 from .core import prime_factorization
@@ -84,8 +86,8 @@ def hnf_representatives(p: int, ell: int) -> list[tuple[tuple[int, int], tuple[i
 
 @lru_cache(maxsize=None)
 def _local_volume_checked(p: int, ell: int, crosscheck_limit: int) -> int:
-    # primality is checked here, under the cache: growth_exponent(10**5)
-    # asks for about 10**4 distinct (p, ell) pairs some 2.7 * 10**5 times
+    # primality is checked here, under the cache, so finite_volume over many
+    # n factors each (p, ell) pair's prime once
     _require_prime(p)
     closed = 1 if ell == 0 else (p + 1) * p ** (2 * ell - 1)
     if p ** (2 * ell) <= crosscheck_limit:
@@ -139,58 +141,53 @@ def growth_exponent(
     n_max: int,
     restrict_primes: frozenset[int] | set[int] | None = None,
     n_dim: int = 2,
-    config: Config = DEFAULT_CONFIG,
 ) -> GrowthEstimate:
     """Least-squares slope of log volume against log n over 1 <= n <= n_max.
 
+    The volumes come from a prime sieve on an int64 array: finite_volume(n)
+    is n * psi(n) = n**2 * prod over p | n of (1 + 1/p), with psi the
+    Dedekind psi function, so each prime p updates its multiples once.
     With ``restrict_primes`` only moduli whose prime factors all lie in the
-    given set are sampled.  The n = 1 sample is recorded but excluded from
-    the fit, and fewer than two usable samples yields a degenerate estimate
-    with no fitted slope.
+    given set are sampled; its members that are not primes match nothing.
+    The n = 1 sample is recorded but excluded from the fit, and fewer than
+    two usable samples yields a degenerate estimate with no fitted slope.
+    An n_max whose volumes could pass 2**62 raises ValueError.
     """
     _require_sl2(n_dim)
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    # smallest prime factor sieve, so factoring all n is linearithmic
-    spf = list(range(n_max + 1))
-    for p in range(2, int(n_max**0.5) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n_max + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    samples = []
-    for n in range(1, n_max + 1):
-        m = n
-        fac: dict[int, int] = {}
-        while m > 1:
-            p = spf[m]
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-        if restrict_primes is not None and any(
-            p not in restrict_primes for p in fac
-        ):
-            continue
-        vol = 1
-        for p, a in fac.items():
-            vol *= local_ball_volume(p, a, n_dim, config)
-        samples.append((n, vol))
-    fit_pts = [
-        (math.log(n), math.log(vol)) for n, vol in samples if n >= 2
-    ]
-    if len(fit_pts) < 2:
+    # n * psi(n) <= n * sigma(n) < n**2 * (1 + ln n), and ln n < bit_length;
+    # the sieve's partial products never exceed the final volume
+    if n_max * n_max * (1 + n_max.bit_length()) >= 2**62:
+        raise ValueError(f"n_max = {n_max} is too large for int64 volumes")
+    n = np.arange(n_max + 1, dtype=np.int64)
+    vol = n * n
+    is_prime = np.ones(n_max + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n_max) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    keep = np.ones(n_max + 1, dtype=bool)
+    for p in np.flatnonzero(is_prime).tolist():
+        vol[p::p] = vol[p::p] // p * (p + 1)
+        if restrict_primes is not None and p not in restrict_primes:
+            keep[p::p] = False
+    ns = np.flatnonzero(keep[1:]) + 1
+    samples = tuple(zip(ns.tolist(), vol[ns].tolist()))
+    fit = ns[ns >= 2]
+    if len(fit) < 2:
         return GrowthEstimate(
-            samples=tuple(samples),
+            samples=samples,
             fitted_exponent=None,
             window=(1, n_max),
             degenerate=True,
         )
-    mx = sum(x for x, _ in fit_pts) / len(fit_pts)
-    my = sum(y for _, y in fit_pts) / len(fit_pts)
-    sxx = sum((x - mx) ** 2 for x, _ in fit_pts)
-    sxy = sum((x - mx) * (y - my) for x, y in fit_pts)
+    x = np.log(fit)
+    y = np.log(vol[fit])
+    x -= x.mean()
     return GrowthEstimate(
-        samples=tuple(samples),
-        fitted_exponent=sxy / sxx,
+        samples=samples,
+        fitted_exponent=float(np.dot(x, y - y.mean()) / np.dot(x, x)),
         window=(1, n_max),
         degenerate=False,
     )

@@ -271,6 +271,21 @@ def test_sieve_checks_arguments_before_delta_scan(capsys, monkeypatch, tmp_path,
     assert code == EXIT_INVALID
 
 
+def test_sieve_checks_density_budget_before_scanning(capsys, monkeypatch, tmp_path):
+    # z = 8**(40/10) = 4096 needs SL_2(F_p) for every odd prime below 4096;
+    # a check per prime would first scan all p < 467 (about 1.9e9 elements)
+    def scan(*args, **kwargs):
+        raise AssertionError("a group scan ran past the density budget")
+
+    cell = tmp_path / "cell.jsonl"
+    code, _, _ = run(capsys, "enumerate", "--radius", "1/2", "-n", "2", "--out", str(cell))
+    assert code == EXIT_OK
+    monkeypatch.setattr(slnapprox.densities, "_zero_count", scan)
+    code, _, err = run(capsys, "sieve", "--points", str(cell), "--tau", "40", "--s", "10")
+    assert code == EXIT_BUDGET
+    assert "density scan" in err
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: command lines drawn from bounded pools, run in-process
 

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,6 +257,36 @@ class TestPolynomials:
                 assert math.prod(fam.values(z)) == (
                     z.v**fam.total_degree * fraction_oracle(fam, z)
                 )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mono=st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * 4),
+            st.integers(-(10**20), 10**20).filter(bool),
+            min_size=1, max_size=5,
+        ),
+        q=st.sampled_from([2, 6, 31, 2**31 - 1, 2**31 - 2]),
+        data=st.data(),
+    )
+    def test_eval_mod_matches_exact_value(self, mono, q, data):
+        # near q = 2**31 an unreduced product would leave int64
+        poly = Polynomial.from_monomials(mono, 2)
+        rows = data.draw(st.lists(
+            st.tuples(*[st.integers(0, q - 1)] * 4), min_size=1, max_size=20
+        ))
+        got = poly.eval_mod(np.array(rows, dtype=np.int64).T, q)
+        assert got.tolist() == [poly.eval_flat(row) % q for row in rows]
+
+    def test_eval_mod_guard_allocates_nothing(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used before the guard")
+
+        monkeypatch.setattr(slnapprox.core, "np", NoNumpy())
+        poly = Polynomial.trace_minus(2)
+        for q in (0, 2**31, 2**62):
+            with pytest.raises(ValueError):
+                poly.eval_mod(None, q)
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slnapprox import densities, sieve
 from slnapprox.core import PolynomialFamily, Polynomial, family_from_preset
 from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.densities import (
@@ -29,6 +34,66 @@ F = Fraction
 ENTRY11 = family_from_preset("entry11")
 
 
+def tuple_group_mod(q, n_dim=2):
+    """Every determinant-1 matrix mod q as a flat tuple, in lexicographic order.
+
+    Oracle of iterate_group_mod: for 2x2 it solves a*d == 1 + b*c (mod q)
+    for d one (a, b, c) at a time, for 3x3 it filters all q**9 tuples.
+    """
+    if n_dim == 2:
+        for a in range(q):
+            g = math.gcd(a, q)
+            step = q // g
+            inv = pow(a // g, -1, step) if g < q else 0
+            for b in range(q):
+                for c in range(q):
+                    r = (1 + b * c) % q
+                    if r % g:
+                        continue
+                    if g == q:
+                        for d in range(q):
+                            yield (a, b, c, d)
+                    else:
+                        d0 = ((r // g) * inv) % step
+                        for d in range(d0, q, step):
+                            yield (a, b, c, d)
+    else:
+        for flat in itertools.product(range(q), repeat=9):
+            det = (
+                flat[0] * (flat[4] * flat[8] - flat[5] * flat[7])
+                - flat[1] * (flat[3] * flat[8] - flat[5] * flat[6])
+                + flat[2] * (flat[3] * flat[7] - flat[4] * flat[6])
+            )
+            if det % q == 1 % q:
+                yield flat
+
+
+def zero_count_oracle(family, q, n_dim):
+    """Group elements mod q where the family's product vanishes, one tuple at a time."""
+    count = 0
+    for flat in tuple_group_mod(q, n_dim):
+        prod = 1
+        for poly in family.polys:
+            prod = (prod * poly.eval_flat(flat)) % q
+            if prod == 0:
+                break
+        if prod % q == 0:
+            count += 1
+    return count
+
+
+def joined(blocks):
+    """Blocks of group elements joined into one sorted list of flat tuples."""
+    return sorted(map(tuple, np.concatenate(list(blocks), axis=1).T.tolist()))
+
+
+class _NoNumpy:
+    """Stand-in for numpy that fails a test on first use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the guard")
+
+
 class TestGroupEnumeration:
     def test_orders(self):
         assert group_order_mod(2) == 6
@@ -37,27 +102,103 @@ class TestGroupEnumeration:
         assert group_order_mod(4) == 48
 
     def test_iteration_matches_order(self):
-        for q in (2, 3, 4, 5, 6, 10):
-            count = sum(1 for _ in iterate_group_mod(q))
-            assert count == group_order_mod(q)
+        for q in (1, 2, 3, 4, 5, 6, 10, 12):
+            assert sum(b.shape[1] for b in iterate_group_mod(q)) == group_order_mod(q)
 
     def test_iteration_yields_unit_determinants(self):
         for q in (4, 6):
             for a, b, c, d in iterate_group_mod(q):
-                assert (a * d - b * c) % q == 1 % q
+                assert ((a * d - b * c) % q == 1 % q).all()
 
     def test_no_duplicates(self):
-        elems = list(iterate_group_mod(6))
+        elems = joined(iterate_group_mod(6))
         assert len(elems) == len(set(elems))
 
     def test_three_by_three_order(self):
         assert group_order_mod(2, n_dim=3) == 168
-        count = sum(1 for _ in iterate_group_mod(2, n_dim=3))
+        count = sum(b.shape[1] for b in iterate_group_mod(2, n_dim=3))
         assert count == 168
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
             group_order_mod(2, n_dim=4)
+        with pytest.raises(UnsupportedDimension):
+            next(iterate_group_mod(2, n_dim=4))
+
+    @pytest.mark.parametrize("q,n_dim", [(2, 2), (7, 2), (12, 2), (30, 2), (2, 3), (3, 3)])
+    def test_blocks_match_tuple_oracle(self, q, n_dim):
+        assert joined(iterate_group_mod(q, n_dim)) == list(tuple_group_mod(q, n_dim))
+
+    def test_three_by_three_composite_is_crt_lift(self):
+        # SL_3(Z/6) is SL_3(Z/2) x SL_3(Z/3) by the Chinese remainder theorem;
+        # the q**9 tuple scan at q = 6 is out of reach, so lift the two scans
+        mod2 = np.array(list(tuple_group_mod(2, 3)), dtype=np.int64)
+        mod3 = np.array(list(tuple_group_mod(3, 3)), dtype=np.int64)
+        lifted = (3 * mod2[:, None, :] + 4 * mod3[None, :, :]) % 6
+        weights = 6 ** np.arange(9, dtype=np.int64)
+        want = np.sort(lifted.reshape(-1, 9) @ weights)
+        got = np.sort(np.concatenate(list(iterate_group_mod(6, 3)), axis=1).T @ weights)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q,n_dim", [(7, 2), (12, 2), (3, 3)])
+    def test_small_blocks(self, monkeypatch, q, n_dim):
+        # shrink the block bound so every chunking path runs
+        limit = 30
+        monkeypatch.setattr(densities, "_BLOCK_ELEMENTS", limit)
+        blocks = list(iterate_group_mod(q, n_dim))
+        assert len(blocks) > 1
+        assert all(0 < b.shape[1] <= limit for b in blocks)
+        assert joined(blocks) == list(tuple_group_mod(q, n_dim))
+
+    def test_modulus_guard_allocates_nothing(self, monkeypatch):
+        monkeypatch.setattr(densities, "np", _NoNumpy())
+        for q in (0, 2**31, 2**40):
+            with pytest.raises(ValueError):
+                next(iterate_group_mod(q))
+
+
+def _family_strategy(n_dim):
+    # a monomial is a multiset of at most 4 variable indices, so degree <= 4
+    monomial = st.lists(st.integers(0, n_dim * n_dim - 1), max_size=4).map(
+        lambda idx: tuple(idx.count(i) for i in range(n_dim * n_dim))
+    )
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-(10**15), 10**15)).filter(bool)
+    poly = st.dictionaries(monomial, coeff, min_size=1, max_size=4).map(
+        lambda mono: Polynomial.from_monomials(mono, n_dim)
+    )
+    return st.lists(poly, min_size=1, max_size=2).map(
+        lambda polys: PolynomialFamily(polys=tuple(polys), n_dim=n_dim)
+    )
+
+
+SQUAREFREE_TO_31 = [q for q in range(2, 32) if all(
+    a == 1 for a in sympy.factorint(q).values())]
+
+
+class TestArrayZeroCount:
+    @settings(max_examples=40, deadline=None)
+    @given(family=_family_strategy(2), q=st.sampled_from(SQUAREFREE_TO_31))
+    def test_two_by_two_matches_tuple_oracle(self, family, q):
+        assert densities._zero_count(family, q, 2) == zero_count_oracle(family, q, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=_family_strategy(3), q=st.sampled_from([2, 3, 6]))
+    def test_three_by_three_matches_tuple_oracle(self, family, q):
+        if q == 6:
+            # by the Chinese remainder theorem (see the CRT lift test above);
+            # the direct q**9 tuple scan at 6 takes minutes
+            want = zero_count_oracle(family, 2, 3) * zero_count_oracle(family, 3, 3)
+        else:
+            want = zero_count_oracle(family, q, 3)
+        assert densities._zero_count(family, q, 3) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=_family_strategy(2), q=st.sampled_from(
+        [q for q in SQUAREFREE_TO_31 if not sympy.isprime(q)]))
+    def test_direct_matches_product(self, family, q):
+        direct = local_density(family, q, method="direct")
+        assert direct == local_density(family, q, method="product")
+        assert direct == density_table(family, [q]).value(q)
 
 
 class TestLocalDensity:
@@ -127,6 +268,38 @@ class TestDensityFunction:
         assert dens.group_orders[10] == 720
         assert dens.has(1) and dens.value(1) == 1
         assert not dens.has(3)
+
+    def test_each_prime_scanned_once(self, monkeypatch):
+        scanned = []
+        scan = densities._zero_count
+
+        def counting_scan(family, q, n_dim):
+            scanned.append(q)
+            return scan(family, q, n_dim)
+
+        monkeypatch.setattr(densities, "_zero_count", counting_scan)
+        # the moduli of a sieve at n = 1, delta = 1, q_max = 42 and z = 30
+        moduli = sorted(
+            set(sieve.squarefree_moduli(42, 1)) | set(sieve.sieving_primes(30, 1))
+        )
+        dens = density_table(ENTRY11, moduli)
+        assert scanned == list(sympy.primerange(2, 42))
+        for q in moduli:
+            assert dens.value(q) == math.prod(
+                (F(p, p + 1) for p in sympy.primefactors(q)), start=F(1)
+            )
+
+    def test_budget_bounds_the_whole_table(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("a group scan ran past the density budget")
+
+        monkeypatch.setattr(densities, "_zero_count", scan)
+        # orders 6, 24 and 120 each fit the budget, their sum 150 does not
+        cfg = Config(density_order_budget=140)
+        with pytest.raises(BudgetExceeded):
+            density_table(ENTRY11, [2, 3, 5], config=cfg)
+        with pytest.raises(BudgetExceeded):
+            local_density(ENTRY11, 30, config=cfg)
 
     def test_missing_modulus_raises(self):
         dens = density_table(ENTRY11, [2])

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from slnapprox import volumes
 from slnapprox.config import Config
@@ -119,6 +120,37 @@ class TestFiniteVolume:
             finite_volume(0)
 
 
+def growth_loop_oracle(n_max, restrict_primes=None):
+    """Oracle of growth_exponent: factor each n by a smallest prime factor
+    table, multiply its shell volumes, fit in plain floats.
+    Returns (samples, slope)."""
+    spf = list(range(n_max + 1))
+    for p in range(2, int(n_max**0.5) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n_max + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    samples = []
+    for n in range(1, n_max + 1):
+        m = n
+        fac = {}
+        while m > 1:
+            p = spf[m]
+            fac[p] = fac.get(p, 0) + 1
+            m //= p
+        if restrict_primes is not None and any(p not in restrict_primes for p in fac):
+            continue
+        samples.append((n, math.prod(local_ball_volume(p, a) for p, a in fac.items())))
+    pts = [(math.log(n), math.log(vol)) for n, vol in samples if n >= 2]
+    if len(pts) < 2:
+        return tuple(samples), None
+    mx = sum(x for x, _ in pts) / len(pts)
+    my = sum(y for _, y in pts) / len(pts)
+    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    sxy = sum((x - mx) * (y - my) for x, y in pts)
+    return tuple(samples), sxy / sxx
+
+
 class TestGrowthExponent:
     def test_slope_near_two(self):
         est = growth_exponent(1000)
@@ -138,9 +170,43 @@ class TestGrowthExponent:
         assert est.fitted_exponent is None
 
     def test_samples_are_exact_volumes(self):
-        est = growth_exponent(30)
-        for n, vol in est.samples:
-            assert vol == finite_volume(n)
+        for n_max in (30, 2000):
+            est = growth_exponent(n_max)
+            assert len(est.samples) == n_max
+            for n, vol in est.samples:
+                assert vol == finite_volume(n)
+
+    def test_non_prime_members_match_nothing(self):
+        est = growth_exponent(500, restrict_primes={0, 1, 2, 4, 5, 9, 10, -3})
+        plain = growth_exponent(500, restrict_primes={2, 5})
+        assert est == plain
+        assert [n for n, _ in est.samples] == [
+            n for n in range(1, 501) if set(sympy.primefactors(n)) <= {2, 5}
+        ]
+
+    @pytest.mark.parametrize(
+        "n_max,restrict",
+        [(1, None), (2, None), (3, None), (100, None), (1000, None), (2000, None),
+         (1000, {2, 3}), (1000, {3, 7, 11, 13}), (2000, {5})],
+    )
+    def test_matches_loop_oracle(self, n_max, restrict):
+        samples, slope = growth_loop_oracle(n_max, restrict)
+        est = growth_exponent(n_max, restrict_primes=restrict)
+        assert est.samples == samples
+        if slope is None:
+            assert est.degenerate and est.fitted_exponent is None
+        else:
+            assert abs(est.fitted_exponent - slope) <= 1e-12
+
+    def test_int64_guard_allocates_nothing(self, monkeypatch):
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used before the guard")
+
+        monkeypatch.setattr(volumes, "np", NoNumpy())
+        for n_max in (2**29, 10**12):
+            with pytest.raises(ValueError):
+                growth_exponent(n_max)
 
 
 class TestRecurrence:
