@@ -246,7 +246,15 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
     )
     if delta is None:
         delta = densities.delta_n(family, n, n_dim, config=cfg).delta
-    needed = set(sieve.squarefree_moduli(q_max, delta * n))
+    # the moduli and sieving primes need every prime up to max(q_max, z)
+    # coprime to delta * n: check their scan before any modulus is built
+    excluded = delta * n
+    densities.check_density_budget(
+        (p for p in sympy.primerange(2, max(q_max, int(z)) + 1) if excluded % p),
+        n_dim,
+        cfg,
+    )
+    needed = set(sieve.squarefree_moduli(q_max, excluded))
     needed.update(sieve.sieving_primes(z, n, delta))
     rho = densities.density_table(family, sorted(needed), n_dim, cfg)
     report = sieve.run_sieve(

@@ -43,21 +43,6 @@ def frac_floor(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, s, t) with a*s + b*t == g == gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def int_valuation(m: int, p: int) -> int:
     """Exponent of p in m.  m must be nonzero."""
     if m == 0:
@@ -68,6 +53,20 @@ def int_valuation(m: int, p: int) -> int:
         m //= p
         k += 1
     return k
+
+
+def prime_mask(limit: int) -> np.ndarray:
+    """Boolean array of length limit + 1 (limit >= 0), True exactly at primes.
+
+    One sieve of Eratosthenes on numpy: each prime up to sqrt(limit)
+    strikes its multiples from its square on.
+    """
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime
 
 
 def prime_factorization(n: int) -> dict[int, int]:

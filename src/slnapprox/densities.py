@@ -40,20 +40,24 @@ log = logging.getLogger(__name__)
 _BLOCK_ELEMENTS = 1 << 20
 
 
+def _prime_power_order(p: int, a: int, n_dim: int) -> int:
+    """Order of the determinant-1 matrix group mod p**a, p prime, a >= 1."""
+    if n_dim == 2:
+        base = p * (p * p - 1)
+    elif n_dim == 3:
+        base = p**3 * (p * p - 1) * (p**3 - 1)
+    else:
+        raise UnsupportedDimension(f"n_dim={n_dim}")
+    return base * p ** ((n_dim * n_dim - 1) * (a - 1))
+
+
 def group_order_mod(q: int, n_dim: int = 2) -> int:
     """Order of the determinant-1 matrix group mod q."""
     if q == 1:
         return 1
-    order = 1
-    for p, a in prime_factorization(q).items():
-        if n_dim == 2:
-            base = p * (p * p - 1)
-        elif n_dim == 3:
-            base = p**3 * (p * p - 1) * (p**3 - 1)
-        else:
-            raise UnsupportedDimension(f"n_dim={n_dim}")
-        order *= base * p ** ((n_dim * n_dim - 1) * (a - 1))
-    return order
+    return math.prod(
+        _prime_power_order(p, a, n_dim) for p, a in prime_factorization(q).items()
+    )
 
 
 def iterate_group_mod(q: int, n_dim: int = 2):
@@ -145,6 +149,26 @@ def _check_scan_budget(elements: int, what: str, config: Config) -> None:
         )
 
 
+def check_density_budget(
+    primes: Iterable[int], n_dim: int = 2, config: Config = DEFAULT_CONFIG
+) -> None:
+    """BudgetExceeded when the group scans mod ``primes`` pass the budget.
+
+    The scans visit the sum of the group orders mod each prime, checked
+    against ``config.density_order_budget``.  The primes are read only
+    until that sum passes the budget, so a lazy range of any length costs
+    no more than the primes within budget, and nothing is factored.
+    """
+    total = 0
+    for count, p in enumerate(primes, 1):
+        total += _prime_power_order(p, 1, n_dim)
+        if total > config.density_order_budget:
+            raise BudgetExceeded(
+                f"the density scan over {count} primes up to {p} already has "
+                f"{total} elements, budget {config.density_order_budget}"
+            )
+
+
 def _zero_count(family: PolynomialFamily, q: int, n_dim: int) -> int:
     """Number of group elements mod q at which the product of the family is 0."""
     count = 0
@@ -216,10 +240,8 @@ def density_table(
     """
     primes_of = {q: _squarefree_primes(q) for q in moduli}
     primes = sorted({p for ps in primes_of.values() for p in ps})
-    orders = {p: group_order_mod(p, n_dim) for p in primes}
-    _check_scan_budget(
-        sum(orders.values()), f"the density scan over {len(primes)} primes", config
-    )
+    check_density_budget(primes, n_dim, config)
+    orders = {p: _prime_power_order(p, 1, n_dim) for p in primes}
     rho = {p: Fraction(p * _zero_count(family, p, n_dim), orders[p]) for p in primes}
     return DensityFunction(
         family=family,
@@ -227,7 +249,7 @@ def density_table(
             q: math.prod((rho[p] for p in ps), start=Fraction(1))
             for q, ps in primes_of.items()
         },
-        group_orders={q: group_order_mod(q, n_dim) for q in primes_of},
+        group_orders={q: math.prod(orders[p] for p in ps) for q, ps in primes_of.items()},
     )
 
 

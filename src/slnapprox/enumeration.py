@@ -7,12 +7,17 @@ work from start to finish.  Membership in the finite part is the condition
 det(u) = n**n_dim together with gcd(u, n) = 1.
 
 Two strategies are provided.  The oracle scans the full integer box and is
-the ground truth; the optimized strategy (2x2 only) scans the top row and
-solves the linear equation a*d - b*c = n**2 for the bottom row with an
-extended gcd, visiting only genuine solutions.  Both sort their result
-into canonical order (lexicographic on the flattened numerator).
-``count_points`` runs the optimized scan for callers that need only the
-number of points; it builds no point objects.
+the ground truth; the optimized strategy (2x2 only) solves the linear
+equation a*d - b*c = n**2 for the bottom row of every top row (a, b) of
+the box at once, on numpy arrays: a masked extended Euclid, the j-range of
+each solution progression (c0 + dc*j, d0 + dd*j) inside the box, and its
+length.  The arrays are int64 while every intermediate fits, and hold
+Python ints (``dtype=object``) beyond, through the same code.  Both
+strategies return canonical order (lexicographic on the flattened
+numerator).  ``count_points`` reads the same row arrays for callers that
+need only the number of points: it builds no point and expands no
+progression, correcting the rows with gcd(a, b, n) > 1 by Moebius
+inversion.
 """
 
 from __future__ import annotations
@@ -23,13 +28,15 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     BallSpec,
     RationalGroupPoint,
-    egcd,
     frac_ceil,
     frac_floor,
+    prime_factorization,
 )
 from .errors import SearchSpaceTooLarge, UnsupportedDimension
 
@@ -70,6 +77,7 @@ def _oracle_scan(ball: BallSpec, n_dim: int, budget: int) -> list[tuple[int, ...
     n = ball.modulus
     target = n**n_dim
     found: list[tuple[int, ...]] = []
+    # the product visits the box in canonical order
     for flat in itertools.product(*(range(lo, hi + 1) for lo, hi in flat_bounds)):
         u = tuple(flat[i * n_dim : (i + 1) * n_dim] for i in range(n_dim))
         if _det(u, n_dim) != target:
@@ -96,47 +104,6 @@ def _det(u, n_dim):
     raise UnsupportedDimension(f"n_dim={n_dim}")
 
 
-def _step_interval(x0: int, step: int, lo: int, hi: int):
-    """j-range with lo <= x0 + step*j <= hi; None means unconstrained."""
-    if step == 0:
-        return None if lo <= x0 <= hi else (1, 0)
-    if step > 0:
-        return (-((x0 - lo) // step), (hi - x0) // step)
-    s = -step
-    return (-((hi - x0) // s), (x0 - lo) // s)
-
-
-def _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi):
-    """Solutions of a*d - b*c = m with c, d in closed boxes, as a progression.
-
-    Returns (c0, dc, d0, dd, j_lo, j_hi): the solutions are
-    (c0 + dc*j, d0 + dd*j) for j_lo <= j <= j_hi, a range that may be empty.
-    None when the equation has no integer solution at all.
-    """
-    if a == 0 and b == 0:
-        return None
-    g, s, t = egcd(a, b)
-    if m % g:
-        return None
-    k = m // g
-    d0 = s * k
-    c0 = -t * k
-    dc = a // g  # step of c
-    dd = b // g  # step of d
-    ic = _step_interval(c0, dc, c_lo, c_hi)
-    idd = _step_interval(d0, dd, d_lo, d_hi)
-    if ic is None and idd is None:
-        raise AssertionError("both steps zero for a nonzero row")
-    if ic is None:
-        j_lo, j_hi = idd
-    elif idd is None:
-        j_lo, j_hi = ic
-    else:
-        j_lo = max(ic[0], idd[0])
-        j_hi = min(ic[1], idd[1])
-    return c0, dc, d0, dd, j_lo, j_hi
-
-
 def _sl2_box(ball: BallSpec, budget: int):
     """The (lo, hi) intervals of the entries a, b, c, d of a 2x2 ball.
 
@@ -154,57 +121,178 @@ def _sl2_box(ball: BallSpec, budget: int):
     return (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi)
 
 
-def _optimized_scan_sl2(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
+# top rows solved per block of arrays, so a large box needs little memory
+_ROW_BLOCK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Top rows (a, b) whose bottom rows (c, d) in the box form a nonempty
+    progression (c0 + dc*j, d0 + dd*j), j_lo <= j <= j_hi, with
+    h = gcd(a, b, n) and k = n**2 / gcd(a, b).  Every field is an array of
+    one length."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c0: np.ndarray
+    dc: np.ndarray
+    d0: np.ndarray
+    dd: np.ndarray
+    j_lo: np.ndarray
+    j_hi: np.ndarray
+    h: np.ndarray
+    k: np.ndarray
+
+
+def _egcd_arrays(a: np.ndarray, b: np.ndarray):
+    """Extended Euclid on arrays: (g, s, t) with a*s + b*t == g == gcd(a, b) >= 0.
+
+    Each lane runs the scalar recurrence until its remainder vanishes.
+    """
+    old_r, r = a.copy(), b.copy()
+    old_s, s = np.ones_like(a), np.zeros_like(a)
+    old_t, t = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(r)
+    while live.size:
+        q = old_r[live] // r[live]
+        old_r[live], r[live] = r[live], old_r[live] - q * r[live]
+        old_s[live], s[live] = s[live], old_s[live] - q * s[live]
+        old_t[live], t[live] = t[live], old_t[live] - q * t[live]
+        live = live[r[live] != 0]
+    sign = np.where(old_r < 0, -1, 1)
+    return old_r * sign, old_s * sign, old_t * sign
+
+
+def _step_bounds(x0, step, lo, hi):
+    """j-range arrays with lo <= x0 + step*j <= hi, and where step == 0 the
+    mask of rows that leave j unconstrained (there j_lo > j_hi otherwise)."""
+    below, above = x0 - lo, hi - x0
+    up = step > 0
+    size = np.where(step == 0, 1, abs(step))
+    j_lo = -(np.where(up, below, above) // size)
+    j_hi = np.where(up, above, below) // size
+    flat = step == 0
+    j_lo = np.where(flat, 1, j_lo)
+    j_hi = np.where(flat, 0, j_hi)
+    return j_lo, j_hi, flat & (below >= 0) & (above >= 0)
+
+
+def _sl2_rows(ball: BallSpec, budget: int):
+    """The top rows of a 2x2 ball with their bottom-row progressions.
+
+    Yields ``_Rows`` blocks in canonical (a, b) order; nothing for an empty
+    box.  a*d - b*c = n**2 has integer solutions exactly when g = gcd(a, b)
+    divides n**2, and then they are (c0 + j*a/g, d0 + j*b/g) with
+    (d0, -c0) = (s, t) * n**2/g from a*s + b*t = g.  The arrays are int64
+    while every intermediate stays below 2**62 (c0 reaches
+    max|entry| * n**2), and Python ints in ``dtype=object`` arrays beyond.
+    """
     box = _sl2_box(ball, budget)
     if box is None:
-        return []
+        return
     (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi) = box
     n = ball.modulus
     m = n * n
+    reach = max(abs(v) for pair in box for v in pair)
+    dtype = np.int64 if 2 * (reach + 1) * (m + 1) < 2**62 else object
+    width = b_hi - b_lo + 1
+    rows = (a_hi - a_lo + 1) * width
+    for first in range(0, rows, _ROW_BLOCK):
+        flat = np.arange(first, min(rows, first + _ROW_BLOCK), dtype=np.int64)
+        a = (flat // width).astype(dtype) + a_lo
+        b = (flat % width).astype(dtype) + b_lo
+        del flat
+        g, s, t = _egcd_arrays(a, b)
+        # g = 0 is the zero row, which solves nothing
+        live = np.flatnonzero(g)
+        live = live[m % g[live] == 0]
+        a, b, g, s, t = a[live], b[live], g[live], s[live], t[live]
+        k = m // g
+        c0, dc, d0, dd = -t * k, a // g, s * k, b // g
+        c_jlo, c_jhi, c_free = _step_bounds(c0, dc, c_lo, c_hi)
+        d_jlo, d_jhi, d_free = _step_bounds(d0, dd, d_lo, d_hi)
+        # a nonzero row has a nonzero step, so at most one side is free
+        j_lo = np.where(c_free, d_jlo, np.where(d_free, c_jlo, np.maximum(c_jlo, d_jlo)))
+        j_hi = np.where(c_free, d_jhi, np.where(d_free, c_jhi, np.minimum(c_jhi, d_jhi)))
+        keep = np.flatnonzero(j_hi >= j_lo)
+        yield _Rows(
+            a=a[keep], b=b[keep], c0=c0[keep], dc=dc[keep], d0=d0[keep],
+            dd=dd[keep], j_lo=j_lo[keep], j_hi=j_hi[keep], h=np.gcd(g[keep], n),
+            k=k[keep],
+        )
+
+
+def _optimized_scan_sl2(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
+    """The numerators (a, b, c, d) of the ball's points, in canonical order.
+
+    Each progression is expanded with ``np.repeat``, walked in the
+    direction in which (c, d) ascends; rows come in (a, b) order, so the
+    result is sorted as built.
+    """
     found: list[tuple[int, ...]] = []
-    for a in range(a_lo, a_hi + 1):
-        for b in range(b_lo, b_hi + 1):
-            prog = _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi)
-            if prog is None:
-                continue
-            c0, dc, d0, dd, j_lo, j_hi = prog
-            for j in range(j_lo, j_hi + 1):
-                c = c0 + dc * j
-                d = d0 + dd * j
-                if math.gcd(math.gcd(a, b), math.gcd(math.gcd(c, d), n)) == 1:
-                    found.append((a, b, c, d))
+    for rows in _sl2_rows(ball, budget):
+        length = (rows.j_hi - rows.j_lo + 1).astype(np.int64)
+        down = (rows.dc < 0) | ((rows.dc == 0) & (rows.dd < 0))
+        start = np.where(down, rows.j_hi, rows.j_lo)
+        offset = np.arange(int(length.sum())) - np.repeat(np.cumsum(length) - length, length)
+        j = np.repeat(start, length) + np.repeat(np.where(down, -1, 1), length) * offset
+        c = np.repeat(rows.c0, length) + np.repeat(rows.dc, length) * j
+        d = np.repeat(rows.d0, length) + np.repeat(rows.dd, length) * j
+        keep = np.gcd(np.gcd(c, d), np.repeat(rows.h, length)) == 1
+        found.extend(
+            zip(
+                np.repeat(rows.a, length)[keep].tolist(),
+                np.repeat(rows.b, length)[keep].tolist(),
+                c[keep].tolist(),
+                d[keep].tolist(),
+            )
+        )
     return found
+
+
+def _imprimitive_correction(rows: _Rows) -> int:
+    """What rows with h > 1 lose: minus their solutions with gcd(c, d, h) > 1.
+
+    With k = n**2 / g the solutions satisfy dc*d - dd*c = k and start at
+    (c0, d0), a multiple of k; gcd(dc, dd) = 1.  So a prime p of h divides
+    both c and d exactly when p | k and p | j.  Moebius inversion over
+    q = gcd(h, k) gives sum_{1 < e | rad q} mu(e) * #{j in range : e | j},
+    summed depth-first over square-free e; a branch with no row left
+    stops.
+    """
+    on = np.flatnonzero(rows.h > 1)
+    q = np.gcd(rows.h[on], rows.k[on])
+    on = on[q > 1]
+    q, lo, hi = q[q > 1], rows.j_lo[on] - 1, rows.j_hi[on]
+    primes = sorted({p for v in np.unique(q).tolist() for p in prime_factorization(v)})
+
+    def terms(first: int, idx, e: int, sign: int) -> int:
+        total = 0
+        for i in range(first, len(primes)):
+            f = e * primes[i]
+            sub = idx[q[idx] % f == 0]
+            if sub.size:
+                total += sign * int((hi[sub] // f - lo[sub] // f).sum())
+                total += terms(i + 1, sub, f, -sign)
+        return total
+
+    return terms(0, np.arange(len(q)), 1, -1)
 
 
 def count_points(ball: BallSpec, config: Config = DEFAULT_CONFIG) -> int:
     """The count of ``enumerate_points(ball)``, building no point (2x2 only).
 
-    Same bounds, budget and errors as the optimized scan.  A top row with
-    gcd(a, b, n) = 1 makes every bottom-row solution primitive, so such a
-    row adds the length of its solution progression without visiting it.
+    Same bounds, budget and errors as the optimized scan, whose row arrays
+    it reads.  A top row with h = gcd(a, b, n) = 1 makes every bottom-row
+    solution primitive, so it adds the length of its progression.  A row
+    with h > 1 adds, by Moebius inversion, the sum over e | rad h of
+    mu(e) * #{j : e divides c and d}, evaluated on arrays.
     """
     if ball.n_dim != 2:
         raise UnsupportedDimension("point counting is 2x2 only")
-    box = _sl2_box(ball, config.optimized_row_budget)
-    if box is None:
-        return 0
-    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi) = box
-    n = ball.modulus
-    m = n * n
     count = 0
-    for a in range(a_lo, a_hi + 1):
-        for b in range(b_lo, b_hi + 1):
-            prog = _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi)
-            if prog is None:
-                continue
-            c0, dc, d0, dd, j_lo, j_hi = prog
-            h = math.gcd(math.gcd(a, b), n)
-            if h == 1:
-                count += max(0, j_hi - j_lo + 1)
-                continue
-            for j in range(j_lo, j_hi + 1):
-                if math.gcd(math.gcd(c0 + dc * j, d0 + dd * j), h) == 1:
-                    count += 1
+    for rows in _sl2_rows(ball, config.optimized_row_budget):
+        count += int((rows.j_hi - rows.j_lo + 1).sum()) + _imprimitive_correction(rows)
     return count
 
 
@@ -231,12 +319,10 @@ def enumerate_points(
         flats = _optimized_scan_sl2(ball, config.optimized_row_budget)
     else:
         flats = _optimized_scan_sl2(ball, config.optimized_row_budget)
-        oracle = sorted(_oracle_scan(ball, n_dim, config.oracle_cell_budget))
-        if sorted(flats) != oracle:
+        if flats != _oracle_scan(ball, n_dim, config.oracle_cell_budget):
             raise AssertionError(
                 "optimized and oracle enumerations disagree; this is a bug"
             )
-    flats.sort()
     n = ball.modulus
     pts = tuple(
         RationalGroupPoint(

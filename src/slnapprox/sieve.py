@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
 import sympy
 
 from .config import DEFAULT_CONFIG, Config
-from .core import PolynomialFamily, RationalGroupPoint, n_coprime_part
+from .core import PolynomialFamily, RationalGroupPoint, n_coprime_part, prime_mask
 from .errors import ZeroValue
 
 log = logging.getLogger(__name__)
@@ -167,24 +168,23 @@ def _point_seq(points) -> Sequence[RationalGroupPoint]:
 
 
 def squarefree_moduli(q_max: int, excluded: int) -> list[int]:
-    """Square-free q <= q_max whose prime factors are all coprime to excluded."""
-    out = []
-    for q in range(1, q_max + 1):
-        m = q
-        ok = True
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                m //= p
-                if m % p == 0 or excluded % p == 0:
-                    ok = False
-                    break
-            p += 1
-        if ok and m > 1 and excluded % m == 0:
-            ok = False
-        if ok:
-            out.append(q)
-    return out
+    """Square-free q <= q_max whose prime factors are all coprime to excluded.
+
+    One prime sieve up to q_max: the squares of its primes strike the
+    moduli that are not square-free, and its primes dividing ``excluded``
+    strike their multiples.
+    """
+    if q_max < 1:
+        return []
+    is_prime = prime_mask(q_max)
+    keep = np.ones(q_max + 1, dtype=bool)
+    keep[0] = False
+    for p in np.flatnonzero(is_prime).tolist():
+        if p * p <= q_max:
+            keep[p * p :: p * p] = False
+        if excluded % p == 0:
+            keep[p::p] = False
+    return np.flatnonzero(keep).tolist()
 
 
 def value_histogram(

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import UnsupportedDimension
-from .core import prime_factorization
+from .core import prime_factorization, prime_mask
 
 
 def _require_sl2(n_dim: int) -> None:
@@ -162,13 +162,8 @@ def growth_exponent(
         raise ValueError(f"n_max = {n_max} is too large for int64 volumes")
     n = np.arange(n_max + 1, dtype=np.int64)
     vol = n * n
-    is_prime = np.ones(n_max + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(n_max) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
     keep = np.ones(n_max + 1, dtype=bool)
-    for p in np.flatnonzero(is_prime).tolist():
+    for p in np.flatnonzero(prime_mask(n_max)).tolist():
         vol[p::p] = vol[p::p] // p * (p + 1)
         if restrict_primes is not None and p not in restrict_primes:
             keep[p::p] = False

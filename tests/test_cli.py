@@ -286,6 +286,24 @@ def test_sieve_checks_density_budget_before_scanning(capsys, monkeypatch, tmp_pa
     assert "density scan" in err
 
 
+@pytest.mark.parametrize("q_max", ["200000", "3000000"])
+def test_sieve_checks_density_budget_before_factoring(capsys, monkeypatch, tmp_path, q_max):
+    # every prime up to q_max enters the density scan; the budget is read off
+    # the primes before any modulus is built or factored
+    def factor(*args, **kwargs):
+        raise AssertionError("a modulus was factored before the density budget")
+
+    cell = tmp_path / "cell.jsonl"
+    code, _, _ = run(capsys, "enumerate", "--radius", "1/2", "-n", "2", "--out", str(cell))
+    assert code == EXIT_OK
+    for module in (slnapprox.core, slnapprox.densities):
+        monkeypatch.setattr(module, "prime_factorization", factor)
+    monkeypatch.setattr(slnapprox.sieve, "squarefree_moduli", factor)
+    code, _, err = run(capsys, "sieve", "--points", str(cell), "--q-max", q_max)
+    assert code == EXIT_BUDGET
+    assert "density scan" in err
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: command lines drawn from bounded pools, run in-process
 

@@ -16,6 +16,7 @@ from slnapprox.core import PolynomialFamily, Polynomial, family_from_preset
 from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.densities import (
     delta_n,
+    check_density_budget,
     density_table,
     group_order_mod,
     group_words,
@@ -300,6 +301,20 @@ class TestDensityFunction:
             density_table(ENTRY11, [2, 3, 5], config=cfg)
         with pytest.raises(BudgetExceeded):
             local_density(ENTRY11, 30, config=cfg)
+
+    def test_budget_reads_primes_lazily(self):
+        # an unbounded run of primes stops as soon as the budget is passed
+        read = []
+
+        def primes():
+            for p in sympy.primerange(2, 10**9):
+                read.append(p)
+                yield p
+
+        with pytest.raises(BudgetExceeded, match="density scan over 5 primes up to 11"):
+            check_density_budget(primes(), 2, Config(density_order_budget=1500))
+        assert read == [2, 3, 5, 7, 11]
+        check_density_budget([2, 3, 5], 2, Config(density_order_budget=150))
 
     def test_missing_modulus_raises(self):
         dens = density_table(ENTRY11, [2])

@@ -1,4 +1,9 @@
-"""Point enumeration: oracle vs optimized, frozen cells, JSONL round trip."""
+"""Point enumeration: oracle vs optimized, frozen cells, JSONL round trip.
+
+The scalar row solver (one extended gcd and two step intervals per top
+row) lives here as the oracle of the array solver in
+``slnapprox.enumeration``.
+"""
 
 import dataclasses
 import io
@@ -16,6 +21,9 @@ from slnapprox.core import BallSpec, ball_membership, identity_matrix, mat_mul, 
 from slnapprox.engine import BOUNDED_CENTERS, counting_verification
 from slnapprox.enumeration import (
     EnumerationResult,
+    _optimized_scan_sl2,
+    _oracle_scan,
+    _sl2_box,
     count_points,
     entry_bounds,
     enumerate_points,
@@ -43,6 +51,96 @@ CELL_N2_HALF = [
 
 def flats(result):
     return [z.flat_numerator() for z in result.points]
+
+
+# ---------------------------------------------------------------------------
+# the scalar row solver, oracle of the array solver
+
+
+def _egcd(a, b):
+    """(g, s, t) with a*s + b*t == g == gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _step_interval(x0, step, lo, hi):
+    """j-range with lo <= x0 + step*j <= hi; None means unconstrained."""
+    if step == 0:
+        return None if lo <= x0 <= hi else (1, 0)
+    if step > 0:
+        return (-((x0 - lo) // step), (hi - x0) // step)
+    s = -step
+    return (-((hi - x0) // s), (x0 - lo) // s)
+
+
+def _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi):
+    """Solutions (c0 + dc*j, d0 + dd*j), j_lo <= j <= j_hi, of a*d - b*c = m
+    with c, d in their boxes; None when there is no integer solution."""
+    if a == 0 and b == 0:
+        return None
+    g, s, t = _egcd(a, b)
+    if m % g:
+        return None
+    k = m // g
+    c0, dc, d0, dd = -t * k, a // g, s * k, b // g
+    ic = _step_interval(c0, dc, c_lo, c_hi)
+    idd = _step_interval(d0, dd, d_lo, d_hi)
+    if ic is None:
+        j_lo, j_hi = idd
+    elif idd is None:
+        j_lo, j_hi = ic
+    else:
+        j_lo, j_hi = max(ic[0], idd[0]), min(ic[1], idd[1])
+    return c0, dc, d0, dd, j_lo, j_hi
+
+
+def _scalar_rows(ball):
+    box = _sl2_box(ball, DEFAULT_CONFIG.optimized_row_budget)
+    if box is None:
+        return
+    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi), (d_lo, d_hi) = box
+    m = ball.modulus**2
+    for a in range(a_lo, a_hi + 1):
+        for b in range(b_lo, b_hi + 1):
+            prog = _bottom_row_progression(a, b, m, c_lo, c_hi, d_lo, d_hi)
+            if prog is not None:
+                yield (a, b, *prog)
+
+
+def scalar_scan(ball):
+    """The optimized scan one top row and one j at a time, sorted."""
+    n = ball.modulus
+    found = []
+    for a, b, c0, dc, d0, dd, j_lo, j_hi in _scalar_rows(ball):
+        for j in range(j_lo, j_hi + 1):
+            c, d = c0 + dc * j, d0 + dd * j
+            if math.gcd(a, b, c, d, n) == 1:
+                found.append((a, b, c, d))
+    return sorted(found)
+
+
+def scalar_count(ball):
+    """count_points one top row at a time; rows with h > 1 walk their j."""
+    n = ball.modulus
+    count = 0
+    for a, b, c0, dc, d0, dd, j_lo, j_hi in _scalar_rows(ball):
+        h = math.gcd(a, b, n)
+        if h == 1:
+            count += max(0, j_hi - j_lo + 1)
+        else:
+            count += sum(
+                math.gcd(c0 + dc * j, d0 + dd * j, h) == 1 for j in range(j_lo, j_hi + 1)
+            )
+    return count
 
 
 class TestFrozenCells:
@@ -175,7 +273,9 @@ class TestCountPoints:
     )
     def test_matches_enumeration(self, center, radius, n):
         ball = BallSpec.make(center, radius, n)
-        assert count_points(ball) == enumerate_points(ball, strategy="both").count
+        count = count_points(ball)
+        assert count == enumerate_points(ball, strategy="both").count
+        assert count == scalar_count(ball)
 
     def test_composite_n_rejects_imprimitive_rows(self):
         # n = 12: top rows sharing a factor with n keep only the bottom rows
@@ -192,6 +292,87 @@ class TestCountPoints:
             )
         )
         assert solutions > len(pts)
+
+
+# composite moduli with many top rows sharing a prime with n
+COMPOSITE_N = (4, 6, 12, 30, 60, 200, 210, 1000)
+
+
+def _box_cells(ball):
+    return math.prod(max(0, hi - lo + 1) for row in entry_bounds(ball) for lo, hi in row)
+
+
+class TestArrayRowSolver:
+    """The array row solver against the scalar solver and the box scan."""
+
+    def _check(self, ball):
+        scan = _optimized_scan_sl2(ball, DEFAULT_CONFIG.optimized_row_budget)
+        assert scan == scalar_scan(ball)  # canonical order as built
+        assert count_points(ball) == len(scan) == scalar_count(ball)
+        if _box_cells(ball) <= 200_000:
+            assert scan == _oracle_scan(ball, 2, DEFAULT_CONFIG.oracle_cell_budget)
+        return scan
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        center=st.one_of(
+            st.sampled_from(BOUNDED_CENTERS),
+            st.tuples(
+                *[st.integers(-16, 16).map(lambda k: F(k, 8)) for _ in range(4)]
+            ).map(lambda e: ((e[0], e[1]), (e[2], e[3]))),
+        ),
+        n=st.one_of(st.sampled_from(COMPOSITE_N), st.integers(1, 40)),
+        width=st.integers(0, 24),
+    )
+    def test_matches_scalar_oracle(self, center, n, width):
+        # the radius keeps about 2 * width + 1 values per entry, any n
+        ball = BallSpec.make(center, F(width, 2 * n) + F(1, 4 * n), n)
+        self._check(ball)
+
+    @pytest.mark.parametrize("n", COMPOSITE_N)
+    def test_composite_n_has_imprimitive_rows(self, n):
+        ball = BallSpec.make(IDENTITY, F(6, n), n)
+        scan = self._check(ball)
+        assert scan
+        # rows sharing a prime with n occur, and some of their j are dropped
+        assert any(math.gcd(a, b, n) > 1 for a, b, _, _ in scan)
+        assert scalar_count(ball) < sum(
+            max(0, j_hi - j_lo + 1) for *_, j_lo, j_hi in _scalar_rows(ball)
+        )
+
+    def test_zero_row_and_step_zero_rows(self):
+        # the box holds a = b = 0 (no solution) and rows with a = 0 or b = 0,
+        # whose progressions fix d or c
+        ball = BallSpec.make(((F(0), F(0)), (F(0), F(0))), F(3, 2), 2)
+        scan = self._check(ball)
+        assert scan
+        assert any(a == 0 for a, *_ in scan) and any(b == 0 for _, b, *_ in scan)
+        ball = BallSpec.make(IDENTITY, F(3, 2), 6)
+        assert any(0 in flat[:2] for flat in self._check(ball))
+
+    def test_empty_boxes(self):
+        # an empty entry interval, and a nonempty box without solutions
+        empty = BallSpec.make(((F(1, 3), F(0)), (F(0), F(3))), F(1, 100), 2)
+        assert _sl2_box(empty, 10) is None
+        assert self._check(empty) == []
+        assert count_points(empty) == 0
+        far = BallSpec.make(((F(0), F(0)), (F(0), F(0))), F(1, 4), 2)
+        assert self._check(far) == []
+
+    @pytest.mark.parametrize(
+        "n, radius, points",
+        [(1000, F(1, 250), 4), (997, F(1, 100), 18), (210, F(1, 40), 2)],
+    )
+    def test_python_int_arrays_past_int64(self, n, radius, points):
+        # c0 = -t * n**2 / g reaches max|entry| * n**2, past 2**62 with
+        # entries near 10**15: int64 arrays would wrap silently here
+        x = 10**12
+        center = ((F(x), F(x - 1)), (F(x + 1), F(x)))
+        ball = BallSpec.make(center, radius, n)
+        reach = max(abs(v) for row in entry_bounds(ball) for pair in row for v in pair)
+        assert reach * n * n > 2**62
+        scan = self._check(ball)
+        assert len(scan) == points
 
 
 class TestEntryBounds:

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from slnapprox.config import DEFAULT_CONFIG
 from slnapprox.core import BallSpec, family_from_preset, n_coprime_part, reduce
@@ -154,6 +155,20 @@ class TestSievingPrimes:
     def test_squarefree_moduli(self):
         assert squarefree_moduli(10, 2) == [1, 3, 5, 7]
         assert squarefree_moduli(10, 1) == [1, 2, 3, 5, 6, 7, 10]
+
+    @pytest.mark.parametrize("excluded", [0, 1, 2, 30, 97, 2 * 3 * 5 * 7 * 11 * 13, 10**30 + 57])
+    def test_squarefree_moduli_match_trial_division(self, excluded):
+        # the prime sieve against one trial division per modulus
+        def oracle(q_max):
+            out = []
+            for q in range(1, q_max + 1):
+                fac = sympy.factorint(q)
+                if all(a == 1 and excluded % p for p, a in fac.items()):
+                    out.append(q)
+            return out
+
+        for q_max in (-1, 0, 1, 2, 3, 4, 25, 49, 211, 1000):
+            assert squarefree_moduli(q_max, excluded) == oracle(q_max)
 
 
 class TestHistogramAndCounts:
