@@ -342,7 +342,7 @@ class TestArrayRowSolver:
 
     def test_zero_row_and_step_zero_rows(self):
         # the box holds a = b = 0 (no solution) and rows with a = 0 or b = 0,
-        # whose progressions fix d or c
+        # whose progressions fix c or d
         ball = BallSpec.make(((F(0), F(0)), (F(0), F(0))), F(3, 2), 2)
         scan = self._check(ball)
         assert scan
