@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -22,25 +23,23 @@ from .core import (
     family_from_file,
     family_from_preset,
     FAMILY_PRESETS,
+    frac_json,
     identity_matrix,
+    RationalGroupPoint,
     to_fraction_matrix,
 )
 from .errors import (
-    AlphaTooLarge,
     BudgetExceeded,
     ConvergenceFailure,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_NO_WITNESS,
     EXIT_OK,
-    MissingDensities,
-    NotUnimodular,
     NoWitness,
     SearchSpaceTooLarge,
+    SlnApproxError,
     UnsupportedDimension,
-    ZeroValue,
 )
-from .sieve import _frac_json
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -87,6 +86,22 @@ def _parse_center(text: str, n_dim: int):
     if text == "identity":
         return identity_matrix(n_dim)
     return _center_matrix(json.loads(text), n_dim)
+
+
+def _json_fields(record, omit: tuple[str, ...] = ()) -> dict:
+    """The dataclass fields of ``record`` in declaration order, exact values
+    (fractions and group points) in their JSON forms."""
+    out = {}
+    for field in dataclasses.fields(record):
+        if field.name in omit:
+            continue
+        value = getattr(record, field.name)
+        if isinstance(value, Fraction):
+            value = frac_json(value)
+        elif isinstance(value, RationalGroupPoint):
+            value = value.to_json_dict()
+        out[field.name] = value
+    return out
 
 
 def _load_family(spec_text: str, n_dim: int):
@@ -212,17 +227,17 @@ def _cmd_volumes(args, cfg: Config, n_dim: int) -> int:
 
 def _cmd_density(args, cfg: Config, n_dim: int) -> int:
     family = _load_family(args.poly, n_dim)
-    moduli = list(args.q or [])
+    moduli = sorted(set(args.q or []))
     if args.p_range is not None:
         if args.p_range < 2:
             raise ValueError(f"--p-range needs a bound of at least 2, got {args.p_range}")
-        moduli.extend(sympy.primerange(2, args.p_range + 1))
-    if not moduli:
+        # lazy: density_table stops reading at the density budget
+        moduli = itertools.chain(moduli, sympy.primerange(2, args.p_range + 1))
+    elif not moduli:
         moduli = [2, 3, 5, 7, 11, 13]
-    moduli = sorted(set(moduli))
     table = densities.density_table(family, moduli, n_dim, cfg)
     print("q,rho_num,rho_den,order")
-    for q in moduli:
+    for q in sorted(table.values):
         rho = table.value(q)
         print(f"{q},{rho.numerator},{rho.denominator},{table.group_orders[q]}")
     return EXIT_OK
@@ -291,23 +306,7 @@ def _cmd_params(args, cfg: Config, n_dim: int) -> int:
         args.alpha, t=args.t, deg_f=args.deg, delta_n=args.delta,
         d=args.d, a=args.a, config=cfg,
     )
-    out = {
-        "d": tp.d,
-        "a": _frac_json(tp.a),
-        "iota": tp.iota,
-        "r_g": tp.r_g,
-        "t": tp.t,
-        "deg_f": tp.deg_f,
-        "delta_n": tp.delta_n,
-        "alpha": _frac_json(tp.alpha),
-        "alpha0": _frac_json(tp.alpha0),
-        "alpha_prime": _frac_json(tp.alpha_prime),
-        "r": tp.r,
-        "kappa": _frac_json(tp.kappa),
-        "tau0": _frac_json(tp.tau0),
-        "alpha0_restricted": _frac_json(tp.alpha0_restricted),
-    }
-    json.dump(out, sys.stdout, indent=2)
+    json.dump(_json_fields(tp), sys.stdout, indent=2)
     print()
     return EXIT_OK
 
@@ -318,18 +317,7 @@ def _cmd_witness(args, cfg: Config, n_dim: int) -> int:
     record = engine.find_witness(
         center, args.denominator, args.alpha, family, config=cfg
     )
-    out = {
-        "n": record.n,
-        "alpha": record.alpha,
-        "epsilon": _frac_json(record.epsilon),
-        "z": record.z.to_json_dict(),
-        "distance": _frac_json(record.distance),
-        "factor_count": record.factor_count,
-        "candidates": record.candidates,
-        "zero_values_skipped": record.zero_values_skipped,
-        "elapsed_s": record.elapsed_s,
-    }
-    json.dump(out, sys.stdout, indent=2)
+    json.dump(_json_fields(record, omit=("x",)), sys.stdout, indent=2)
     print()
     return EXIT_OK
 
@@ -392,16 +380,7 @@ def main(argv=None) -> int:
     except NoWitness as exc:
         print(f"no witness: {exc}", file=sys.stderr)
         return EXIT_NO_WITNESS
-    except (
-        AlphaTooLarge,
-        MissingDensities,
-        NotUnimodular,
-        UnsupportedDimension,
-        ZeroValue,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (SlnApproxError, ValueError, OSError) as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

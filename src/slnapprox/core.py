@@ -69,20 +69,31 @@ def prime_mask(limit: int) -> np.ndarray:
     return is_prime
 
 
+def trial_division(m: int, limit: int) -> tuple[dict[int, int], int, bool]:
+    """Divide the positive m by 2 and the odd d <= limit while d*d <= rest.
+
+    Returns (factors, rest, done); done means the loop reached sqrt(rest),
+    so rest is 1 or a prime.
+    """
+    factors: dict[int, int] = {}
+    rest = m
+    d = 2
+    while d * d <= rest and d <= limit:
+        while rest % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            rest //= d
+        d += 1 if d == 2 else 2
+    return factors, rest, d * d > rest
+
+
 def prime_factorization(n: int) -> dict[int, int]:
     """Trial-division factorization, meant for moduli of desk scale."""
     if n < 1:
         raise ValueError("need a positive integer")
-    out: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
+    # d * d <= rest <= n keeps d <= n, so the loop always runs to sqrt(rest)
+    out, rest, _ = trial_division(n, n)
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
     return out
 
 
@@ -111,6 +122,11 @@ def n_coprime_part(w: int, n: int) -> int:
     return m
 
 
+def frac_json(fr: Fraction) -> dict:
+    """An exact rational as {num, den} decimal strings."""
+    return {"num": str(fr.numerator), "den": str(fr.denominator)}
+
+
 def snap_dyadic(x, bits: int = 53) -> Fraction:
     """Round x to the dyadic grid of spacing 2**-bits, exactly."""
     q = Fraction(x)
@@ -129,12 +145,22 @@ def identity_matrix(n_dim: int) -> IntMatrix:
 
 
 def mat_det(m: Sequence[Sequence]) -> int | Fraction:
-    """Determinant by cofactor expansion, exact for int or Fraction entries."""
+    """Determinant by cofactor expansion, exact for int or Fraction entries.
+
+    The 2x2 and 3x3 expansions are written out, since the enumeration
+    oracle calls this once per cell of its box.
+    """
     n = len(m)
     if n == 1:
         return m[0][0]
     if n == 2:
         return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if n == 3:
+        return (
+            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        )
     total = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1:] for row in [tuple(r) for r in m[1:]]]
@@ -186,9 +212,7 @@ class RationalGroupPoint:
         d = mat_det(self.u)
         if d != self.v**self.n_dim:
             raise NotUnimodular(Fraction(d, self.v**self.n_dim))
-        g = self.v
-        for e in self.flat_numerator():
-            g = math.gcd(g, e)
+        g = math.gcd(self.v, *self.flat_numerator())
         if g != 1:
             raise ValueError(f"numerator and denominator share the factor {g}")
 
@@ -249,10 +273,7 @@ def reduce(raw: Sequence[Sequence]) -> RationalGroupPoint:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    v = 1
-    for row in rows:
-        for e in row:
-            v = v * e.denominator // math.gcd(v, e.denominator)
+    v = math.lcm(*(e.denominator for row in rows for e in row))
     u = tuple(tuple(int(e * v) for e in row) for row in rows)
     d = mat_det(u)
     if d != v**n:
@@ -340,12 +361,7 @@ def ball_membership(z: RationalGroupPoint, ball: BallSpec) -> bool:
     if z.n_dim != ball.n_dim:
         raise ValueError("dimension mismatch")
     finite_ok = all(padic_norm(z, p) == p**a for p, a in ball.factorization)
-    if finite_ok:
-        rest = z.v
-        for p, _ in ball.factorization:
-            while rest % p == 0:
-                rest //= p
-        finite_ok = rest == 1
+    finite_ok = finite_ok and n_coprime_part(z.v, ball.modulus) == 1
     den_ok = z.v == ball.modulus
     if finite_ok != den_ok:
         raise AssertionError("normalization broke the denominator criterion")

@@ -53,8 +53,6 @@ def _prime_power_order(p: int, a: int, n_dim: int) -> int:
 
 def group_order_mod(q: int, n_dim: int = 2) -> int:
     """Order of the determinant-1 matrix group mod q."""
-    if q == 1:
-        return 1
     return math.prod(
         _prime_power_order(p, a, n_dim) for p, a in prime_factorization(q).items()
     )
@@ -236,13 +234,24 @@ def density_table(
     Each distinct prime of the moduli is scanned once and rho(q) is the
     product of its primes' values.  The total number of group elements
     those scans visit is checked against ``config.density_order_budget``
-    before any scan starts.
+    before any scan starts, by ``check_density_budget`` reading the new
+    primes of each modulus in turn: ``moduli`` is read, and each modulus
+    checked and factored, only while the total is within budget, so a lazy
+    run of moduli of any length fails at the first one past it.
     """
-    primes_of = {q: _squarefree_primes(q) for q in moduli}
-    primes = sorted({p for ps in primes_of.values() for p in ps})
-    check_density_budget(primes, n_dim, config)
-    orders = {p: _prime_power_order(p, 1, n_dim) for p in primes}
-    rho = {p: Fraction(p * _zero_count(family, p, n_dim), orders[p]) for p in primes}
+    primes_of: dict[int, list[int]] = {}
+    orders: dict[int, int] = {}
+
+    def new_primes():
+        for q in moduli:
+            primes_of[q] = _squarefree_primes(q)
+            for p in primes_of[q]:
+                if p not in orders:
+                    orders[p] = _prime_power_order(p, 1, n_dim)
+                    yield p
+
+    check_density_budget(new_primes(), n_dim, config)
+    rho = {p: Fraction(p * _zero_count(family, p, n_dim), orders[p]) for p in orders}
     return DensityFunction(
         family=family,
         values={

@@ -266,26 +266,17 @@ def counting_verification(
         for n in n_list:
             vol = finite_volume(n, config=config)
             ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
+            T = ratio = skipped = None
+            significant = False
             try:
                 T = count_points(ball, config)
             except SearchSpaceTooLarge as exc:
-                rows.append(
-                    CountingCell(
-                        center=ball.center,
-                        n=n,
-                        epsilon=eps,
-                        T=None,
-                        volume=vol,
-                        ratio=None,
-                        significant=False,
-                        skipped=str(exc),
-                    )
-                )
-                continue
-            ratio = Fraction(T) / ((2 * eps) ** 3 * vol)
-            significant = T >= count_threshold
-            if significant:
-                ratios.append(ratio)
+                skipped = str(exc)
+            else:
+                ratio = Fraction(T) / ((2 * eps) ** 3 * vol)
+                significant = T >= count_threshold
+                if significant:
+                    ratios.append(ratio)
             rows.append(
                 CountingCell(
                     center=ball.center,
@@ -295,7 +286,7 @@ def counting_verification(
                     volume=vol,
                     ratio=ratio,
                     significant=significant,
-                    skipped=None,
+                    skipped=skipped,
                 )
             )
     spread = (max(ratios) / min(ratios)) if ratios else None

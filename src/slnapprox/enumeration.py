@@ -36,6 +36,7 @@ from .core import (
     RationalGroupPoint,
     frac_ceil,
     frac_floor,
+    mat_det,
     prime_factorization,
 )
 from .errors import SearchSpaceTooLarge, UnsupportedDimension
@@ -80,28 +81,9 @@ def _oracle_scan(ball: BallSpec, n_dim: int, budget: int) -> list[tuple[int, ...
     # the product visits the box in canonical order
     for flat in itertools.product(*(range(lo, hi + 1) for lo, hi in flat_bounds)):
         u = tuple(flat[i * n_dim : (i + 1) * n_dim] for i in range(n_dim))
-        if _det(u, n_dim) != target:
-            continue
-        g = n
-        for e in flat:
-            g = math.gcd(g, e)
-            if g == 1:
-                break
-        if g == 1:
+        if mat_det(u) == target and math.gcd(n, *flat) == 1:
             found.append(flat)
     return found
-
-
-def _det(u, n_dim):
-    if n_dim == 2:
-        return u[0][0] * u[1][1] - u[0][1] * u[1][0]
-    if n_dim == 3:
-        return (
-            u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
-            - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
-            + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0])
-        )
-    raise UnsupportedDimension(f"n_dim={n_dim}")
 
 
 def _sl2_box(ball: BallSpec, budget: int):
@@ -313,6 +295,8 @@ def enumerate_points(
     n_dim = ball.n_dim
     if strategy not in ("oracle", "optimized", "both"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if n_dim > 3:
+        raise UnsupportedDimension(f"n_dim={n_dim}")
     if strategy in ("optimized", "both") and n_dim != 2:
         raise UnsupportedDimension("optimized enumeration is 2x2 only")
     if strategy == "oracle":

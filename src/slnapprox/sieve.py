@@ -25,7 +25,14 @@ import numpy as np
 import sympy
 
 from .config import DEFAULT_CONFIG, Config
-from .core import PolynomialFamily, RationalGroupPoint, n_coprime_part, prime_mask
+from .core import (
+    PolynomialFamily,
+    RationalGroupPoint,
+    frac_json,
+    n_coprime_part,
+    prime_mask,
+    trial_division,
+)
 from .errors import ZeroValue
 
 log = logging.getLogger(__name__)
@@ -52,17 +59,10 @@ def factorize_full(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    factors: dict[int, int] = {}
-    rest = m
-    d = 2
-    while d * d <= rest and d <= config.factor_trial_limit:
-        while rest % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            rest //= d
-        d += 1 if d == 2 else 2
+    factors, rest, done = trial_division(m, config.factor_trial_limit)
     if rest == 1:
         return factors, 1, True
-    if d * d > rest or sympy.isprime(rest):
+    if done or sympy.isprime(rest):
         factors[rest] = factors.get(rest, 0) + 1
         return factors, 1, True
     if rest.bit_length() <= config.factor_bit_budget:
@@ -446,10 +446,6 @@ def run_sieve(
     )
 
 
-def _frac_json(fr: Fraction) -> dict:
-    return {"num": str(fr.numerator), "den": str(fr.denominator)}
-
-
 def sieve_report_to_json_dict(report: SieveReport) -> dict:
     """JSON form with every exact rational as {num, den} decimal strings."""
     ax = report.axioms
@@ -461,18 +457,18 @@ def sieve_report_to_json_dict(report: SieveReport) -> dict:
         "tau": report.tau,
         "s": report.s,
         "z": report.z,
-        "W_z": _frac_json(report.W_z),
+        "W_z": frac_json(report.W_z),
         "lower_bound": report.lower_bound,
         "direct_count": report.direct_count,
         "vacuous": report.vacuous,
         "consistent": report.consistent,
         "remainders": [
-            {"q": q, "R": _frac_json(r)} for q, r in report.remainders
+            {"q": q, "R": frac_json(r)} for q, r in report.remainders
         ],
         "axioms": {
             "a_k": [{"k": str(k), "count": c} for k, c in ax.a_k],
             "zero_values": ax.zero_values,
-            "a1_sum_abs": _frac_json(ax.a1_sum_abs),
+            "a1_sum_abs": frac_json(ax.a1_sum_abs),
             "a1_zeta": ax.a1_zeta,
             "a2_l": ax.a2_l,
             "a2_c3": ax.a2_c3,

@@ -27,12 +27,14 @@ and have to be handled explicitly rather than measured:
   that subspace is exactly where decay is possible, and on it the blocks
   carry isomorphic copies of the walk on the determinant-one classes.
 
-No n x n matrix is formed.  A table indexed by the integer code of a
-matrix mod q gives the vertex of its scalar class, left multiplication by
-each distinct generator image is stored as the vertex permutation it
-induces, and the gap comes from a Lanczos eigensolve (ARPACK) that applies
-the permutations and the class-mean projection to a vector.  Memory is
-about (images + 1) * n ints plus the q**4 code table.
+A level has n = |GL_2(Z/q)| / phi(q) = |SL_2(Z/q)| vertices, the order
+``densities.group_order_mod(q, 2)`` gives.  No n x n matrix is formed.
+A table indexed by the integer code of a matrix mod q gives the vertex of
+its scalar class, left multiplication by each distinct generator image is
+stored as the vertex permutation it induces, and the gap comes from a
+Lanczos eigensolve (ARPACK) that applies the permutations and the
+class-mean projection to a vector.  Memory is about (images + 1) * n ints
+plus the q**4 code table.
 """
 
 from __future__ import annotations
@@ -45,33 +47,11 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
+from .densities import group_order_mod
 from .errors import BudgetExceeded, ConvergenceFailure
 from .volumes import hnf_representatives, local_ball_volume
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-def projective_order(q: int) -> int:
-    """Order of the projective group of invertible 2x2 matrices mod q."""
-    if q < 2:
-        raise ValueError("level must be at least 2")
-    order = 1
-    units = 1
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            order *= p ** (4 * (a - 1)) * (p * p - 1) * (p * p - p)
-            units *= p ** (a - 1) * (p - 1)
-        p += 1
-    if m > 1:
-        order *= (m * m - 1) * (m * m - m)
-        units *= m - 1
-    return order // units
 
 
 def _units(q: int) -> tuple[int, ...]:
@@ -105,12 +85,15 @@ def _encode(q: int, a, b, c, d):
 def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
     """Canonical vertices and the code -> vertex table of level q.
 
-    The expected vertex count comes from the order formula first, so an
+    The expected vertex count comes from ``group_order_mod`` first, so an
     oversized level fails before any table is allocated; the vectorized
     scan over all q**4 codes then confirms it exactly.  The last table is
-    kept, read-only, so the radii of one level share it.
+    kept, read-only, so the radii of one level share it.  q must be at
+    least 2 (ValueError).
     """
-    expected = projective_order(q)
+    if q < 2:
+        raise ValueError("level must be at least 2")
+    expected = group_order_mod(q, 2)
     if expected > config.spectral_vertex_budget:
         raise BudgetExceeded(
             f"{expected} vertices at level {q}, budget {config.spectral_vertex_budget}"

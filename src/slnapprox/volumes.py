@@ -62,7 +62,7 @@ def hnf_coset_oracle(p: int, ell: int) -> int:
             total += d
         elif d <= 10**5:
             for b in range(d):
-                if math.gcd(math.gcd(a, b), d) == 1:
+                if math.gcd(a, b, d) == 1:
                     total += 1
         else:
             # primitive iff p does not divide b
@@ -79,7 +79,7 @@ def hnf_representatives(p: int, ell: int) -> list[tuple[tuple[int, int], tuple[i
         a = p**i
         d = p ** (2 * ell - i)
         for b in range(d):
-            if math.gcd(math.gcd(a, b), d) == 1:
+            if math.gcd(a, b, d) == 1:
                 reps.append(((a, b), (0, d)))
     return reps
 

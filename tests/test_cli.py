@@ -14,12 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import slnapprox
+from slnapprox import cli
 from slnapprox.cli import main
 from slnapprox.errors import (
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_NO_WITNESS,
     EXIT_OK,
+    SlnApproxError,
 )
 
 
@@ -131,6 +133,16 @@ class TestDensity:
         code, _, err = run(capsys, "density", "--q", "4")
         assert code == EXIT_INVALID
         assert "square-free" in err
+
+    @pytest.mark.parametrize(
+        "flags, expected", [([], EXIT_BUDGET), (["--q", "4"], EXIT_INVALID)]
+    )
+    def test_prime_range_is_read_up_to_the_budget(self, capsys, flags, expected):
+        # the primes below 10**12 are read only until the density budget is
+        # passed, after the explicit moduli have been checked
+        code, _, err = run(capsys, "density", *flags, "--p-range", str(10**12))
+        assert code == expected
+        assert ("density scan" if expected == EXIT_BUDGET else "square-free") in err
 
     def test_family_file_of_other_dimension(self, capsys, tmp_path):
         path = tmp_path / "fam.json"
@@ -397,7 +409,53 @@ def test_argv_fuzz_exit_codes(fuzz_files, data):
     assert code in (EXIT_OK, EXIT_BUDGET, EXIT_NO_WITNESS, EXIT_INVALID), argv
 
 
+PARAMS_ALPHA_1_20 = """\
+{
+  "d": 3,
+  "a": {
+    "num": "2",
+    "den": "1"
+  },
+  "iota": 2,
+  "r_g": 4,
+  "t": 1,
+  "deg_f": 1,
+  "delta_n": 0,
+  "alpha": {
+    "num": "1",
+    "den": "20"
+  },
+  "alpha0": {
+    "num": "1",
+    "den": "12"
+  },
+  "alpha_prime": {
+    "num": "1",
+    "den": "40"
+  },
+  "r": 1440,
+  "kappa": {
+    "num": "1",
+    "den": "2"
+  },
+  "tau0": {
+    "num": "1",
+    "den": "296"
+  },
+  "alpha0_restricted": {
+    "num": "1",
+    "den": "6"
+  }
+}
+"""
+
+
 class TestParams:
+    def test_golden_stdout(self, capsys):
+        code, out, _ = run(capsys, "params", "--alpha", "1/20")
+        assert code == EXIT_OK
+        assert out == PARAMS_ALPHA_1_20
+
     def test_frozen_json(self, capsys):
         code, out, _ = run(capsys, "params", "--alpha", "1/20")
         assert code == EXIT_OK
@@ -422,6 +480,17 @@ class TestWitness:
         assert blob["candidates"] == 8
         assert blob["factor_count"] == 0
 
+    def test_key_order(self, capsys):
+        code, out, _ = run(capsys, "witness", "-n", "2", "--alpha", "1.0")
+        assert code == EXIT_OK
+        blob = json.loads(out)
+        assert list(blob) == [
+            "n", "alpha", "epsilon", "z", "distance", "factor_count",
+            "candidates", "zero_values_skipped", "elapsed_s",
+        ]
+        assert blob["z"] == {"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}
+        assert blob["distance"] == {"num": "1", "den": "2"}
+
     def test_no_witness_exit(self, capsys):
         code, _, err = run(capsys, "witness", "-n", "2", "--alpha", "2.0")
         assert code == EXIT_NO_WITNESS
@@ -440,6 +509,21 @@ class TestVerifyCount:
         assert lines[0] == "center,n,epsilon,T,volume,ratio,significant"
         assert len(lines) == 12  # 5 centers x 2 moduli + header + spread
         assert lines[-1].startswith("# spread ")
+
+
+def test_every_package_error_exits_invalid(capsys, monkeypatch):
+    # a package error class the exit-code map does not name still exits 4
+    class FreshError(SlnApproxError):
+        pass
+
+    def handler(args, cfg, n_dim):
+        raise FreshError("raised by a fresh error class")
+
+    monkeypatch.setitem(cli._COMMANDS, "params", handler)
+    code, out, err = run(capsys, "params", "--alpha", "1/20")
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == "invalid parameters: raised by a fresh error class\n"
 
 
 class TestArgumentErrors:

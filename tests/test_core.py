@@ -1,5 +1,6 @@
 """Exact arithmetic layer: reduction, norms, ball membership, polynomials."""
 
+import itertools
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from slnapprox.core import (
     FAMILY_PRESETS,
     family_from_file,
     family_from_preset,
+    mat_det,
     n_coprime_part,
     padic_norm,
     prime_factorization,
@@ -59,6 +61,37 @@ def fraction_oracle(fam, z):
             for exps, c in poly.monomials
         )
     return out
+
+
+def leibniz_det(m):
+    """Oracle: the signed sum over permutations of products of entries."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+class TestMatDet:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        m=st.sampled_from([2, 3, 4]).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.integers(-(10**20), 10**20) | st.fractions(max_denominator=60),
+                    min_size=n,
+                    max_size=n,
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    def test_matches_leibniz(self, m):
+        # 2x2 and 3x3 are written out; 4x4 expands into 3x3 minors
+        assert mat_det(m) == leibniz_det(m)
+        assert mat_det(tuple(map(tuple, m))) == leibniz_det(m)
 
 
 class TestReduce:

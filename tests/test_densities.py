@@ -316,6 +316,26 @@ class TestDensityFunction:
         assert read == [2, 3, 5, 7, 11]
         check_density_budget([2, 3, 5], 2, Config(density_order_budget=150))
 
+    def test_table_reads_moduli_lazily(self, monkeypatch):
+        # the moduli are read, checked and factored only up to the one whose
+        # new prime passes the budget: the 4 after it is never checked
+        def scan(*args, **kwargs):
+            raise AssertionError("a group scan ran past the density budget")
+
+        read = []
+
+        def moduli():
+            for q in [2, 3, 6, 5, 7, 11, 4]:
+                read.append(q)
+                yield q
+
+        monkeypatch.setattr(densities, "_zero_count", scan)
+        with pytest.raises(BudgetExceeded, match="density scan over 5 primes up to 11"):
+            density_table(ENTRY11, moduli(), config=Config(density_order_budget=1500))
+        assert read == [2, 3, 6, 5, 7, 11]
+        with pytest.raises(ValueError, match="not square-free"):
+            density_table(ENTRY11, iter([2, 4, 3]), config=Config(density_order_budget=10))
+
     def test_missing_modulus_raises(self):
         dens = density_table(ENTRY11, [2])
         with pytest.raises(MissingDensities) as info:

@@ -215,6 +215,14 @@ class TestStrategyEquivalence:
         with pytest.raises(UnsupportedDimension):
             count_points(ball)
 
+    def test_oracle_rejects_4x4(self):
+        center4 = tuple(
+            tuple(F(1) if i == j else F(0) for j in range(4)) for i in range(4)
+        )
+        ball = BallSpec.make(center4, F(1, 2), 2)
+        with pytest.raises(UnsupportedDimension):
+            enumerate_points(ball, strategy="oracle")
+
     def test_oracle_handles_3x3(self):
         center3 = tuple(
             tuple(F(1) if i == j else F(0) for j in range(3)) for i in range(3)

@@ -9,8 +9,18 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slnapprox import sieve
 from slnapprox.config import DEFAULT_CONFIG
-from slnapprox.core import BallSpec, family_from_preset, n_coprime_part, reduce
+from slnapprox.core import (
+    BallSpec,
+    family_from_preset,
+    n_coprime_part,
+    prime_factorization,
+    reduce,
+)
 from slnapprox.densities import density_table
 from slnapprox.engine import BOUNDED_CENTERS
 from slnapprox.enumeration import enumerate_points
@@ -20,6 +30,7 @@ from slnapprox.sieve import (
     axiom_report,
     beta_sieve_lower_bound,
     coprime_part,
+    factorize_full,
     is_r_prime,
     run_sieve,
     sieve_level,
@@ -120,6 +131,26 @@ class TestCoprimePart:
         assert not sv.complete
         assert sv.cofactor == m
         assert sv.factor_count == 2  # composite cofactor counts at least 2
+
+
+class TestTrialDivision:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(m=st.integers(1, 10**9))
+    def test_both_callers_match_sympy(self, m):
+        assert prime_factorization(m) == sympy.factorint(m)
+        assert factorize_full(m) == (sympy.factorint(m), 1, True)
+
+    def test_rest_past_the_square_root_is_prime_unasked(self, monkeypatch):
+        # trial division that reached sqrt(rest) leaves a prime rest, so the
+        # witness path makes no primality call for it
+        def isprime(n):
+            raise AssertionError(f"sympy.isprime({n}) called")
+
+        monkeypatch.setattr(sieve.sympy, "isprime", isprime)
+        assert factorize_full(2 * 3 * 10007) == ({2: 1, 3: 1, 10007: 1}, 1, True)
+        stingy = dataclasses.replace(DEFAULT_CONFIG, factor_trial_limit=10)
+        with pytest.raises(AssertionError, match="isprime"):
+            factorize_full(10007 * 10009, stingy)
 
 
 class TestIsRPrime:

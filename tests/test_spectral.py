@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from slnapprox.config import DEFAULT_CONFIG
+from slnapprox.densities import group_order_mod
 from slnapprox.errors import BudgetExceeded, ConvergenceFailure
 from slnapprox.spectral import (
     HeckeOperatorGraph,
@@ -18,7 +19,6 @@ from slnapprox.spectral import (
     gap_decay_report,
     lagrange_reduce,
     level_table,
-    projective_order,
     second_singular_value,
 )
 from slnapprox.spectral import _units
@@ -134,8 +134,13 @@ ORACLE_CASES = [
 
 class TestProjectiveGroup:
     def test_orders(self):
-        assert projective_order(5) == 120
-        assert projective_order(7) == 336
+        # |PGL_2(Z/q)| = |GL_2(Z/q)| / phi(q) = |SL_2(Z/q)|
+        assert group_order_mod(5, 2) == 120
+        assert group_order_mod(7, 2) == 336
+
+    @pytest.mark.parametrize("q", range(2, 25))
+    def test_vertex_count_is_the_group_order(self, q):
+        assert len(level_table(q).vertices) == group_order_mod(q, 2)
 
     def test_vertex_counts(self):
         assert len(projective_vertices(5)) == 120
@@ -178,8 +183,9 @@ class TestProjectiveGroup:
             projective_vertices(7, config=tight)
 
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            projective_order(1)
+        for q in (1, 0, -4):
+            with pytest.raises(ValueError, match="level must be at least 2"):
+                level_table(q)
 
 
 class TestLagrangeReduce:
