@@ -15,8 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -186,6 +187,14 @@ def to_fraction_matrix(raw: Sequence[Sequence]) -> FracMatrix:
 # rational group points
 
 
+@lru_cache(maxsize=None)
+def point_line_template(n_dim: int) -> str:
+    """The JSON line of an n_dim point as a %-template of its entries, then v:
+    {"n_dim":2,"u":[["%d","%d"],["%d","%d"]],"v":"%d"} for n_dim = 2."""
+    row = "[" + ",".join(['"%d"'] * n_dim) + "]"
+    return '{"n_dim":%d,"u":[%s],"v":"%%d"}' % (n_dim, ",".join([row] * n_dim))
+
+
 @dataclass(frozen=True)
 class RationalGroupPoint:
     """A matrix with rational entries, det 1, in normalized u/v form."""
@@ -202,7 +211,7 @@ class RationalGroupPoint:
         return tuple(tuple(Fraction(e, self.v) for e in row) for row in self.u)
 
     def flat_numerator(self) -> tuple[int, ...]:
-        return tuple(e for row in self.u for e in row)
+        return tuple(chain.from_iterable(self.u))
 
     def validate(self) -> None:
         if len(self.u) != self.n_dim or any(len(r) != self.n_dim for r in self.u):
@@ -212,7 +221,7 @@ class RationalGroupPoint:
         d = mat_det(self.u)
         if d != self.v**self.n_dim:
             raise NotUnimodular(Fraction(d, self.v**self.n_dim))
-        g = math.gcd(self.v, *self.flat_numerator())
+        g = math.gcd(self.v, *chain.from_iterable(self.u))
         if g != 1:
             raise ValueError(f"numerator and denominator share the factor {g}")
 
@@ -245,12 +254,13 @@ class RationalGroupPoint:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, faster."""
+        return point_line_template(self.n_dim) % (*chain.from_iterable(self.u), self.v)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalGroupPoint":
         try:
-            u = tuple(tuple(int(e) for e in row) for row in d["u"])
+            u = tuple(tuple(map(int, row)) for row in d["u"])
             z = cls(u=u, v=int(d["v"]), n_dim=int(d["n_dim"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"point record lacks or mistypes a key: {exc!r}") from exc

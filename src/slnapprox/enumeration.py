@@ -311,11 +311,7 @@ def enumerate_points(
             )
     n = ball.modulus
     pts = tuple(
-        RationalGroupPoint(
-            u=tuple(f[i * n_dim : (i + 1) * n_dim] for i in range(n_dim)),
-            v=n,
-            n_dim=n_dim,
-        )
+        RationalGroupPoint(u=tuple(zip(*[iter(f)] * n_dim)), v=n, n_dim=n_dim)
         for f in flats
     )
     elapsed = (time.perf_counter() - t0) * 1000.0
@@ -328,34 +324,33 @@ def enumerate_points(
     )
 
 
+# point lines per fp.write, so a large file is never held as one string
+_LINE_BLOCK = 1 << 12
+
+
 def write_jsonl(result: EnumerationResult, fp) -> None:
     """One point per line in canonical order, then a summary record."""
-    for z in result.points:
-        fp.write(z.to_json())
-        fp.write("\n")
-    fp.write(
-        json.dumps(
-            {
-                "count": result.count,
-                "elapsed_ms": round(result.elapsed_ms, 3),
-                "strategy": result.strategy,
-            },
-            separators=(",", ":"),
-        )
-    )
-    fp.write("\n")
+    pts = result.points
+    for first in range(0, len(pts), _LINE_BLOCK):
+        fp.write("".join([z.to_json() + "\n" for z in pts[first : first + _LINE_BLOCK]]))
+    summary = {"count": result.count, "elapsed_ms": round(result.elapsed_ms, 3),
+               "strategy": result.strategy}
+    fp.write(json.dumps(summary, separators=(",", ":")) + "\n")
 
 
 def read_jsonl_points(fp) -> list[RationalGroupPoint]:
-    """Parse the point records back, ignoring the trailing summary."""
+    """Parse the point records back, one JSON document per line, ignoring
+    the trailing summary."""
+    loads = json.loads
+    from_json_dict = RationalGroupPoint.from_json_dict
     pts = []
     for line in fp:
         line = line.strip()
         if not line:
             continue
-        d = json.loads(line)
+        d = loads(line)
         if not isinstance(d, dict):
             raise ValueError(f"point record is not a JSON object: {line[:60]!r}")
         if "u" in d:
-            pts.append(RationalGroupPoint.from_json_dict(d))
+            pts.append(from_json_dict(d))
     return pts

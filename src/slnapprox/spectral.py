@@ -220,12 +220,13 @@ def build_hecke_graph(
     if rep_reduction not in ("lagrange", "hermite"):
         raise ValueError(f"unknown rep_reduction {rep_reduction!r}")
     degree = local_ball_volume(p, ell, config=config)
+    # the vertex budget applies before the degree-long generator list exists
+    level = level_table(q, config)
     reps = hnf_representatives(p, ell)
     if len(reps) != degree:
         raise AssertionError(f"{len(reps)} coset representatives for degree {degree}")
     if rep_reduction == "lagrange":
         reps = [lagrange_reduce(g) for g in reps]
-    level = level_table(q, config)
     # distinct images as vertices, with multiplicity; equal images act equally
     g = np.array([(m[0][0], m[0][1], m[1][0], m[1][1]) for m in reps], dtype=np.int64)
     images, weights = np.unique(level.index[_encode(q, *g.T)], return_counts=True)
@@ -263,7 +264,8 @@ def second_singular_value(graph: HeckeOperatorGraph, tol: float = 1e-10) -> floa
     A^T applies the inverse permutations.  The value is the largest absolute
     eigenvalue of P S P, with P subtracting the mean of each invariant
     class, found by Lanczos iteration (ARPACK) from a fixed start vector.
-    The eigenpair residual against S is checked against ``tol``.
+    The eigenpair residual against S is checked against ``tol``; a run that
+    misses it is repeated once, from its own eigenvector.
     """
     perms = graph.operator
     n = len(graph.vertices)
@@ -292,17 +294,21 @@ def second_singular_value(graph: HeckeOperatorGraph, tol: float = 1e-10) -> floa
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     op = LinearOperator((n, n), matvec=lambda x: project(sym(project(x))), dtype=float)
-    v0 = project(np.random.default_rng(0).standard_normal(n))
-    try:
-        vals, vecs = eigsh(op, k=1, which="LM", tol=0, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"Lanczos eigensolve did not converge: {exc}") from exc
-    lam = float(vals[0])
-    v = vecs[:, 0]
-    residual = float(np.max(np.abs(sym(v) - lam * v)))
-    if residual > tol:
-        raise ConvergenceFailure(f"eigenpair residual {residual:.3e} exceeds {tol:g}")
-    return abs(lam)
+    v = project(np.random.default_rng(0).standard_normal(n))
+    # ARPACK restarts from its own random vectors when the Krylov space
+    # closes early, which the projection makes likely; now and then that
+    # run ends short of tol, and a second run from its eigenvector does not
+    for _ in range(2):
+        try:
+            vals, vecs = eigsh(op, k=1, which="LM", tol=0, v0=v)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceFailure(f"Lanczos eigensolve did not converge: {exc}") from exc
+        lam = float(vals[0])
+        v = vecs[:, 0]
+        residual = float(np.max(np.abs(sym(v) - lam * v)))
+        if residual <= tol:
+            return abs(lam)
+    raise ConvergenceFailure(f"eigenpair residual {residual:.3e} exceeds {tol:g}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -57,6 +58,18 @@ class TestEnumerate:
         first = json.loads(lines[0])
         assert first["u"] == [["1", "-1"], ["1", "3"]]
         assert first["v"] == "2"
+
+    def test_point_lines_are_pinned(self, capsys):
+        # the 698 canonical point lines of the n = 24 cell; only the summary's
+        # elapsed_ms may vary between runs
+        code, out, _ = run(capsys, "enumerate", "--radius", "1/2", "-n", "24")
+        assert code == EXIT_OK
+        points, summary = out[: out.rindex("{")], json.loads(out[out.rindex("{"):])
+        assert hashlib.sha256(points.encode()).hexdigest() == (
+            "4dcf861c2557620bde846ba72971aea1f2768ff97bd2455af2bc245a012f1c63"
+        )
+        assert out.splitlines()[0] == '{"n_dim":2,"u":[["13","-12"],["9","36"]],"v":"24"}'
+        assert summary["count"] == 698
 
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "cell.jsonl"

@@ -8,6 +8,7 @@ row) lives here as the oracle of the array solver in
 import dataclasses
 import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,10 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slnapprox import cli
 from slnapprox.config import DEFAULT_CONFIG
-from slnapprox.core import BallSpec, ball_membership, identity_matrix, mat_mul, reduce
+from slnapprox.core import (
+    BallSpec,
+    RationalGroupPoint,
+    ball_membership,
+    identity_matrix,
+    mat_mul,
+    reduce,
+)
 from slnapprox.engine import BOUNDED_CENTERS, counting_verification
 from slnapprox.enumeration import (
+    _LINE_BLOCK,
     EnumerationResult,
     _optimized_scan_sl2,
     _oracle_scan,
@@ -30,7 +40,7 @@ from slnapprox.enumeration import (
     read_jsonl_points,
     write_jsonl,
 )
-from slnapprox.errors import SearchSpaceTooLarge, UnsupportedDimension
+from slnapprox.errors import EXIT_INVALID, SearchSpaceTooLarge, UnsupportedDimension
 
 F = Fraction
 
@@ -420,6 +430,77 @@ class TestCountTable:
         assert "budget" in rows[1].skipped
 
 
+def elementary_walk(n_dim, n, steps):
+    """Points of the walk through products of elementary matrices 1 + (k/n) e_ij:
+    group points of denominator dividing a power of n, with entries past 64
+    bits."""
+    pts = []
+    m = identity_matrix(n_dim)
+    for i, j, k in steps:
+        i, j = i % n_dim, j % n_dim
+        if i == j:
+            continue
+        e = [[F(int(r == c)) for c in range(n_dim)] for r in range(n_dim)]
+        e[i][j] = F(k, n)
+        m = mat_mul(m, e)
+        pts.append(reduce(m))
+    return pts
+
+
+ELEMENTARY_STEPS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-(10**20), 10**20)),
+    max_size=6,
+)
+
+
+def point_result(pts, n_dim):
+    ball = BallSpec.make(identity_matrix(n_dim), F(1, 2), 1)
+    return EnumerationResult(
+        points=tuple(pts), count=len(pts), ball=ball, strategy="oracle", elapsed_ms=0.0
+    )
+
+
+def per_line_oracle(text):
+    """The point of every nonblank line with a "u" key, one line at a time;
+    a line that is not a JSON object goes to the point parser too."""
+    pts = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        d = json.loads(line)
+        if not isinstance(d, dict) or "u" in d:
+            pts.append(RationalGroupPoint.from_json(line))
+    return pts
+
+
+GOOD = '{"n_dim":2,"u":[["1","-1"],["1","3"]],"v":"2"}'
+SUMMARY = '{"count":1,"elapsed_ms":0.5,"strategy":"optimized"}'
+
+# point files broken in one place each; every line of the last is malformed
+# on its own, although joined into one array they would parse
+CORRUPT_FILES = {
+    "bad-json": [GOOD, '{"n_dim":2,"u":[["1","-1"],["1","3"]],"v":"2"', SUMMARY],
+    "not-object": [GOOD, "[1, 2]", SUMMARY],
+    "missing-v": [GOOD, '{"n_dim":2,"u":[["1","-1"],["1","3"]]}', SUMMARY],
+    "missing-n_dim": ['{"u":[["1","-1"],["1","3"]],"v":"2"}', SUMMARY],
+    "string-row": ['{"n_dim":2,"u":[["1","-1"],"3"],"v":"2"}', SUMMARY],
+    "string-entry": ['{"n_dim":2,"u":[["1","x"],["1","3"]],"v":"2"}', SUMMARY],
+    "wrong-shape": ['{"n_dim":2,"u":[["1","-1","0"],["1","3","0"]],"v":"2"}', SUMMARY],
+    "det-not-v-power": ['{"n_dim":2,"u":[["1","0"],["0","3"]],"v":"2"}', SUMMARY],
+    "shared-factor": ['{"n_dim":2,"u":[["2","0"],["0","2"]],"v":"2"}', SUMMARY],
+    "two-objects": [GOOD + GOOD, SUMMARY],
+    "split-record": [GOOD + ", " + GOOD, '{"x":[1', "2]}"],
+}
+
+
+def oracle_error(text):
+    try:
+        per_line_oracle(text)
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    raise AssertionError("the oracle accepted a corrupt file")
+
+
 class TestJsonl:
     def test_round_trip_with_summary(self):
         ball = BallSpec.make(IDENTITY, F(1, 2), 2)
@@ -437,29 +518,77 @@ class TestJsonl:
     @given(
         n_dim=st.sampled_from([2, 3]),
         n=st.integers(1, 60),
-        steps=st.lists(
-            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-(10**20), 10**20)),
-            max_size=6,
-        ),
+        steps=ELEMENTARY_STEPS,
     )
     def test_round_trip_random_points(self, n_dim, n, steps):
-        # products of elementary matrices 1 + (k/n) e_ij: group points of
-        # denominator dividing a power of n, with entries past 64 bits
-        pts = []
-        m = identity_matrix(n_dim)
-        for i, j, k in steps:
-            i, j = i % n_dim, j % n_dim
-            if i == j:
-                continue
-            e = [[F(int(r == c)) for c in range(n_dim)] for r in range(n_dim)]
-            e[i][j] = F(k, n)
-            m = mat_mul(m, e)
-            pts.append(reduce(m))
-        ball = BallSpec.make(identity_matrix(n_dim), F(1, 2), n)
-        res = EnumerationResult(
-            points=tuple(pts), count=len(pts), ball=ball, strategy="oracle", elapsed_ms=0.0
-        )
+        pts = elementary_walk(n_dim, n, steps)
         buf = io.StringIO()
-        write_jsonl(res, buf)
+        write_jsonl(point_result(pts, n_dim), buf)
         buf.seek(0)
         assert read_jsonl_points(buf) == pts
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        n_dim=st.sampled_from([1, 2, 3]),
+        walks=st.lists(st.tuples(st.integers(1, 60), ELEMENTARY_STEPS), max_size=3),
+    )
+    def test_writer_matches_json_dumps(self, n_dim, walks):
+        # the identity (v = 1) first, then walks of several denominators
+        pts = [reduce(identity_matrix(n_dim))]
+        for n, steps in walks:
+            pts += elementary_walk(n_dim, n, steps)
+        buf = io.StringIO()
+        write_jsonl(point_result(pts, n_dim), buf)
+        lines = buf.getvalue().split("\n")
+        assert lines[-1] == ""
+        assert lines[:-2] == [
+            json.dumps(z.to_json_dict(), separators=(",", ":")) for z in pts
+        ]
+        assert lines[:-2] == [z.to_json() for z in pts]
+        assert lines[-2] == '{"count":%d,"elapsed_ms":0.0,"strategy":"oracle"}' % len(pts)
+
+    def test_writer_writes_bounded_blocks(self):
+        pts = [reduce(identity_matrix(2))] * (2 * _LINE_BLOCK + 1)
+        writes = []
+
+        class Sink:
+            def write(self, text):
+                writes.append(text)
+
+        write_jsonl(point_result(pts, 2), Sink())
+        assert [w.count("\n") for w in writes] == [_LINE_BLOCK, _LINE_BLOCK, 1, 1]
+        assert "".join(writes).count(pts[0].to_json() + "\n") == len(pts)
+
+    def test_reader_skips_blank_lines_and_summary(self):
+        line = reduce(identity_matrix(2)).to_json()
+        text = f"\n  {line}  \n\t\n{line}\n" + '{"count":2,"elapsed_ms":1.0,"strategy":"x"}\n'
+        assert read_jsonl_points(io.StringIO(text)) == per_line_oracle(text)
+        assert len(per_line_oracle(text)) == 2
+
+
+class TestReaderOracle:
+    def test_cell_matches_per_line_parse(self):
+        buf = io.StringIO()
+        write_jsonl(enumerate_points(BallSpec.make(IDENTITY, F(1, 2), 24)), buf)
+        text = buf.getvalue()
+        pts = read_jsonl_points(io.StringIO(text))
+        assert len(pts) == 698
+        assert pts == per_line_oracle(text)
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT_FILES))
+    def test_corrupt_file_raises_like_oracle(self, name):
+        text = "\n".join(CORRUPT_FILES[name]) + "\n"
+        expected = oracle_error(text)
+        with pytest.raises(expected) as info:
+            read_jsonl_points(io.StringIO(text))
+        assert type(info.value) is expected
+
+    @pytest.mark.parametrize("name", sorted(CORRUPT_FILES))
+    def test_corrupt_file_exits_invalid(self, name, tmp_path, capsys):
+        path = tmp_path / "points.jsonl"
+        path.write_text("\n".join(CORRUPT_FILES[name]) + "\n")
+        code = cli.main(["sieve", "--points", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert err.startswith("invalid parameters:")
+        assert "Traceback" not in err
