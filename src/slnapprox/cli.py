@@ -249,7 +249,7 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
     family = _load_family(args.poly, n_dim)
     n = args.denominator
     if n is None:
-        dens = {pt.den for pt in points}
+        dens = set(points.rows[:, -1].tolist()) if len(points) else set()
         if len(dens) != 1:
             raise ValueError("points have mixed denominators; pass -n explicitly")
         n = dens.pop()

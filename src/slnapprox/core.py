@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -195,6 +196,16 @@ def point_line_template(n_dim: int) -> str:
     return '{"n_dim":%d,"u":[%s],"v":"%%d"}' % (n_dim, ",".join([row] * n_dim))
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _json_int(x) -> int:
+    """A JSON int (not a bool) or an ASCII decimal string, as an int."""
+    if type(x) is int or (isinstance(x, str) and _DECIMAL.fullmatch(x)):
+        return int(x)
+    raise ValueError(f"point record holds {x!r} where an integer belongs")
+
+
 @dataclass(frozen=True)
 class RationalGroupPoint:
     """A matrix with rational entries, det 1, in normalized u/v form."""
@@ -259,9 +270,14 @@ class RationalGroupPoint:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RationalGroupPoint":
+        """The point of a parsed record, validated.  ``u`` must be a list of
+        lists; each entry, ``v`` and ``n_dim`` a JSON int or a decimal string."""
         try:
-            u = tuple(tuple(map(int, row)) for row in d["u"])
-            z = cls(u=u, v=int(d["v"]), n_dim=int(d["n_dim"]))
+            rows = d["u"]
+            if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+                raise ValueError("point record's u is not a JSON list of lists")
+            u = tuple(tuple(map(_json_int, row)) for row in rows)
+            z = cls(u=u, v=_json_int(d["v"]), n_dim=_json_int(d["n_dim"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"point record lacks or mistypes a key: {exc!r}") from exc
         z.validate()
@@ -270,6 +286,56 @@ class RationalGroupPoint:
     @classmethod
     def from_json(cls, s: str) -> "RationalGroupPoint":
         return cls.from_json_dict(json.loads(s))
+
+
+def point_row_array(rows: Sequence[Sequence], n_dim: int) -> np.ndarray:
+    """The (len(rows), n_dim**2 + 1) array of point rows given as int or
+    decimal-string entries: int64 while n_dim! * B**n_dim < 2**63 for
+    B = max |entry|, so that a determinant of the columns stays exact, and
+    Python ints (``dtype=object``) beyond."""
+    shape = (len(rows), n_dim * n_dim + 1)
+    try:
+        arr = np.array(rows, dtype=np.int64).reshape(shape)
+    except OverflowError:
+        return np.array([[int(x) for x in row] for row in rows], dtype=object).reshape(shape)
+    if arr.size:
+        b = max(-int(arr.min()), int(arr.max()))
+        if math.factorial(n_dim) * b**n_dim >= 2**63:
+            return arr.astype(object)
+    return arr
+
+
+class PointRows(Sequence):
+    """Group points of one n_dim as the rows of one read-only array: the
+    numerator in row-major order, then v (``point_row_array``).  An item is
+    built as a ``RationalGroupPoint`` only when it is asked for.  ``n_dim``
+    is None only when there is no point.
+    """
+
+    __slots__ = ("n_dim", "rows")
+
+    def __init__(self, n_dim: int | None, rows: np.ndarray):
+        rows = rows.view()
+        rows.flags.writeable = False
+        self.n_dim = n_dim
+        self.rows = rows
+
+    @classmethod
+    def from_points(cls, points: Sequence[RationalGroupPoint], n_dim: int) -> "PointRows":
+        """The rows of points that all have this n_dim."""
+        rows = [(*z.flat_numerator(), z.v) for z in points]
+        return cls(n_dim, point_row_array(rows, n_dim))
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        *flat, v = self.rows[i].tolist()
+        n = self.n_dim
+        u = tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n))
+        return RationalGroupPoint(u=u, v=v, n_dim=n)
 
 
 def reduce(raw: Sequence[Sequence]) -> RationalGroupPoint:

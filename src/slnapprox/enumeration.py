@@ -25,18 +25,23 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     BallSpec,
+    PointRows,
     RationalGroupPoint,
     frac_ceil,
     frac_floor,
     mat_det,
+    point_line_template,
+    point_row_array,
     prime_factorization,
 )
 from .errors import SearchSpaceTooLarge, UnsupportedDimension
@@ -338,19 +343,89 @@ def write_jsonl(result: EnumerationResult, fp) -> None:
     fp.write(json.dumps(summary, separators=(",", ":")) + "\n")
 
 
-def read_jsonl_points(fp) -> list[RationalGroupPoint]:
+@lru_cache(maxsize=None)
+def _point_line_pattern(n_dim: int) -> re.Pattern:
+    """``point_line_template(n_dim)`` as a compiled pattern, one group per
+    entry and one for v, each a canonical decimal."""
+    parts = point_line_template(n_dim).split("%d")
+    return re.compile("(-?(?:0|[1-9][0-9]*))".join(map(re.escape, parts)))
+
+
+def _first_invalid_row(rows: np.ndarray, n_dim: int) -> int | None:
+    """Index of the first row that is no point (v >= 1, det u = v**n_dim and
+    gcd(u, v) = 1, as ``RationalGroupPoint.validate``), or None."""
+    cols = list(rows.T)
+    v = cols[-1]
+    u = [cols[i : i + n_dim] for i in range(0, n_dim * n_dim, n_dim)]
+    g = v
+    for c in cols[:-1]:
+        g = np.gcd(g, c)
+    bad = np.flatnonzero((v < 1) | (mat_det(u) != v**n_dim) | (g != 1))
+    return int(bad[0]) if bad.size else None
+
+
+def read_jsonl_points(fp) -> PointRows:
     """Parse the point records back, one JSON document per line, ignoring
-    the trailing summary."""
+    blank lines and the trailing summary.
+
+    A canonical line (``point_line_template``) is matched by one compiled
+    pattern, and its integers become a row.  Any other line goes through
+    ``json.loads`` and ``RationalGroupPoint.from_json_dict``, the oracle;
+    the first record fixes n_dim, and a record of another n_dim is a
+    ValueError.  The rows are checked on arrays per block of
+    ``_LINE_BLOCK``, and before any other line is parsed, so the first
+    invalid line of the file raises: the oracle is rerun on it, for its
+    exception and message.
+    """
     loads = json.loads
     from_json_dict = RationalGroupPoint.from_json_dict
-    pts = []
+    n_dim = None
+    match = None
+    blocks: list[np.ndarray] = []
+    rows: list[tuple] = []  # the current block, and the line of each row
+    lines: list[str] = []
+    unchecked = False  # whether rows holds a canonical line
+
+    def pack() -> None:
+        block = point_row_array(rows, n_dim)
+        bad = _first_invalid_row(block, n_dim)
+        if bad is not None:
+            RationalGroupPoint.from_json(lines[bad])
+            raise AssertionError("a point line passed the oracle, not the row checks; this is a bug")
+        blocks.append(block)
+        rows.clear()
+        lines.clear()
+
     for line in fp:
         line = line.strip()
         if not line:
             continue
-        d = loads(line)
-        if not isinstance(d, dict):
-            raise ValueError(f"point record is not a JSON object: {line[:60]!r}")
-        if "u" in d:
-            pts.append(from_json_dict(d))
-    return pts
+        m = match(line) if match else None
+        if m is not None:
+            rows.append(m.groups())
+            unchecked = True
+        else:
+            if unchecked:
+                pack()
+                unchecked = False
+            d = loads(line)
+            if not isinstance(d, dict):
+                raise ValueError(f"point record is not a JSON object: {line[:60]!r}")
+            if "u" not in d:
+                continue
+            z = from_json_dict(d)
+            if n_dim is None:
+                n_dim = z.n_dim
+                match = _point_line_pattern(n_dim).fullmatch
+            elif z.n_dim != n_dim:
+                raise ValueError(f"point records of n_dim {n_dim} and {z.n_dim} in one file")
+            rows.append((*z.flat_numerator(), z.v))
+        lines.append(line)
+        if len(rows) == _LINE_BLOCK:
+            pack()
+            unchecked = False
+    if rows:
+        pack()
+    if not blocks:
+        return PointRows(None, np.zeros((0, 0), dtype=np.int64))
+    return PointRows(n_dim, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))

@@ -26,6 +26,7 @@ import sympy
 
 from .config import DEFAULT_CONFIG, Config
 from .core import (
+    PointRows,
     PolynomialFamily,
     RationalGroupPoint,
     frac_json,
@@ -187,15 +188,61 @@ def squarefree_moduli(q_max: int, excluded: int) -> list[int]:
     return np.flatnonzero(keep).tolist()
 
 
+def _point_rows(points, n_dim: int) -> PointRows:
+    """The rows of a ``PointRows``, an enumeration result or a sequence of
+    points; ValueError for a point of another n_dim."""
+    if isinstance(points, PointRows):
+        return points
+    pts = _point_seq(points)
+    for z in pts:
+        if z.n_dim != n_dim:
+            raise ValueError(f"point of n_dim {z.n_dim}, family of n_dim {n_dim}")
+    return PointRows.from_points(pts, n_dim)
+
+
+def _n_coprime_parts(w: np.ndarray, n: int) -> np.ndarray:
+    """``n_coprime_part`` of every entry of w, with the same gcd loop run on
+    the lanes that still share a prime with n; a zero stays 0."""
+    m = abs(w)
+    g = np.gcd(m, n)
+    live = np.flatnonzero((g > 1) & (m != 0))
+    while live.size:
+        m[live] //= g[live]
+        g[live] = np.gcd(m[live], g[live])
+        live = live[g[live] > 1]
+    return m
+
+
 def value_histogram(
     points, family: PolynomialFamily, n: int
 ) -> Counter:
-    """a_k = number of points whose coprime part equals k; zeros land at 0."""
-    a = Counter()
-    for pt in _point_seq(points):
-        value = _family_value(family, pt, n)
-        a[0 if value == 0 else n_coprime_part(value, n)] += 1
-    return a
+    """a_k = number of points whose coprime part equals k; zeros land at 0.
+
+    Every family member is evaluated by ``Polynomial.eval_flat`` on the
+    columns of the point rows at once.  The columns are int64 while
+    prod_i (sum |c| * B**deg f_i) < 2**63 for B = max |entry, v|, which
+    bounds the product of the values, and Python ints beyond.
+    """
+    rows = _point_rows(points, family.n_dim)
+    if not len(rows):
+        return Counter()
+    if rows.n_dim != family.n_dim:
+        raise ValueError(f"point of n_dim {rows.n_dim}, family of n_dim {family.n_dim}")
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    arr = rows.rows
+    b = max(-int(arr.min()), int(arr.max()))
+    bound = math.prod(
+        sum(abs(c) for _, c in p.monomials) * b**p.degree for p in family.polys
+    )
+    cols = arr.T if arr.dtype != object and max(bound, n) < 2**63 else arr.T.astype(object)
+    v = cols[-1]
+    off = np.flatnonzero(_n_coprime_parts(v, n) != 1)
+    if off.size:
+        raise ValueError(f"denominator {v[off[0]]} is not a unit of Z[1/{n}]")
+    values = math.prod(p.eval_flat(cols, v) for p in family.polys)
+    keys, counts = np.unique(_n_coprime_parts(values, n), return_counts=True)
+    return Counter(dict(zip(keys.tolist(), counts.tolist())))
 
 
 @dataclass(frozen=True)

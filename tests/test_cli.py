@@ -190,6 +190,27 @@ class TestSieve:
         r5 = [r for r in blob["remainders"] if r["q"] == 5]
         assert r5[0]["R"] == {"num": "-4", "den": "3"}
 
+    def test_report_bytes_are_pinned(self, capsys, tmp_path):
+        cell = tmp_path / "cell.jsonl"
+        assert run(capsys, "enumerate", "--radius", "1/2", "-n", "24", "--out", str(cell))[0] == 0
+        code, out, _ = run(capsys, "sieve", "--points", str(cell), "--tau", "3.0", "--s", "9.5")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "101491660db6199f150cc0e957e25ac579fb4fe29d622ee2a7938922dfb40842"
+        )
+
+    def test_summary_only_file(self, capsys, tmp_path):
+        cell = tmp_path / "cell.jsonl"
+        cell.write_text('{"count":0,"elapsed_ms":0.1,"strategy":"optimized"}\n')
+        code, _, err = run(capsys, "sieve", "--points", str(cell))
+        assert code == EXIT_INVALID
+        assert "mixed denominators" in err
+        code, out, _ = run(capsys, "sieve", "--points", str(cell), "-n", "5")
+        assert code == EXIT_OK
+        blob = json.loads(out)
+        assert (blob["T"], blob["n"], blob["direct_count"]) == (0, 5, 0)
+        assert blob["axioms"]["a_k"] == [] and blob["consistent"] is True
+
     def test_point_record_without_v(self, tmp_path):
         cell = tmp_path / "cell.jsonl"
         cell.write_text('{"n_dim": 2, "u": [["1", "0"], ["0", "1"]]}\n')

@@ -13,6 +13,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,12 @@ from slnapprox import cli
 from slnapprox.config import DEFAULT_CONFIG
 from slnapprox.core import (
     BallSpec,
+    PointRows,
     RationalGroupPoint,
     ball_membership,
     identity_matrix,
     mat_mul,
+    point_row_array,
     reduce,
 )
 from slnapprox.engine import BOUNDED_CENTERS, counting_verification
@@ -40,7 +43,12 @@ from slnapprox.enumeration import (
     read_jsonl_points,
     write_jsonl,
 )
-from slnapprox.errors import EXIT_INVALID, SearchSpaceTooLarge, UnsupportedDimension
+from slnapprox.errors import (
+    EXIT_INVALID,
+    NotUnimodular,
+    SearchSpaceTooLarge,
+    UnsupportedDimension,
+)
 
 F = Fraction
 
@@ -490,15 +498,36 @@ CORRUPT_FILES = {
     "shared-factor": ['{"n_dim":2,"u":[["2","0"],["0","2"]],"v":"2"}', SUMMARY],
     "two-objects": [GOOD + GOOD, SUMMARY],
     "split-record": [GOOD + ", " + GOOD, '{"x":[1', "2]}"],
+    # forms that int() would read as a valid point (LENIENT_READINGS)
+    "string-row-digits": [GOOD, '{"n_dim":2,"u":[["1","-1"],"13"],"v":"2"}', SUMMARY],
+    "float-entry": [GOOD, '{"n_dim":2,"u":[[1.9,"-1"],["1","3"]],"v":"2"}', SUMMARY],
+    "float-v": [GOOD, '{"n_dim":2,"u":[["1","-1"],["1","3"]],"v":2.5}', SUMMARY],
+    "bool-entry": [GOOD, '{"n_dim":2,"u":[[true,"-1"],["1","3"]],"v":"2"}', SUMMARY],
+    "signed-spaced-entry": [GOOD, '{"n_dim":2,"u":[["1","-1"],["1"," +3"]],"v":"2"}', SUMMARY],
+    "underscore-entry": [GOOD, '{"n_dim":2,"u":[["1","0"],["1_0","4"]],"v":"2"}', SUMMARY],
+}
+
+# the valid point each lenient form reads as under int()
+LENIENT_READINGS = {
+    "string-row-digits": GOOD,
+    "float-entry": GOOD,
+    "float-v": GOOD,
+    "bool-entry": GOOD,
+    "signed-spaced-entry": GOOD,
+    "underscore-entry": '{"n_dim":2,"u":[["1","0"],["10","4"]],"v":"2"}',
 }
 
 
-def oracle_error(text):
+def oracle_exception(text):
     try:
         per_line_oracle(text)
     except Exception as exc:  # noqa: BLE001 - the class is what is compared
-        return type(exc)
+        return exc
     raise AssertionError("the oracle accepted a corrupt file")
+
+
+def oracle_error(text):
+    return type(oracle_exception(text))
 
 
 class TestJsonl:
@@ -512,7 +541,7 @@ class TestJsonl:
         assert '"count":8' in lines[-1]
         assert '"strategy":"optimized"' in lines[-1]
         buf.seek(0)
-        assert read_jsonl_points(buf) == list(res.points)
+        assert list(read_jsonl_points(buf)) == list(res.points)
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(
@@ -525,7 +554,7 @@ class TestJsonl:
         buf = io.StringIO()
         write_jsonl(point_result(pts, n_dim), buf)
         buf.seek(0)
-        assert read_jsonl_points(buf) == pts
+        assert list(read_jsonl_points(buf)) == pts
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(
@@ -562,7 +591,7 @@ class TestJsonl:
     def test_reader_skips_blank_lines_and_summary(self):
         line = reduce(identity_matrix(2)).to_json()
         text = f"\n  {line}  \n\t\n{line}\n" + '{"count":2,"elapsed_ms":1.0,"strategy":"x"}\n'
-        assert read_jsonl_points(io.StringIO(text)) == per_line_oracle(text)
+        assert list(read_jsonl_points(io.StringIO(text))) == per_line_oracle(text)
         assert len(per_line_oracle(text)) == 2
 
 
@@ -573,7 +602,7 @@ class TestReaderOracle:
         text = buf.getvalue()
         pts = read_jsonl_points(io.StringIO(text))
         assert len(pts) == 698
-        assert pts == per_line_oracle(text)
+        assert list(pts) == per_line_oracle(text)
 
     @pytest.mark.parametrize("name", sorted(CORRUPT_FILES))
     def test_corrupt_file_raises_like_oracle(self, name):
@@ -592,3 +621,170 @@ class TestReaderOracle:
         assert code == EXIT_INVALID
         assert err.startswith("invalid parameters:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(LENIENT_READINGS))
+    def test_lenient_forms_are_rejected_for_their_type_only(self, name):
+        # int() reads the rejected line as a valid point
+        line = CORRUPT_FILES[name][1]
+        d = json.loads(line)
+        u = tuple(tuple(map(int, row)) for row in d["u"])
+        lenient = RationalGroupPoint(u=u, v=int(d["v"]), n_dim=int(d["n_dim"]))
+        lenient.validate()
+        assert lenient == RationalGroupPoint.from_json(LENIENT_READINGS[name])
+        with pytest.raises(ValueError):
+            RationalGroupPoint.from_json(line)
+
+    @pytest.mark.parametrize(
+        "lines,expected,same_message",
+        [
+            ([GOOD, CORRUPT_FILES["det-not-v-power"][0], CORRUPT_FILES["bad-json"][1]],
+             NotUnimodular, True),
+            ([GOOD, CORRUPT_FILES["bad-json"][1], CORRUPT_FILES["det-not-v-power"][0]],
+             json.JSONDecodeError, True),
+            ([GOOD, CORRUPT_FILES["shared-factor"][0], "[1, 2]"], ValueError, True),
+            # the reader names a line that is no object; the oracle, its keys
+            ([GOOD, "[1, 2]", CORRUPT_FILES["shared-factor"][0]], ValueError, False),
+            ([GOOD, '{"n_dim":2,"u":[["1","0"],["0","1"]],"v":"0"}', SUMMARY],
+             ValueError, True),
+            ([GOOD, '{"n_dim":2,"u":[["-1","0"],["0","-1"]],"v":"-1"}', SUMMARY],
+             ValueError, True),
+        ],
+        ids=["det-before-bad-json", "bad-json-before-det", "factor-before-array",
+             "array-before-factor", "zero-v", "negative-v"],
+    )
+    def test_first_bad_line_of_the_file_raises(self, lines, expected, same_message):
+        # canonical lines wait in a block; they are checked before the next
+        # line that is not canonical is parsed
+        text = "\n".join(lines) + "\n"
+        want = oracle_exception(text)
+        assert type(want) is expected
+        with pytest.raises(expected) as info:
+            read_jsonl_points(io.StringIO(text))
+        assert type(info.value) is expected
+        assert (str(info.value) == str(want)) is same_message
+
+    def test_bad_line_deep_in_a_large_file(self):
+        # a det-bad canonical line in the third block, after non-canonical lines
+        buf = io.StringIO()
+        write_jsonl(enumerate_points(BallSpec.make(IDENTITY, F(1, 2), 197)), buf)
+        lines = buf.getvalue().splitlines()
+        assert len(lines) > 2 * _LINE_BLOCK + 100
+        lines[5] = json.dumps(json.loads(lines[5]))
+        lines[_LINE_BLOCK + 7] = "  " + json.dumps(json.loads(lines[_LINE_BLOCK + 7])) + "\t"
+        text = "\n".join(lines) + "\n"
+        pts = read_jsonl_points(io.StringIO(text))
+        assert pts.rows.dtype == np.int64 and pts.rows.shape == (len(lines) - 1, 5)
+        assert list(pts) == per_line_oracle(text)
+        lines[2 * _LINE_BLOCK + 50] = CORRUPT_FILES["det-not-v-power"][0].replace('"2"}', '"197"}')
+        text = "\n".join(lines) + "\n"
+        want = oracle_exception(text)
+        with pytest.raises(NotUnimodular) as info:
+            read_jsonl_points(io.StringIO(text))
+        assert str(info.value) == str(want)
+
+    def test_mixed_n_dim_exits_invalid(self, tmp_path, capsys):
+        line3 = reduce(identity_matrix(3)).to_json()
+        for lines in ([GOOD, line3, SUMMARY], [line3, GOOD], [GOOD, json.dumps(json.loads(line3))]):
+            text = "\n".join(lines) + "\n"
+            with pytest.raises(ValueError, match="n_dim"):
+                read_jsonl_points(io.StringIO(text))
+            path = tmp_path / "points.jsonl"
+            path.write_text(text)
+            for extra in ([], ["-n", "2"]):
+                assert cli.main(["sieve", "--points", str(path), *extra]) == EXIT_INVALID
+                assert "Traceback" not in capsys.readouterr().err
+
+
+def render_point_line(z, style):
+    """One valid JSON line of z: canonical, or one of the forms only the
+    general path reads."""
+    d = z.to_json_dict()
+    if style == "canonical":
+        return z.to_json()
+    if style == "spaced":
+        return json.dumps(d)
+    if style == "ints":
+        return json.dumps({"n_dim": z.n_dim, "u": [list(r) for r in z.u], "v": z.v})
+    if style == "reordered":
+        return json.dumps({"v": d["v"], "u": d["u"], "n_dim": d["n_dim"]}, separators=(",", ":"))
+    if style == "padded":
+        return " \t" + z.to_json() + "  "
+    raise ValueError(style)
+
+
+LINE_STYLES = ("canonical", "canonical", "canonical", "spaced", "ints", "reordered", "padded")
+
+# entries around 2**31, where 2x2 rows leave int64, and past 2**63
+READER_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.one_of(st.integers(-3, 3), st.integers(-(2**33), 2**33), st.integers(-(10**25), 10**25)),
+    ),
+    max_size=4,
+)
+
+
+class TestPointRows:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        n_dim=st.sampled_from([1, 2, 3]),
+        n=st.integers(1, 60),
+        steps=READER_STEPS,
+        layout=st.lists(
+            st.tuples(st.sampled_from(LINE_STYLES + ("blank", "summary")), st.integers(0, 99)),
+            max_size=24,
+        ),
+    )
+    def test_reader_matches_per_line_oracle(self, n_dim, n, steps, layout):
+        pool = [reduce(identity_matrix(n_dim))] + elementary_walk(n_dim, n, steps)
+        lines = []
+        for style, k in layout:
+            if style == "blank":
+                lines.append(" " * (k % 3))
+            elif style == "summary":
+                lines.append(SUMMARY)
+            else:
+                lines.append(render_point_line(pool[k % len(pool)], style))
+        text = "\n".join(lines) + "\n"
+        expected = per_line_oracle(text)
+        pts = read_jsonl_points(io.StringIO(text))
+        assert list(pts) == expected
+        assert len(pts) == len(expected)
+        if expected:
+            b = max(abs(e) for z in expected for e in (*z.flat_numerator(), z.v))
+            small = math.factorial(n_dim) * b**n_dim < 2**63
+            assert pts.n_dim == n_dim
+            assert pts.rows.dtype == (np.int64 if small else object)
+        else:
+            assert pts.n_dim is None and pts.rows.shape[0] == 0
+
+    def test_int64_bound_is_exact(self):
+        # 2! * B**2 < 2**63 exactly when B <= 2**31 - 1 for 2x2 rows
+        for b, dtype in ((2**31 - 1, np.int64), (2**31, object)):
+            rows = point_row_array([(b, 0, 0, 1, 1)], 2)
+            assert rows.dtype == dtype
+            assert rows.tolist() == [[b, 0, 0, 1, 1]]
+        assert point_row_array([("-9223372036854775809", "1")], 1).dtype == object
+        assert point_row_array([], 3).shape == (0, 10)
+
+    def test_blocks_of_both_kinds_concatenate_as_python_ints(self):
+        big = elementary_walk(2, 5, [(0, 1, 10**20)])[-1]
+        small = reduce(identity_matrix(2))
+        text = (small.to_json() + "\n") * (_LINE_BLOCK + 1) + big.to_json() + "\n"
+        pts = read_jsonl_points(io.StringIO(text))
+        assert pts.rows.dtype == object
+        assert pts[-1] == big and pts[0] == small == pts[_LINE_BLOCK]
+
+    def test_sequence_of_points_built_on_demand(self):
+        res = enumerate_points(BallSpec.make(IDENTITY, F(1, 2), 24))
+        rows = PointRows.from_points(res.points, 2)
+        assert len(rows) == 698 and rows.n_dim == 2
+        assert rows[0] == res.points[0] and rows[-1] == res.points[-1]
+        assert rows[3:6] == list(res.points[3:6])
+        assert list(rows) == list(res.points)
+        assert res.points[9] in rows
+        with pytest.raises(IndexError):
+            rows[698]
+        with pytest.raises(ValueError):
+            rows.rows[0, 0] = 5

@@ -1,11 +1,14 @@
 """Coprime parts, almost-prime counting, axiom checks, the lower bound."""
 
 import dataclasses
+import io
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -16,6 +19,8 @@ from slnapprox import sieve
 from slnapprox.config import DEFAULT_CONFIG
 from slnapprox.core import (
     BallSpec,
+    PointRows,
+    family_from_file,
     family_from_preset,
     n_coprime_part,
     prime_factorization,
@@ -23,7 +28,7 @@ from slnapprox.core import (
 )
 from slnapprox.densities import density_table
 from slnapprox.engine import BOUNDED_CENTERS
-from slnapprox.enumeration import enumerate_points
+from slnapprox.enumeration import enumerate_points, read_jsonl_points, write_jsonl
 from slnapprox.errors import MissingDensities, ZeroValue
 from slnapprox.sieve import (
     almost_prime_count,
@@ -75,6 +80,15 @@ def almost_prime_count_direct(points, family, n, z, delta=1):
         if value and all(n_coprime_part(value, n) % p for p in primes):
             count += 1
     return count
+
+
+def value_histogram_per_point(points, family, n):
+    """a_k with every point evaluated on its own, through ``family.values``."""
+    a = Counter()
+    for pt in points:
+        value = math.prod(family.values(pt))
+        a[0 if value == 0 else n_coprime_part(value, n)] += 1
+    return a
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +260,39 @@ class TestHistogramAndCounts:
         z = reduce(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         with pytest.raises(ValueError, match="n_dim"):
             value_histogram([z], ENTRY11, 1)
+
+    @pytest.mark.parametrize("n", [24, 187, 197, 199])
+    def test_array_histogram_matches_per_point_loop(self, n):
+        res = enumerate_points(BallSpec.make(IDENTITY, F(1, 2), n))
+        buf = io.StringIO()
+        write_jsonl(res, buf)
+        buf.seek(0)
+        rows = read_jsonl_points(buf)
+        assert rows.rows.dtype == np.int64
+        for preset in ("entry11", "trace-minus-2", "sum-entries"):
+            family = family_from_preset(preset)
+            expected = value_histogram_per_point(res.points, family, n)
+            assert value_histogram(rows, family, n) == expected
+            assert value_histogram(res, family, n) == expected
+            assert value_histogram(list(res.points[:50]), family, n) == (
+                value_histogram_per_point(res.points[:50], family, n)
+            )
+
+    def test_values_past_int64_use_python_ints(self, tmp_path):
+        # a**7 * d**4 - b*c reaches 300**11 > 2**63 on the n = 197 cell
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(
+            {"n_dim": 2, "polys": [[[1, [7, 0, 0, 4]], [-1, [0, 1, 1, 0]]], [[3, [0, 0, 0, 1]]]]}
+        ))
+        family = family_from_file(str(path))
+        res = enumerate_points(BallSpec.make(IDENTITY, F(1, 2), 197))
+        hist = value_histogram(res, family, 197)
+        assert max(hist) > 2**63
+        assert hist == value_histogram_per_point(res.points, family, 197)
+        # and a point whose entries alone leave int64
+        big = reduce(((1, F(10**20, 3)), (0, 1)))
+        assert PointRows.from_points([big], 2).rows.dtype == object
+        assert value_histogram([big], ENTRY11, 3) == value_histogram_per_point([big], ENTRY11, 3)
 
     def test_zero_policy(self, cell8):
         # trace - 2 vanishes on every point of the cell; zero values are excluded
