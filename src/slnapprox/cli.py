@@ -249,7 +249,9 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
     family = _load_family(args.poly, n_dim)
     n = args.denominator
     if n is None:
-        dens = set(points.rows[:, -1].tolist()) if len(points) else set()
+        if not len(points):
+            raise ValueError("the point file holds no point record; pass -n explicitly")
+        dens = set(points.rows[:, -1].tolist())
         if len(dens) != 1:
             raise ValueError("points have mixed denominators; pass -n explicitly")
         n = dens.pop()

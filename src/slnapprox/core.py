@@ -289,10 +289,10 @@ class RationalGroupPoint:
 
 
 def point_row_array(rows: Sequence[Sequence], n_dim: int) -> np.ndarray:
-    """The (len(rows), n_dim**2 + 1) array of point rows given as int or
-    decimal-string entries: int64 while n_dim! * B**n_dim < 2**63 for
-    B = max |entry|, so that a determinant of the columns stays exact, and
-    Python ints (``dtype=object``) beyond."""
+    """The (len(rows), n_dim**2 + 1) array of point rows, given with int or
+    decimal-string entries or as an array: int64 while n_dim! * B**n_dim <
+    2**63 for B = max |entry|, so that a determinant of the columns stays
+    exact, and Python ints (``dtype=object``) beyond."""
     shape = (len(rows), n_dim * n_dim + 1)
     try:
         arr = np.array(rows, dtype=np.int64).reshape(shape)
@@ -329,13 +329,18 @@ class PointRows(Sequence):
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        *flat, v = self.rows[i].tolist()
+    def _point(self, row: list) -> RationalGroupPoint:
+        *flat, v = row
         n = self.n_dim
         u = tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n))
         return RationalGroupPoint(u=u, v=v, n_dim=n)
+
+    def __getitem__(self, i):
+        rows = self.rows[i].tolist()
+        return list(map(self._point, rows)) if isinstance(i, slice) else self._point(rows)
+
+    def __iter__(self):
+        return map(self._point, self.rows.tolist())
 
 
 def reduce(raw: Sequence[Sequence]) -> RationalGroupPoint:

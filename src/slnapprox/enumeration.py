@@ -49,7 +49,7 @@ from .errors import SearchSpaceTooLarge, UnsupportedDimension
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    points: tuple[RationalGroupPoint, ...]
+    points: PointRows
     count: int
     ball: BallSpec
     strategy: str
@@ -211,14 +211,14 @@ def _sl2_rows(ball: BallSpec, budget: int):
         )
 
 
-def _optimized_scan_sl2(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
-    """The numerators (a, b, c, d) of the ball's points, in canonical order.
+def _optimized_scan_sl2(ball: BallSpec, budget: int) -> np.ndarray:
+    """The array of the numerators (a, b, c, d) of the ball's points, in canonical order.
 
     Each progression is expanded with ``np.repeat``, walked in the
     direction in which (c, d) ascends; rows come in (a, b) order, so the
     result is sorted as built.
     """
-    found: list[tuple[int, ...]] = []
+    found = []
     for rows in _sl2_rows(ball, budget):
         length = (rows.j_hi - rows.j_lo + 1).astype(np.int64)
         down = (rows.dc < 0) | ((rows.dc == 0) & (rows.dd < 0))
@@ -228,15 +228,12 @@ def _optimized_scan_sl2(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
         c = np.repeat(rows.c0, length) + np.repeat(rows.dc, length) * j
         d = np.repeat(rows.d0, length) + np.repeat(rows.dd, length) * j
         keep = np.gcd(np.gcd(c, d), np.repeat(rows.h, length)) == 1
-        found.extend(
-            zip(
-                np.repeat(rows.a, length)[keep].tolist(),
-                np.repeat(rows.b, length)[keep].tolist(),
-                c[keep].tolist(),
-                d[keep].tolist(),
-            )
-        )
-    return found
+        found.append(np.stack(
+            [np.repeat(rows.a, length)[keep], np.repeat(rows.b, length)[keep], c[keep], d[keep]],
+            axis=1,
+        ))
+    # an empty box holds Python ints, so that a v of any size can join it
+    return np.concatenate(found) if found else np.zeros((0, 4), dtype=object)
 
 
 def _imprimitive_correction(rows: _Rows) -> int:
@@ -293,8 +290,9 @@ def enumerate_points(
     """All group points of denominator exactly ``ball.modulus`` in the box.
 
     ``strategy`` is "oracle", "optimized", or "both"; "both" runs the two
-    and insists on identical output (used by equivalence tests).  The
-    optimized path needs 2x2; the oracle works for 2x2 and 3x3.
+    and insists on identical rows (used by equivalence tests).  The
+    optimized path needs 2x2; the oracle works for 2x2 and 3x3.  The points
+    are the rows of ``point_row_array``: the numerator, then v = n.
     """
     t0 = time.perf_counter()
     n_dim = ball.n_dim
@@ -304,25 +302,23 @@ def enumerate_points(
         raise UnsupportedDimension(f"n_dim={n_dim}")
     if strategy in ("optimized", "both") and n_dim != 2:
         raise UnsupportedDimension("optimized enumeration is 2x2 only")
-    if strategy == "oracle":
+    n = ball.modulus
+
+    def oracle_rows() -> np.ndarray:
         flats = _oracle_scan(ball, n_dim, config.oracle_cell_budget)
-    elif strategy == "optimized":
-        flats = _optimized_scan_sl2(ball, config.optimized_row_budget)
+        return point_row_array([(*f, n) for f in flats], n_dim)
+
+    if strategy == "oracle":
+        rows = oracle_rows()
     else:
         flats = _optimized_scan_sl2(ball, config.optimized_row_budget)
-        if flats != _oracle_scan(ball, n_dim, config.oracle_cell_budget):
-            raise AssertionError(
-                "optimized and oracle enumerations disagree; this is a bug"
-            )
-    n = ball.modulus
-    pts = tuple(
-        RationalGroupPoint(u=tuple(zip(*[iter(f)] * n_dim)), v=n, n_dim=n_dim)
-        for f in flats
-    )
+        rows = point_row_array(np.hstack((flats, np.full((len(flats), 1), n, flats.dtype))), n_dim)
+        if strategy == "both" and not np.array_equal(rows, oracle_rows()):
+            raise AssertionError("optimized and oracle enumerations disagree; this is a bug")
     elapsed = (time.perf_counter() - t0) * 1000.0
     return EnumerationResult(
-        points=pts,
-        count=len(pts),
+        points=PointRows(n_dim, rows),
+        count=len(rows),
         ball=ball,
         strategy=strategy,
         elapsed_ms=elapsed,
@@ -335,9 +331,11 @@ _LINE_BLOCK = 1 << 12
 
 def write_jsonl(result: EnumerationResult, fp) -> None:
     """One point per line in canonical order, then a summary record."""
-    pts = result.points
-    for first in range(0, len(pts), _LINE_BLOCK):
-        fp.write("".join([z.to_json() + "\n" for z in pts[first : first + _LINE_BLOCK]]))
+    rows = result.points.rows
+    line = point_line_template(result.points.n_dim) + "\n"
+    for first in range(0, len(rows), _LINE_BLOCK):
+        block = rows[first : first + _LINE_BLOCK]
+        fp.write((line * len(block)) % tuple(block.ravel().tolist()))  # one fill per block
     summary = {"count": result.count, "elapsed_ms": round(result.elapsed_ms, 3),
                "strategy": result.strategy}
     fp.write(json.dumps(summary, separators=(",", ":")) + "\n")
@@ -426,6 +424,5 @@ def read_jsonl_points(fp) -> PointRows:
             unchecked = False
     if rows:
         pack()
-    if not blocks:
-        return PointRows(None, np.zeros((0, 0), dtype=np.int64))
-    return PointRows(n_dim, blocks[0] if len(blocks) == 1 else np.concatenate(blocks))
+    # n_dim is None exactly when there is no block
+    return PointRows(n_dim, np.concatenate(blocks) if blocks else point_row_array([], 0))

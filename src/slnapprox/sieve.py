@@ -34,6 +34,7 @@ from .core import (
     prime_mask,
     trial_division,
 )
+from .enumeration import EnumerationResult
 from .errors import ZeroValue
 
 log = logging.getLogger(__name__)
@@ -113,15 +114,6 @@ def coprime_part(w: int, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue
     )
 
 
-def _family_value(family: PolynomialFamily, z: RationalGroupPoint, n: int) -> int:
-    """The integer v**deg * f(z), which is f(z) times a unit of Z[1/n]."""
-    if z.n_dim != family.n_dim:
-        raise ValueError(f"point of n_dim {z.n_dim}, family of n_dim {family.n_dim}")
-    if n_coprime_part(z.v, n) != 1:
-        raise ValueError(f"denominator {z.v} is not a unit of Z[1/{n}]")
-    return math.prod(family.values(z))
-
-
 def is_r_prime(
     point: RationalGroupPoint,
     family: PolynomialFamily,
@@ -133,9 +125,13 @@ def is_r_prime(
 
     Returns True or False when decidable; None when factorization was
     incomplete and the certified lower bound does not already exceed r.
+    The value factored is v**deg * f(z), f(z) times a unit of Z[1/n].
     """
-    value = _family_value(family, point, n)
-    sv = coprime_part(value, n, config)
+    if point.n_dim != family.n_dim:
+        raise ValueError(f"point of n_dim {point.n_dim}, family of n_dim {family.n_dim}")
+    if n_coprime_part(point.v, n) != 1:
+        raise ValueError(f"denominator {point.v} is not a unit of Z[1/{n}]")
+    sv = coprime_part(math.prod(family.values(point)), n, config)
     if sv.complete:
         return sv.factor_count <= r
     if sv.factor_count > r:
@@ -164,10 +160,6 @@ def _avoiding_count(a_k, primes: Sequence[int]) -> int:
     return sum(cnt for k, cnt in a_k if k and all(k % p for p in primes))
 
 
-def _point_seq(points) -> Sequence[RationalGroupPoint]:
-    return points.points if hasattr(points, "points") else points
-
-
 def squarefree_moduli(q_max: int, excluded: int) -> list[int]:
     """Square-free q <= q_max whose prime factors are all coprime to excluded.
 
@@ -189,15 +181,17 @@ def squarefree_moduli(q_max: int, excluded: int) -> list[int]:
 
 
 def _point_rows(points, n_dim: int) -> PointRows:
-    """The rows of a ``PointRows``, an enumeration result or a sequence of
-    points; ValueError for a point of another n_dim."""
+    """The rows of a ``PointRows``, of an enumeration result (its points, as
+    they are) or of a sequence of points; ValueError for a point of another
+    n_dim."""
+    if isinstance(points, EnumerationResult):
+        return points.points
     if isinstance(points, PointRows):
         return points
-    pts = _point_seq(points)
-    for z in pts:
+    for z in points:
         if z.n_dim != n_dim:
             raise ValueError(f"point of n_dim {z.n_dim}, family of n_dim {n_dim}")
-    return PointRows.from_points(pts, n_dim)
+    return PointRows.from_points(points, n_dim)
 
 
 def _n_coprime_parts(w: np.ndarray, n: int) -> np.ndarray:
@@ -288,12 +282,12 @@ def axiom_report(
     deviations sum_{w <= p < z} rho(p) log p / p - t log(z/w) bracketed as
     [-l, c3].
     """
-    pts = _point_seq(points)
-    T = len(pts)
+    cell = _point_rows(points, family.n_dim)
+    T = len(cell)
     t = family.t
     if z is None:
         z = float(q_max)
-    a = value_histogram(pts, family, n)
+    a = value_histogram(cell, family, n)
     zeros = a.get(0, 0)
     moduli = squarefree_moduli(q_max, delta * n)
     remainders = []
@@ -464,11 +458,11 @@ def run_sieve(
     The direct count is read off the axiom report's value histogram, over
     the lower bound's sieving primes, so every point is evaluated once.
     """
-    pts = _point_seq(points)
-    T = len(pts)
+    cell = _point_rows(points, family.n_dim)
+    T = len(cell)
     t = family.t
     z, q_max = sieve_level(T, t, tau, s, delta, q_max)
-    axioms = axiom_report(pts, family, q_max, rho, n, delta=delta, z=z)
+    axioms = axiom_report(cell, family, q_max, rho, n, delta=delta, z=z)
     bound = beta_sieve_lower_bound(
         T, rho, t, tau, s, axioms.a2_l, z=z, C1=C1, C2=C2, n=n, delta=delta
     )

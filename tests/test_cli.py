@@ -204,7 +204,7 @@ class TestSieve:
         cell.write_text('{"count":0,"elapsed_ms":0.1,"strategy":"optimized"}\n')
         code, _, err = run(capsys, "sieve", "--points", str(cell))
         assert code == EXIT_INVALID
-        assert "mixed denominators" in err
+        assert "holds no point record; pass -n explicitly" in err
         code, out, _ = run(capsys, "sieve", "--points", str(cell), "-n", "5")
         assert code == EXIT_OK
         blob = json.loads(out)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slnapprox import cli
+from slnapprox import cli, enumeration
 from slnapprox.config import DEFAULT_CONFIG
 from slnapprox.core import (
     BallSpec,
@@ -68,7 +68,7 @@ CELL_N2_HALF = [
 
 
 def flats(result):
-    return [z.flat_numerator() for z in result.points]
+    return [tuple(f) for f in result.points.rows[:, :-1].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +218,13 @@ class TestStrategyEquivalence:
         res = enumerate_points(ball, strategy="both")
         assert res.count == 8
 
+    def test_both_strategy_raises_on_a_mismatch(self, monkeypatch):
+        ball = BallSpec.make(IDENTITY, F(1, 2), 24)
+        oracle = enumeration._oracle_scan
+        monkeypatch.setattr(enumeration, "_oracle_scan", lambda *args: oracle(*args)[1:])
+        with pytest.raises(AssertionError, match="disagree"):
+            enumerate_points(ball, strategy="both")
+
     def test_unknown_strategy(self):
         ball = BallSpec.make(IDENTITY, F(1, 2), 2)
         with pytest.raises(ValueError):
@@ -324,6 +331,15 @@ class TestCountPoints:
 COMPOSITE_N = (4, 6, 12, 30, 60, 200, 210, 1000)
 
 
+# balls of entries near 10**15, with their point counts
+PAST_INT64 = [(1000, F(1, 250), 4), (997, F(1, 100), 18), (210, F(1, 40), 2)]
+
+
+def past_int64_ball(n, radius):
+    x = 10**12
+    return BallSpec.make(((F(x), F(x - 1)), (F(x + 1), F(x))), radius, n)
+
+
 def _box_cells(ball):
     return math.prod(max(0, hi - lo + 1) for row in entry_bounds(ball) for lo, hi in row)
 
@@ -333,6 +349,7 @@ class TestArrayRowSolver:
 
     def _check(self, ball):
         scan = _optimized_scan_sl2(ball, DEFAULT_CONFIG.optimized_row_budget)
+        scan = [tuple(f) for f in scan.tolist()]
         assert scan == scalar_scan(ball)  # canonical order as built
         assert count_points(ball) == len(scan) == scalar_count(ball)
         if _box_cells(ball) <= 200_000:
@@ -385,16 +402,11 @@ class TestArrayRowSolver:
         far = BallSpec.make(((F(0), F(0)), (F(0), F(0))), F(1, 4), 2)
         assert self._check(far) == []
 
-    @pytest.mark.parametrize(
-        "n, radius, points",
-        [(1000, F(1, 250), 4), (997, F(1, 100), 18), (210, F(1, 40), 2)],
-    )
+    @pytest.mark.parametrize("n, radius, points", PAST_INT64)
     def test_python_int_arrays_past_int64(self, n, radius, points):
         # c0 = -t * n**2 / g reaches max|entry| * n**2, past 2**62 with
         # entries near 10**15: int64 arrays would wrap silently here
-        x = 10**12
-        center = ((F(x), F(x - 1)), (F(x + 1), F(x)))
-        ball = BallSpec.make(center, radius, n)
+        ball = past_int64_ball(n, radius)
         reach = max(abs(v) for row in entry_bounds(ball) for pair in row for v in pair)
         assert reach * n * n > 2**62
         scan = self._check(ball)
@@ -464,7 +476,8 @@ ELEMENTARY_STEPS = st.lists(
 def point_result(pts, n_dim):
     ball = BallSpec.make(identity_matrix(n_dim), F(1, 2), 1)
     return EnumerationResult(
-        points=tuple(pts), count=len(pts), ball=ball, strategy="oracle", elapsed_ms=0.0
+        points=PointRows.from_points(pts, n_dim), count=len(pts), ball=ball,
+        strategy="oracle", elapsed_ms=0.0,
     )
 
 
@@ -593,6 +606,52 @@ class TestJsonl:
         text = f"\n  {line}  \n\t\n{line}\n" + '{"count":2,"elapsed_ms":1.0,"strategy":"x"}\n'
         assert list(read_jsonl_points(io.StringIO(text))) == per_line_oracle(text)
         assert len(per_line_oracle(text)) == 2
+
+
+class TestRowsThroughPath:
+    """The rows of ``enumerate_points`` come back from ``write_jsonl`` and
+    ``read_jsonl_points`` equal, in the same dtype."""
+
+    def round_trip(self, res):
+        buf = io.StringIO()
+        write_jsonl(res, buf)
+        buf.seek(0)
+        back = read_jsonl_points(buf)
+        assert back.n_dim == res.points.n_dim
+        assert back.rows.dtype == res.points.rows.dtype
+        assert np.array_equal(back.rows, res.points.rows)
+        return back.rows.dtype
+
+    def test_cell(self):
+        res = enumerate_points(BallSpec.make(IDENTITY, F(1, 2), 24))
+        assert self.round_trip(res) == np.int64 and res.count == 698
+
+    @pytest.mark.parametrize("n, radius, points", PAST_INT64)
+    def test_past_int64(self, n, radius, points):
+        res = enumerate_points(past_int64_ball(n, radius))
+        assert self.round_trip(res) == object and res.count == points
+
+    def test_sl3_oracle(self):
+        ball = BallSpec.make(identity_matrix(3), F(1, 2), 2)
+        res = enumerate_points(ball, strategy="oracle")
+        assert self.round_trip(res) == np.int64 and res.count == 1206
+
+    @pytest.mark.parametrize(
+        "ball",
+        [
+            BallSpec.make(((F(1, 3), F(0)), (F(0), F(3))), F(1, 100), 2),
+            # an empty box at n past int64
+            BallSpec.make(((F(1, 2), F(0)), (F(0), F(2))), F(1, 2**73), 2**70 + 1),
+            BallSpec.make(identity_matrix(3), F(1, 100), 3),
+        ],
+    )
+    def test_empty_ball(self, ball):
+        res = enumerate_points(ball, strategy="optimized" if ball.n_dim == 2 else "oracle")
+        assert res.points.n_dim == ball.n_dim and res.count == 0
+        assert res.points.rows.shape == (0, ball.n_dim**2 + 1)
+        buf = io.StringIO()
+        write_jsonl(res, buf)
+        assert buf.getvalue().count("\n") == 1 and buf.getvalue().startswith('{"count":0,')
 
 
 class TestReaderOracle:
@@ -782,7 +841,7 @@ class TestPointRows:
         assert len(rows) == 698 and rows.n_dim == 2
         assert rows[0] == res.points[0] and rows[-1] == res.points[-1]
         assert rows[3:6] == list(res.points[3:6])
-        assert list(rows) == list(res.points)
+        assert list(rows) == list(res.points) == [rows[i] for i in range(len(rows))]
         assert res.points[9] in rows
         with pytest.raises(IndexError):
             rows[698]
