@@ -15,8 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-import sympy
-
 from . import densities, engine, enumeration, sieve, spectral, volumes
 from .config import DEFAULT_CONFIG, Config
 from .core import (
@@ -25,6 +23,7 @@ from .core import (
     FAMILY_PRESETS,
     frac_json,
     identity_matrix,
+    primes_below,
     RationalGroupPoint,
     to_fraction_matrix,
 )
@@ -232,7 +231,7 @@ def _cmd_density(args, cfg: Config, n_dim: int) -> int:
         if args.p_range < 2:
             raise ValueError(f"--p-range needs a bound of at least 2, got {args.p_range}")
         # lazy: density_table stops reading at the density budget
-        moduli = itertools.chain(moduli, sympy.primerange(2, args.p_range + 1))
+        moduli = itertools.chain(moduli, primes_below(args.p_range + 1))
     elif not moduli:
         moduli = [2, 3, 5, 7, 11, 13]
     table = densities.density_table(family, moduli, n_dim, cfg)
@@ -267,7 +266,7 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
     # coprime to delta * n: check their scan before any modulus is built
     excluded = delta * n
     densities.check_density_budget(
-        (p for p in sympy.primerange(2, max(q_max, int(z)) + 1) if excluded % p),
+        (p for p in primes_below(max(q_max, int(z)) + 1) if excluded % p),
         n_dim,
         cfg,
     )

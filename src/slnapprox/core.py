@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -57,18 +57,42 @@ def int_valuation(m: int, p: int) -> int:
     return k
 
 
-def prime_mask(limit: int) -> np.ndarray:
-    """Boolean array of length limit + 1 (limit >= 0), True exactly at primes.
+# numbers per segment of primes_below: the bool array of one segment and the
+# list of its primes are what the generator holds at a time
+PRIME_SEGMENT = 1 << 16
 
-    One sieve of Eratosthenes on numpy: each prime up to sqrt(limit)
-    strikes its multiples from its square on.
+
+def primes_below(stop: int) -> Iterator[int]:
+    """The primes p < stop in increasing order, found lazily.
+
+    A segmented sieve of Eratosthenes on numpy.  The first segment of
+    PRIME_SEGMENT numbers strikes itself: each of its primes up to the
+    square root of its end strikes its multiples from its square on.  Each
+    later segment is struck by the base primes up to the square root of its
+    end, all below the segment, read from a second such generator as the
+    segments advance.  Memory is O(PRIME_SEGMENT + sqrt(stop)) however
+    large stop is.
     """
-    is_prime = np.ones(limit + 1, dtype=bool)
+    if stop <= 2:
+        return
+    is_prime = np.ones(min(stop, PRIME_SEGMENT), dtype=bool)
     is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
+    for p in range(2, math.isqrt(len(is_prime) - 1) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return is_prime
+    yield from np.flatnonzero(is_prime).tolist()
+    base_primes = primes_below(math.isqrt(stop - 1) + 1)
+    base: list[int] = []
+    p = next(base_primes, stop)
+    for lo in range(PRIME_SEGMENT, stop, PRIME_SEGMENT):
+        hi = min(lo + PRIME_SEGMENT, stop)
+        while p * p < hi:
+            base.append(p)
+            p = next(base_primes, stop)
+        is_prime = np.ones(hi - lo, dtype=bool)
+        for b in base:
+            is_prime[ceil_div(lo, b) * b - lo :: b] = False
+        yield from (np.flatnonzero(is_prime) + lo).tolist()
 
 
 def trial_division(m: int, limit: int) -> tuple[dict[int, int], int, bool]:
@@ -328,6 +352,15 @@ class PointRows(Sequence):
 
     def __len__(self) -> int:
         return self.rows.shape[0]
+
+    def __eq__(self, other):
+        if not isinstance(other, PointRows):
+            return NotImplemented
+        # by value: an int64 block equals an object block of the same ints
+        return self.n_dim == other.n_dim and np.array_equal(self.rows, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.n_dim, self.rows.shape))
 
     def _point(self, row: list) -> RationalGroupPoint:
         *flat, v = row

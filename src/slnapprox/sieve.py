@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import sympy
 
 from .config import DEFAULT_CONFIG, Config
 from .core import (
@@ -31,7 +30,7 @@ from .core import (
     RationalGroupPoint,
     frac_json,
     n_coprime_part,
-    prime_mask,
+    primes_below,
     trial_division,
 )
 from .enumeration import EnumerationResult
@@ -45,9 +44,7 @@ def sieving_primes(z: float, n: int, delta: int = 1) -> tuple[int, ...]:
     if z < 2:
         return ()
     excluded = delta * n
-    return tuple(
-        p for p in sympy.primerange(2, int(z) + 1) if math.gcd(p, excluded) == 1
-    )
+    return tuple(p for p in primes_below(int(z) + 1) if math.gcd(p, excluded) == 1)
 
 
 def factorize_full(
@@ -64,7 +61,13 @@ def factorize_full(
     factors, rest, done = trial_division(m, config.factor_trial_limit)
     if rest == 1:
         return factors, 1, True
-    if done or sympy.isprime(rest):
+    if not done:
+        # imported here, not at module level: sympy is most of an import of
+        # the package, and only a cofactor that trial division left needs it
+        import sympy
+
+        done = sympy.isprime(rest)
+    if done:
         factors[rest] = factors.get(rest, 0) + 1
         return factors, 1, True
     if rest.bit_length() <= config.factor_bit_budget:
@@ -163,16 +166,15 @@ def _avoiding_count(a_k, primes: Sequence[int]) -> int:
 def squarefree_moduli(q_max: int, excluded: int) -> list[int]:
     """Square-free q <= q_max whose prime factors are all coprime to excluded.
 
-    One prime sieve up to q_max: the squares of its primes strike the
-    moduli that are not square-free, and its primes dividing ``excluded``
+    The primes up to q_max strike one array: their squares strike the
+    moduli that are not square-free, and the primes dividing ``excluded``
     strike their multiples.
     """
     if q_max < 1:
         return []
-    is_prime = prime_mask(q_max)
     keep = np.ones(q_max + 1, dtype=bool)
     keep[0] = False
-    for p in np.flatnonzero(is_prime).tolist():
+    for p in primes_below(q_max + 1):
         if p * p <= q_max:
             keep[p * p :: p * p] = False
         if excluded % p == 0:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .errors import UnsupportedDimension
-from .core import prime_factorization, prime_mask
+from .core import prime_factorization, primes_below
 
 
 def _require_sl2(n_dim: int) -> None:
@@ -163,7 +163,7 @@ def growth_exponent(
     n = np.arange(n_max + 1, dtype=np.int64)
     vol = n * n
     keep = np.ones(n_max + 1, dtype=bool)
-    for p in np.flatnonzero(prime_mask(n_max)).tolist():
+    for p in primes_below(n_max + 1):
         vol[p::p] = vol[p::p] // p * (p + 1)
         if restrict_primes is not None and p not in restrict_primes:
             keep[p::p] = False

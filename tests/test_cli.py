@@ -578,3 +578,32 @@ class TestArgumentErrors:
             main(["enumerate", "--radius", "1/2"])
         capsys.readouterr()
         assert info.value.code == EXIT_INVALID
+
+
+class TestStartup:
+    def test_common_commands_import_neither_sympy_nor_scipy(self):
+        # sympy is imported only for a cofactor that trial division left, and
+        # scipy only for an eigensolve: these command lines need neither
+        argvs = [
+            ["params", "--alpha", "1/20"],
+            ["density", "--p-range", "43"],
+            ["enumerate", "--radius", "1/2", "-n", "24"],
+            ["volumes"],
+            ["witness", "-n", "120", "--alpha", "0.16"],
+            ["verify-count", "--n-list", "53"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from slnapprox.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, [m for m in ('sympy', 'scipy') if m in sys.modules]]))\n"
+        )
+        src = str(Path(slnapprox.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[EXIT_OK] * len(argvs), []]

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: reduction, norms, ball membership, polynomials."""
 
+import bisect
 import itertools
 import json
 import math
@@ -7,16 +8,20 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slnapprox
+from slnapprox import core
 from slnapprox.core import (
+    PRIME_SEGMENT,
     BallSpec,
     Polynomial,
     PolynomialFamily,
@@ -29,6 +34,7 @@ from slnapprox.core import (
     n_coprime_part,
     padic_norm,
     prime_factorization,
+    primes_below,
     reduce,
     snap_dyadic,
 )
@@ -400,6 +406,46 @@ class TestJsonRoundTrip:
         bad = json.dumps({"n_dim": 2, "u": [["1", "0"], ["0", "2"]], "v": "1"})
         with pytest.raises(NotUnimodular):
             RationalGroupPoint.from_json(bad)
+
+
+# sympy's primes below four segments: the oracle of primes_below
+SYMPY_PRIMES = list(sympy.primerange(2, 4 * PRIME_SEGMENT))
+
+
+class TestPrimesBelow:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        stop=st.one_of(
+            st.integers(0, 3),
+            st.builds(
+                lambda k, d: k * PRIME_SEGMENT + d, st.integers(1, 3), st.integers(-2, 2)
+            ),
+            st.integers(0, 4 * PRIME_SEGMENT),
+        )
+    )
+    def test_matches_sympy(self, stop):
+        # list(sympy.primerange(2, stop)), read off one list of its primes
+        expected = SYMPY_PRIMES[: bisect.bisect_left(SYMPY_PRIMES, stop)]
+        assert list(primes_below(stop)) == expected
+
+    @pytest.mark.parametrize("segment", [2, 3, 8, 16])
+    def test_base_primes_grow_past_the_first_segment(self, monkeypatch, segment):
+        # with short segments the stops below pass segment**2 many times, so
+        # later segments need base primes beyond those of the first
+        monkeypatch.setattr(core, "PRIME_SEGMENT", segment)
+        for stop in range(600):
+            assert list(primes_below(stop)) == list(sympy.primerange(2, stop))
+
+    def test_first_primes_of_a_huge_range_come_at_once(self):
+        tracemalloc.start()
+        try:
+            first = list(itertools.islice(primes_below(10**18), 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [2, 3, 5, 7, 11]
+        # one segment: its bool array and the list of its primes
+        assert peak < 8 * PRIME_SEGMENT
 
 
 class TestSnapDyadic:

@@ -835,6 +835,26 @@ class TestPointRows:
         assert pts.rows.dtype == object
         assert pts[-1] == big and pts[0] == small == pts[_LINE_BLOCK]
 
+    @pytest.mark.parametrize(
+        "ball", [BallSpec.make(IDENTITY, F(1, 2), 24), past_int64_ball(1000, F(1, 250))]
+    )
+    def test_equal_by_value(self, ball):
+        res, again = enumerate_points(ball), enumerate_points(ball)
+        assert res.points is not again.points
+        assert res.points == again.points and hash(res.points) == hash(again.points)
+        assert dataclasses.replace(res, elapsed_ms=0.0) == dataclasses.replace(
+            again, elapsed_ms=0.0
+        )
+        assert hash(res) == hash(dataclasses.replace(res))
+        # on the cell an int64 block equals an object block of the same ints
+        as_object = PointRows(2, res.points.rows.astype(object))
+        assert as_object == res.points and hash(as_object) == hash(res.points)
+        changed = res.points.rows.copy()
+        changed[-1, 0] += 1
+        assert PointRows(2, changed) != res.points
+        assert PointRows(2, res.points.rows[1:]) != res.points
+        assert PointRows(3, res.points.rows) != res.points
+
     def test_sequence_of_points_built_on_demand(self):
         res = enumerate_points(BallSpec.make(IDENTITY, F(1, 2), 24))
         rows = PointRows.from_points(res.points, 2)

@@ -15,7 +15,6 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slnapprox import sieve
 from slnapprox.config import DEFAULT_CONFIG
 from slnapprox.core import (
     BallSpec,
@@ -160,7 +159,8 @@ class TestTrialDivision:
         def isprime(n):
             raise AssertionError(f"sympy.isprime({n}) called")
 
-        monkeypatch.setattr(sieve.sympy, "isprime", isprime)
+        # factorize_full imports sympy where it needs it: patch the module
+        monkeypatch.setattr(sympy, "isprime", isprime)
         assert factorize_full(2 * 3 * 10007) == ({2: 1, 3: 1, 10007: 1}, 1, True)
         stingy = dataclasses.replace(DEFAULT_CONFIG, factor_trial_limit=10)
         with pytest.raises(AssertionError, match="isprime"):
