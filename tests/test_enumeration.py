@@ -836,11 +836,15 @@ class TestPointRows:
         assert pts[-1] == big and pts[0] == small == pts[_LINE_BLOCK]
 
     @pytest.mark.parametrize(
-        "ball", [BallSpec.make(IDENTITY, F(1, 2), 24), past_int64_ball(1000, F(1, 250))]
+        "ball, dtype",
+        [
+            (BallSpec.make(IDENTITY, F(1, 2), 24), np.int64),
+            (past_int64_ball(1000, F(1, 250)), object),
+        ],
     )
-    def test_equal_by_value(self, ball):
+    def test_equal_by_value(self, ball, dtype):
         res, again = enumerate_points(ball), enumerate_points(ball)
-        assert res.points is not again.points
+        assert res.points.rows.dtype == dtype and res.points is not again.points
         assert res.points == again.points and hash(res.points) == hash(again.points)
         assert dataclasses.replace(res, elapsed_ms=0.0) == dataclasses.replace(
             again, elapsed_ms=0.0
