@@ -16,7 +16,6 @@ override them (see ``Config.from_json``).  The schema is flat:
       "factor_trial_limit": 1000000,
       "factor_bit_budget": 256,
       "dyadic_bits": 53,
-      "gcd_window": 50,
       "word_budget": 1000
     }
 
@@ -50,9 +49,8 @@ class Config:
     volume_crosscheck_limit: int = 2 * 10**5
     factor_trial_limit: int = 10**6
     factor_bit_budget: int = 256
-    # precision and stabilization
+    # precision; word_budget bounds the group words delta_n walks
     dyadic_bits: int = 53
-    gcd_window: int = 50
     word_budget: int = 1000
 
     @property

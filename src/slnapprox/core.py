@@ -435,7 +435,12 @@ class BallSpec:
     radius: Fraction
     modulus: int
     n_dim: int
-    factorization: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def factorization(self) -> tuple[tuple[int, int], ...]:
+        """(p, a) for each prime power p**a exactly dividing the modulus,
+        computed only when asked, as a huge modulus is slow to factor."""
+        return tuple(sorted(prime_factorization(self.modulus).items()))
 
     @classmethod
     def make(
@@ -453,14 +458,7 @@ class BallSpec:
         r = Fraction(radius)
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        fac = tuple(sorted(prime_factorization(modulus).items()))
-        return cls(
-            center=c,
-            radius=r,
-            modulus=modulus,
-            n_dim=len(c),
-            factorization=fac,
-        )
+        return cls(center=c, radius=r, modulus=modulus, n_dim=len(c))
 
 
 def ball_membership(z: RationalGroupPoint, ball: BallSpec) -> bool:

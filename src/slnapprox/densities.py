@@ -9,12 +9,13 @@ once for each distinct prime p of its moduli and multiplies; the direct
 scan of the group mod a composite q stays available as the oracle of that
 product rule.  A scan generates the group mod q in int64 blocks of
 columns (the 2x2 determinant equation is solved for d on whole arrays)
-and evaluates the family on each block with reductions mod q.
+and evaluates the family on each block with reductions mod q.  The gcd
+obstruction ``delta_n`` is exact, decided by such scans mod prime powers.
 """
 
 from __future__ import annotations
 
-import logging
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +32,9 @@ from .core import (
     n_coprime_part,
     prime_factorization,
     reduce,
+    trial_division,
 )
-from .errors import BudgetExceeded, MissingDensities, UnsupportedDimension
-
-log = logging.getLogger(__name__)
+from .errors import BudgetExceeded, MissingDensities, UnsupportedDimension, ZeroValue
 
 # bound on the group elements in one block of ``iterate_group_mod``
 _BLOCK_ELEMENTS = 1 << 20
@@ -130,11 +130,38 @@ def _sl3_blocks(q: int):
                 yield np.concatenate((first, lower[:, hit]))
 
 
-def _squarefree_primes(q: int) -> list[int]:
+def _trial_limit(config: Config) -> int:
+    """The least L >= 1 with L**3 >= the density budget, in exact integers
+    (a float cube root overflows on a huge budget): Newton's method from
+    2**ceil(bits / 3), which is above the cube root, gives its floor."""
+    budget = max(config.density_order_budget, 1)
+    root = 1 << -(-budget.bit_length() // 3)
+    while (step := (2 * root + budget // root**2) // 3) < root:
+        root = step
+    return root if root**3 >= budget else root + 1
+
+
+def _factor_within_budget(q: int, config: Config) -> dict[int, int]:
+    """The factorization of the positive q by trial division up to L with
+    L**3 >= the density budget.  A prime p > L has p*(p*p - 1) > L**3, so a
+    rest left unfinished is over budget (BudgetExceeded), not factored."""
+    limit = _trial_limit(config)
+    factors, rest, done = trial_division(q, limit)
+    if not done:
+        raise BudgetExceeded(
+            f"{q} has a prime factor above {limit}: the group mod it has more "
+            f"than {config.density_order_budget} elements"
+        )
+    if rest > 1:
+        factors[rest] = factors.get(rest, 0) + 1
+    return factors
+
+
+def _squarefree_primes(q: int, config: Config) -> list[int]:
     """The primes of a square-free positive q; ValueError for any other q."""
     if q < 1:
         raise ValueError("q must be positive")
-    fac = prime_factorization(q)
+    fac = _factor_within_budget(q, config)
     if any(a > 1 for a in fac.values()):
         raise ValueError(f"q = {q} is not square-free")
     return list(fac)
@@ -191,7 +218,7 @@ def local_density(
     ``density_table`` computes them) or "direct" (one scan of the full
     group mod q), its oracle.
     """
-    _squarefree_primes(q)
+    _squarefree_primes(q, config)
     if q == 1:
         return Fraction(1)
     if method == "product":
@@ -244,7 +271,7 @@ def density_table(
 
     def new_primes():
         for q in moduli:
-            primes_of[q] = _squarefree_primes(q)
+            primes_of[q] = _squarefree_primes(q, config)
             for p in primes_of[q]:
                 if p not in orders:
                     orders[p] = _prime_power_order(p, 1, n_dim)
@@ -309,7 +336,7 @@ def lang_weil_report(
 
 
 # ---------------------------------------------------------------------------
-# gcd obstruction via word enumeration
+# gcd obstruction by strong approximation
 
 
 @dataclass(frozen=True)
@@ -320,8 +347,6 @@ class GcdCertificate:
     delta_factor_count: int
     sample_size: int
     zero_skips: int
-    window: int
-    certified: bool
 
 
 def group_words(n: int, n_dim: int = 2):
@@ -367,55 +392,45 @@ def delta_n(
     n_dim: int = 2,
     config: Config = DEFAULT_CONFIG,
 ) -> GcdCertificate:
-    """Stabilized gcd of the n-coprime parts of f over group words.
+    """The largest integer prime to n dividing every nonzero value of the
+    product f of the family on the denominator-n group, exact.
 
-    At most ``config.word_budget`` words are sampled; the scan stops once
-    the gcd has not changed over ``config.gcd_window`` samples, or has
-    reached 1.  Each word gamma = u/v is evaluated on its numerator, the
-    integer v^deg * f(gamma), which has the coprime part of f(gamma).  The
-    value divides every such coprime part by construction; the window is a
-    heuristic stopping rule, so the certificate only claims "no change over
-    the last `window` samples", not a proof of minimality.  A scan that
-    runs out of budget first is logged and returned with ``certified``
-    False.  Zero values of f are skipped and counted.
+    For p prime to n the group maps onto the group mod p**e (strong
+    approximation), so p**e divides every value iff f is 0 on the group mod
+    p**e.  The answer divides g, the gcd of the n-coprime parts of the
+    values v^deg * f(u/v) on group words, which are walked until g is 1, a
+    nonzero value leaves g unchanged while it has no prime too large to
+    scan, or ``config.word_budget`` words are spent (ZeroValue if none is
+    nonzero).  For each p**a exactly dividing g the group mod p, p**2, ...,
+    p**a is scanned while f vanishes on it; each scan, and the factoring of
+    g, is held to the density budget.
     """
-    budget = config.word_budget
-    window = config.gcd_window
-    if budget < 100:
+    if config.word_budget < 100:
         raise ValueError("word budget below 100 is not meaningful")
-    g = 0
-    stable = 0
-    samples = 0
-    zeros = 0
-    for gamma in group_words(n, n_dim):
-        if samples >= budget:
-            break
+    g = samples = zeros = 0
+    limit = _trial_limit(config)
+    for gamma in itertools.islice(group_words(n, n_dim), config.word_budget):
         samples += 1
         w = math.prod(family.values(reduce(gamma)))
         if w == 0:
             zeros += 1
             continue
-        part = n_coprime_part(w, n)
-        new_g = math.gcd(g, part)
-        stable = stable + 1 if new_g == g else 0
-        g = new_g
-        if g == 1:
-            stable = window  # cannot shrink further
-        if stable >= window:
+        g, old = math.gcd(g, n_coprime_part(w, n)), g
+        # walk on while g has a prime too large to scan: delta may lack it
+        if g == 1 or g == old and trial_division(g, limit)[1] <= limit:
             break
-    certified = stable >= window or g == 1
-    if not certified:
-        log.warning(
-            "delta_n(%s): gcd %d not stabilized after %d samples", n, g, samples
-        )
-    fac = prime_factorization(g) if g > 1 else {}
+    if g == 0:
+        raise ZeroValue(f"the family vanishes on the first {samples} group words")
+    delta, count = 1, 0
+    for p, a in _factor_within_budget(g, config).items():
+        for e in range(1, a + 1):
+            order = _prime_power_order(p, e, n_dim)
+            _check_scan_budget(order, f"group mod {p**e}", config)
+            if _zero_count(family, p**e, n_dim) < order:
+                break
+            delta *= p
+            count += 1
     return GcdCertificate(
-        family=family,
-        n=n,
-        delta=g,
-        delta_factor_count=sum(fac.values()),
-        sample_size=samples,
-        zero_skips=zeros,
-        window=window,
-        certified=certified,
+        family=family, n=n, delta=delta, delta_factor_count=count,
+        sample_size=samples, zero_skips=zeros,
     )

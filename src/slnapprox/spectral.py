@@ -93,6 +93,12 @@ def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
     """
     if q < 2:
         raise ValueError("level must be at least 2")
+    # |SL_2(Z/q)| > q**3 / 2, so a level this large is over budget unfactored
+    if q**3 > 2 * config.spectral_vertex_budget:
+        raise BudgetExceeded(
+            f"more than q**3/2 vertices at level {q}, "
+            f"budget {config.spectral_vertex_budget}"
+        )
     expected = group_order_mod(q, 2)
     if expected > config.spectral_vertex_budget:
         raise BudgetExceeded(

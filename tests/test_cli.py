@@ -284,6 +284,7 @@ POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
         (["density", "--p-range", "0"], None),
         (["density", "--p-range", "-5"], None),
         (["density", "--p-range", "1"], None),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"gcd_window": 50}'),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
          "point-line-not-object", "alpha-zero-denominator", "a-zero-denominator",
@@ -294,7 +295,7 @@ POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
          "sieve-zero-s", "sieve-zero-delta", "sieve-negative-delta",
          "sieve-negative-q-max", "sieve-zero-n", "sieve-negative-n",
          "negative-budget", "density-p-range-0", "density-p-range-negative",
-         "density-p-range-1"],
+         "density-p-range-1", "config-gcd-window"],
 )
 def test_malformed_input_exits_invalid(tmp_path, argv, file_text):
     path = tmp_path / "input.json"
@@ -348,6 +349,32 @@ def test_sieve_checks_density_budget_before_factoring(capsys, monkeypatch, tmp_p
     code, _, err = run(capsys, "sieve", "--points", str(cell), "--q-max", q_max)
     assert code == EXIT_BUDGET
     assert "density scan" in err
+
+
+HUGE = str(10**18 + 3)  # prime
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--q", HUGE],
+        ["spectral", "--p", "2", "--q", HUGE, "--lmax", "1"],
+        ["enumerate", "--radius", "1/2", "-n", HUGE],
+        ["witness", "-n", HUGE, "--alpha", "0.16"],
+    ],
+    ids=["density", "spectral", "enumerate", "witness"],
+)
+def test_huge_modulus_exits_on_budget_unfactored(capsys, monkeypatch, argv):
+    # trial division of 10**18 + 3 to its square root would take minutes;
+    # each budget is checked on a bound that needs no full factorization
+    def factor(*args, **kwargs):
+        raise AssertionError("a huge modulus was factored")
+
+    for module in (slnapprox.core, slnapprox.densities):
+        monkeypatch.setattr(module, "prime_factorization", factor)
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_BUDGET
+    assert "budget" in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slnapprox import densities, sieve
-from slnapprox.core import PolynomialFamily, Polynomial, family_from_preset
+from slnapprox.core import (
+    Polynomial,
+    PolynomialFamily,
+    family_from_preset,
+    n_coprime_part,
+    reduce,
+)
 from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.densities import (
     delta_n,
@@ -28,6 +34,7 @@ from slnapprox.errors import (
     BudgetExceeded,
     MissingDensities,
     UnsupportedDimension,
+    ZeroValue,
 )
 
 F = Fraction
@@ -241,6 +248,25 @@ class TestLocalDensity:
         with pytest.raises(ValueError):
             local_density(ENTRY11, 4)
 
+    @given(st.integers(-3, 10**40) | st.integers(0, 40).map(lambda k: k**3 + 1))
+    def test_trial_limit_is_the_least_cube_root(self, budget):
+        limit = densities._trial_limit(Config(density_order_budget=budget))
+        assert limit >= 1 and limit**3 >= budget
+        assert limit == 1 or (limit - 1) ** 3 < budget
+
+    def test_budget_past_the_float_range(self):
+        # 10**400 overflows a float; the trial bound is computed in integers
+        huge = Config(density_order_budget=10**400)
+        assert local_density(ENTRY11, 30, config=huge) == local_density(ENTRY11, 30)
+
+    @pytest.mark.parametrize("q", [1000003, 4 * 1000003, 1000003 * 1000033])
+    def test_prime_past_the_cube_root_is_over_budget(self, q):
+        # trial division stops at 465, the least L with L**3 >= 10**8 (the
+        # default budget): the rest is over budget, square-free or not
+        for method in ("product", "direct"):
+            with pytest.raises(BudgetExceeded, match="prime factor above 465"):
+                local_density(ENTRY11, q, method=method)
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             local_density(ENTRY11, 5, method="guess")
@@ -389,31 +415,96 @@ class TestGroupWords:
             assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
 
 
+def _family(*monomial_dicts):
+    return PolynomialFamily(
+        polys=tuple(Polynomial.from_monomials(m, 2) for m in monomial_dicts), n_dim=2
+    )
+
+
+# a*b*c*d, b*c*(a + d), a**3 - a and the pair {a, a**3 - a}, whose product
+# a**2 * (a**2 - 1) is always divisible by 4
+ABCD = _family({(1, 1, 1, 1): 1})
+BC_TRACE = _family({(1, 1, 1, 0): 1, (0, 1, 1, 1): 1})
+CUBIC = _family({(3, 0, 0, 0): 1, (1, 0, 0, 0): -1})
+A_CUBIC = _family({(1, 0, 0, 0): 1}, {(3, 0, 0, 0): 1, (1, 0, 0, 0): -1})
+# 1000003 + b*c is 1000003 on the first words (c = 0), yet delta is 1
+BIG_PLUS_BC = _family({(0, 0, 0, 0): 1000003, (0, 1, 1, 0): 1})
+DELTA_FAMILIES = {
+    **{name: family_from_preset(name) for name in ("entry11", "trace-minus-2", "sum-entries")},
+    "abcd": ABCD, "bc(a+d)": BC_TRACE, "a^3-a": CUBIC, "{a, a^3-a}": A_CUBIC,
+    "1000003+bc": BIG_PLUS_BC,
+}
+
+
+def sampled_delta(family, n, n_dim=2, budget=1000, window=50):
+    """Oracle of delta_n: the gcd of the n-coprime parts of the nonzero
+    values over group words, stopped once it is 1 or has not changed for
+    ``window`` samples (the stabilization rule of earlier releases)."""
+    g = stable = 0
+    for gamma in itertools.islice(group_words(n, n_dim), budget):
+        w = math.prod(family.values(reduce(gamma)))
+        if w == 0:
+            continue
+        new_g = math.gcd(g, n_coprime_part(w, n))
+        stable = stable + 1 if new_g == g else 0
+        g = new_g
+        if g == 1 or stable >= window:
+            break
+    return g
+
+
 class TestDeltaN:
     def test_corner_entry_trivial(self):
         cert = delta_n(ENTRY11, 1)
         assert cert.delta == 1
-        assert cert.certified
         assert cert.sample_size == 1  # f(identity) = 1 settles it
 
     def test_sum_entries_divides_two(self):
-        fam = family_from_preset("sum-entries")
-        cert = delta_n(fam, 1)
-        assert cert.delta in (1, 2)
-        assert 2 % cert.delta == 0
-        assert cert.certified
+        # a+b+c+d is 2 at the identity and 3 at [[1, 1], [0, 1]]
+        cert = delta_n(family_from_preset("sum-entries"), 1)
+        assert (cert.delta, cert.delta_factor_count) == (1, 0)
 
     def test_corner_entry_modulus_six(self):
         cert = delta_n(ENTRY11, 6)
         assert cert.delta == 1
         assert cert.delta_factor_count == 0
 
+    @pytest.mark.parametrize(
+        "family, expected",
+        [(ABCD, (2, 2, 2, 1)), (BC_TRACE, (1, 1, 1, 1)), (CUBIC, (6, 2, 6, 1))],
+        ids=["abcd", "bc(a+d)", "a^3-a"],
+    )
+    def test_exact_table(self, family, expected):
+        assert tuple(delta_n(family, n).delta for n in (1, 3, 5, 6)) == expected
+
+    def test_square_of_two(self):
+        # 4 | a**2 (a**2 - 1) everywhere, 8 does not: the scan mod 4 passes
+        cert = delta_n(A_CUBIC, 1)
+        assert (cert.delta, cert.delta_factor_count) == (12, 3)
+        assert [delta_n(A_CUBIC, n).delta for n in (2, 3, 5, 6, 7)] == [3, 4, 12, 1, 12]
+
+    def test_three_by_three(self):
+        # a**3 - a in the corner of SL_3: scans of SL_3 mod 2 and mod 3
+        cubic = PolynomialFamily(
+            polys=(Polynomial.from_monomials({(3,) + (0,) * 8: 1, (1,) + (0,) * 8: -1}, 3),),
+            n_dim=3,
+        )
+        for n in (1, 2, 5):
+            assert delta_n(cubic, n, n_dim=3).delta == sampled_delta(cubic, n, n_dim=3)
+        assert [delta_n(cubic, n, n_dim=3).delta for n in (1, 2, 3, 6)] == [6, 3, 2, 1]
+
+    @pytest.mark.parametrize("name", sorted(DELTA_FAMILIES))
+    def test_matches_sampled_oracle(self, name):
+        family = DELTA_FAMILIES[name]
+        for n in (1, 2, 3, 5, 6, 7, 12, 24, 197):
+            cert = delta_n(family, n)
+            assert cert.delta == sampled_delta(family, n), (name, n)
+            assert cert.delta_factor_count == sum(sympy.factorint(cert.delta).values())
+
     def test_delta_divides_fresh_values(self):
         fam = family_from_preset("trace-minus-2")
         cert = delta_n(fam, 2)
         count = 0
-        from slnapprox.core import n_coprime_part
-
         for gamma in itertools.islice(group_words(2), 10**3):
             # f(gamma) on the rational entries; its denominator is a power of 2
             flat = tuple(e for row in gamma for e in row)
@@ -434,14 +525,43 @@ class TestDeltaN:
         with pytest.raises(ValueError):
             delta_n(ENTRY11, 2, config=Config(word_budget=10))
 
-    def test_non_stabilized_paths(self):
-        # a huge window cannot be met inside the budget unless gcd hits 1
-        fam = family_from_preset("sum-entries")
-        cfg = Config(word_budget=150, gcd_window=10**6)
-        cert = delta_n(fam, 1, config=cfg)
-        assert cert.sample_size <= 150
-        assert cert.window == 10**6
-        assert cert.certified is (cert.delta == 1)
+    def test_shortest_walk_is_exact(self):
+        # the walk stops early; the least word budget gives the same answers
+        least = Config(word_budget=100)
+        for name, family in DELTA_FAMILIES.items():
+            for n in (1, 5, 6):
+                cert = delta_n(family, n, config=least)
+                assert cert.sample_size <= 100
+                assert cert.delta == delta_n(family, n).delta, (name, n)
+
+    def test_vanishing_family_raises_zero_value(self):
+        # ad - bc - 1 is 0 on the whole group: no word has a nonzero value
+        fam = _family({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1, (0, 0, 0, 0): -1})
+        with pytest.raises(ZeroValue, match="first 100 group words"):
+            delta_n(fam, 1, config=Config(word_budget=100))
+
+    def test_walk_passes_a_prime_too_large_to_scan(self):
+        # the first values leave g = 1000003 unchanged; it has no scan within
+        # budget, so the walk goes on until a value drops it
+        cert = delta_n(BIG_PLUS_BC, 1)
+        assert cert.delta == 1
+        assert cert.sample_size > 2
+
+    def test_large_prime_content_is_over_budget(self):
+        # every value of 1000003*a is a multiple of a prime far above the
+        # cube root of the budget: SL_2(F_1000003) is never factored or scanned
+        fam = _family({(1, 0, 0, 0): 1000003})
+        with pytest.raises(BudgetExceeded, match="prime factor above 465"):
+            delta_n(fam, 1)
+
+    def test_scan_is_checked_before_it_starts(self, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("a group scan ran past the density budget")
+
+        monkeypatch.setattr(densities, "_zero_count", scan)
+        # delta of a^3 - a is 6; the group mod 2 has 6 elements, over a budget of 5
+        with pytest.raises(BudgetExceeded, match="group mod 2"):
+            delta_n(CUBIC, 1, config=Config(density_order_budget=5))
 
     def test_zero_skips_counted(self):
         fam = family_from_preset("trace-minus-2")

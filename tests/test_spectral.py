@@ -183,6 +183,17 @@ class TestProjectiveGroup:
         with pytest.raises(BudgetExceeded):
             projective_vertices(7, config=tight)
 
+    def test_cube_bound_rejects_only_levels_over_budget(self, monkeypatch):
+        # |SL_2(Z/q)| > q**3 / 2, so q**3 > 2 * budget is over budget unfactored
+        assert all(2 * group_order_mod(q, 2) > q**3 for q in range(2, 500))
+
+        def factor(*args, **kwargs):
+            raise AssertionError("a level past the cube bound was factored")
+
+        monkeypatch.setattr(spectral, "group_order_mod", factor)
+        with pytest.raises(BudgetExceeded, match="q\\*\\*3/2"):
+            level_table(10**18 + 3)
+
     def test_level_validation(self):
         for q in (1, 0, -4):
             with pytest.raises(ValueError, match="level must be at least 2"):
