@@ -218,7 +218,7 @@ def _cmd_volumes(args, cfg: Config, n_dim: int) -> int:
     print("p,ell,closed_form,oracle,match")
     for p in args.p_list:
         for ell in range(args.lmax + 1):
-            closed = volumes.local_ball_volume(p, ell, n_dim, cfg)
+            closed = volumes.local_ball_volume(p, ell, config=cfg)
             oracle = volumes.hnf_coset_oracle(p, ell)
             print(f"{p},{ell},{closed},{oracle},{str(closed == oracle).lower()}")
     return EXIT_OK
@@ -234,7 +234,7 @@ def _cmd_density(args, cfg: Config, n_dim: int) -> int:
         moduli = itertools.chain(moduli, primes_below(args.p_range + 1))
     elif not moduli:
         moduli = [2, 3, 5, 7, 11, 13]
-    table = densities.density_table(family, moduli, n_dim, cfg)
+    table = densities.density_table(family, moduli, config=cfg)
     print("q,rho_num,rho_den,order")
     for q in sorted(table.values):
         rho = table.value(q)
@@ -261,7 +261,7 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
         1 if delta is None else delta, args.q_max,
     )
     if delta is None:
-        delta = densities.delta_n(family, n, n_dim, config=cfg).delta
+        delta = densities.delta_n(family, n, config=cfg).delta
     # the moduli and sieving primes need every prime up to max(q_max, z)
     # coprime to delta * n: check their scan before any modulus is built
     excluded = delta * n
@@ -272,7 +272,7 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
     )
     needed = set(sieve.squarefree_moduli(q_max, excluded))
     needed.update(sieve.sieving_primes(z, n, delta))
-    rho = densities.density_table(family, sorted(needed), n_dim, cfg)
+    rho = densities.density_table(family, sorted(needed), config=cfg)
     report = sieve.run_sieve(
         points, family, n, rho, tau=args.tau, s=args.s, q_max=q_max,
         delta=delta, C1=cfg.c1, C2=cfg.c2,
@@ -283,8 +283,6 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
 
 
 def _cmd_spectral(args, cfg: Config, n_dim: int) -> int:
-    if n_dim != 2:
-        raise UnsupportedDimension("spectral checks are for the 2x2 group")
     report = spectral.gap_decay_report(
         args.p, args.q, range(1, args.lmax + 1), rep_reduction=args.reps, config=cfg
     )
@@ -324,8 +322,6 @@ def _cmd_witness(args, cfg: Config, n_dim: int) -> int:
 
 
 def _cmd_verify_count(args, cfg: Config, n_dim: int) -> int:
-    if n_dim != 2:
-        raise UnsupportedDimension("count verification is for the 2x2 group")
     if args.centers == "bounded5":
         centers = list(engine.BOUNDED_CENTERS)
     else:
@@ -373,6 +369,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     n_dim = 2 if args.group == "sl2" else 3
     try:
+        if n_dim != 2 and args.command in ("volumes", "spectral", "verify-count"):
+            raise UnsupportedDimension(f"{args.command} is for the 2x2 group")
         cfg = _make_config(args)
         return _COMMANDS[args.command](args, cfg, n_dim)
     except (SearchSpaceTooLarge, BudgetExceeded, ConvergenceFailure) as exc:

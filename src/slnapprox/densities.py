@@ -194,10 +194,10 @@ def check_density_budget(
             )
 
 
-def _zero_count(family: PolynomialFamily, q: int, n_dim: int) -> int:
+def _zero_count(family: PolynomialFamily, q: int) -> int:
     """Number of group elements mod q at which the product of the family is 0."""
     count = 0
-    for block in iterate_group_mod(q, n_dim):
+    for block in iterate_group_mod(q, family.n_dim):
         prod = family.polys[0].eval_mod(block, q)
         for poly in family.polys[1:]:
             prod = prod * poly.eval_mod(block, q) % q
@@ -208,7 +208,7 @@ def _zero_count(family: PolynomialFamily, q: int, n_dim: int) -> int:
 def local_density(
     family: PolynomialFamily,
     q: int,
-    n_dim: int = 2,
+    *,
     method: str = "product",
     config: Config = DEFAULT_CONFIG,
 ) -> Fraction:
@@ -222,12 +222,12 @@ def local_density(
     if q == 1:
         return Fraction(1)
     if method == "product":
-        return density_table(family, [q], n_dim, config).values[q]
+        return density_table(family, [q], config=config).values[q]
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    order = group_order_mod(q, n_dim)
+    order = group_order_mod(q, family.n_dim)
     _check_scan_budget(order, f"group mod {q}", config)
-    return Fraction(q * _zero_count(family, q, n_dim), order)
+    return Fraction(q * _zero_count(family, q), order)
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ class DensityFunction:
 def density_table(
     family: PolynomialFamily,
     moduli: Iterable[int],
-    n_dim: int = 2,
+    *,
     config: Config = DEFAULT_CONFIG,
 ) -> DensityFunction:
     """rho(q) for each square-free q in ``moduli``.
@@ -274,11 +274,11 @@ def density_table(
             primes_of[q] = _squarefree_primes(q, config)
             for p in primes_of[q]:
                 if p not in orders:
-                    orders[p] = _prime_power_order(p, 1, n_dim)
+                    orders[p] = _prime_power_order(p, 1, family.n_dim)
                     yield p
 
-    check_density_budget(new_primes(), n_dim, config)
-    rho = {p: Fraction(p * _zero_count(family, p, n_dim), orders[p]) for p in orders}
+    check_density_budget(new_primes(), family.n_dim, config)
+    rho = {p: Fraction(p * _zero_count(family, p), orders[p]) for p in orders}
     return DensityFunction(
         family=family,
         values={
@@ -311,7 +311,7 @@ class LangWeilReport:
 def lang_weil_report(
     family: PolynomialFamily,
     primes: Sequence[int],
-    n_dim: int = 2,
+    *,
     threshold: float = 5.0,
     config: Config = DEFAULT_CONFIG,
 ) -> LangWeilReport:
@@ -325,7 +325,7 @@ def lang_weil_report(
     rows = []
     flagged = []
     for p in primes:
-        rho = local_density(family, p, n_dim, method="direct", config=config)
+        rho = local_density(family, p, method="direct", config=config)
         dev = math.sqrt(p) * abs(float(rho) - t)
         rows.append(LangWeilRow(p=p, rho=rho, deviation_scaled=dev))
         if dev > threshold:
@@ -389,7 +389,7 @@ def group_words(n: int, n_dim: int = 2):
 def delta_n(
     family: PolynomialFamily,
     n: int,
-    n_dim: int = 2,
+    *,
     config: Config = DEFAULT_CONFIG,
 ) -> GcdCertificate:
     """The largest integer prime to n dividing every nonzero value of the
@@ -409,7 +409,7 @@ def delta_n(
         raise ValueError("word budget below 100 is not meaningful")
     g = samples = zeros = 0
     limit = _trial_limit(config)
-    for gamma in itertools.islice(group_words(n, n_dim), config.word_budget):
+    for gamma in itertools.islice(group_words(n, family.n_dim), config.word_budget):
         samples += 1
         w = math.prod(family.values(reduce(gamma)))
         if w == 0:
@@ -424,9 +424,9 @@ def delta_n(
     delta, count = 1, 0
     for p, a in _factor_within_budget(g, config).items():
         for e in range(1, a + 1):
-            order = _prime_power_order(p, e, n_dim)
+            order = _prime_power_order(p, e, family.n_dim)
             _check_scan_budget(order, f"group mod {p**e}", config)
-            if _zero_count(family, p**e, n_dim) < order:
+            if _zero_count(family, p**e) < order:
                 break
             delta *= p
             count += 1

@@ -144,8 +144,8 @@ def find_witness(
     broken by the canonical point order.  An empty ball raises NoWitness;
     before giving up, the radius is doubled up to PROBE_DOUBLINGS times to
     report the smallest radius at which a point does exist.  The exponent
-    must be positive, and n^(-alpha) must not underflow to a zero radius
-    (ValueError otherwise).
+    must be positive, n^(-alpha) must not underflow to a zero radius, and
+    the family must be of the center's n_dim (ValueError otherwise).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -156,6 +156,8 @@ def find_witness(
     if eps == 0:  # a radius that underflowed could never be doubled
         raise ValueError(f"radius {n}^(-{alpha}) underflows to 0")
     ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
+    if ball.n_dim != family.n_dim:
+        raise ValueError(f"center of n_dim {ball.n_dim}, family of n_dim {family.n_dim}")
     result = enumerate_points(ball, strategy="optimized", config=config)
     if result.count == 0:
         smallest = None
@@ -260,11 +262,12 @@ def counting_verification(
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
+    vols = {n: finite_volume(n, config=config) for n in n_list}
     rows = []
     ratios = []
     for x in x_list:
         for n in n_list:
-            vol = finite_volume(n, config=config)
+            vol = vols[n]
             ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
             T = ratio = skipped = None
             significant = False

@@ -70,7 +70,7 @@ def entry_bounds(ball: BallSpec) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _oracle_scan(ball: BallSpec, n_dim: int, budget: int) -> list[tuple[int, ...]]:
+def _oracle_scan(ball: BallSpec, budget: int) -> list[tuple[int, ...]]:
     bounds = entry_bounds(ball)
     flat_bounds = [b for row in bounds for b in row]
     cells = 1
@@ -80,7 +80,7 @@ def _oracle_scan(ball: BallSpec, n_dim: int, budget: int) -> list[tuple[int, ...
         return []
     if cells > budget:
         raise SearchSpaceTooLarge(cells, budget, what="cells")
-    n = ball.modulus
+    n, n_dim = ball.modulus, ball.n_dim
     target = n**n_dim
     found: list[tuple[int, ...]] = []
     # the product visits the box in canonical order
@@ -305,7 +305,7 @@ def enumerate_points(
     n = ball.modulus
 
     def oracle_rows() -> np.ndarray:
-        flats = _oracle_scan(ball, n_dim, config.oracle_cell_budget)
+        flats = _oracle_scan(ball, config.oracle_cell_budget)
         return point_row_array([(*f, n) for f in flats], n_dim)
 
     if strategy == "oracle":

@@ -282,8 +282,11 @@ def axiom_report(
     computed from the value histogram.  The summary reports the fitted
     exponent zeta with sum |R_q| = T^(1 - zeta), and the partial-sum
     deviations sum_{w <= p < z} rho(p) log p / p - t log(z/w) bracketed as
-    [-l, c3].
+    [-l, c3].  ``rho`` must be the density table of ``family``
+    (ValueError otherwise).
     """
+    if rho.family != family:
+        raise ValueError("the density table is of another polynomial family")
     cell = _point_rows(points, family.n_dim)
     T = len(cell)
     t = family.t

@@ -24,15 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .errors import UnsupportedDimension
 from .core import prime_factorization, primes_below
-
-
-def _require_sl2(n_dim: int) -> None:
-    if n_dim != 2:
-        raise UnsupportedDimension(
-            f"volume formulas are implemented for 2x2 matrices, got n_dim={n_dim}"
-        )
+from .errors import BudgetExceeded
+from .sieve import factorize_full
 
 
 def _require_prime(p: int) -> None:
@@ -86,8 +80,8 @@ def hnf_representatives(p: int, ell: int) -> list[tuple[tuple[int, int], tuple[i
 
 @lru_cache(maxsize=None)
 def _local_volume_checked(p: int, ell: int, crosscheck_limit: int) -> int:
-    # primality is checked here, under the cache, so finite_volume over many
-    # n factors each (p, ell) pair's prime once
+    # primality is checked here, under the cache, so each (p, ell) pair's
+    # prime is factored once
     _require_prime(p)
     closed = 1 if ell == 0 else (p + 1) * p ** (2 * ell - 1)
     if p ** (2 * ell) <= crosscheck_limit:
@@ -99,29 +93,30 @@ def _local_volume_checked(p: int, ell: int, crosscheck_limit: int) -> int:
     return closed
 
 
-def local_ball_volume(
-    p: int, ell: int, n_dim: int = 2, config: Config = DEFAULT_CONFIG
-) -> int:
+def local_ball_volume(p: int, ell: int, *, config: Config = DEFAULT_CONFIG) -> int:
     """Volume of the norm-p**ell shell: (p+1) * p**(2*ell-1), 1 at ell = 0.
 
     p must be a prime (ValueError otherwise).  Cross-checked against the
     Hermite count whenever p**(2*ell) is within the configured crosscheck
     limit.
     """
-    _require_sl2(n_dim)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return _local_volume_checked(p, ell, config.volume_crosscheck_limit)
 
 
-def finite_volume(n: int, n_dim: int = 2, config: Config = DEFAULT_CONFIG) -> int:
-    """Product of local shell volumes over the primes of n; 1 for n = 1."""
-    _require_sl2(n_dim)
+def finite_volume(n: int, *, config: Config = DEFAULT_CONFIG) -> int:
+    """n * psi(n) = n**2 * prod over p | n of (1 + 1/p), the product of the
+    local shell volumes; n is factored by ``factorize_full``, and a cofactor
+    it leaves unfactored raises BudgetExceeded."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    vol = 1
-    for p, a in prime_factorization(n).items():
-        vol *= local_ball_volume(p, a, n_dim, config)
+    factors, _, complete = factorize_full(n, config)
+    if not complete:
+        raise BudgetExceeded(f"n = {n} has a cofactor past the factoring budget")
+    vol = n * n
+    for p in factors:
+        vol = vol // p * (p + 1)
     return vol
 
 
@@ -140,7 +135,6 @@ class GrowthEstimate:
 def growth_exponent(
     n_max: int,
     restrict_primes: frozenset[int] | set[int] | None = None,
-    n_dim: int = 2,
 ) -> GrowthEstimate:
     """Least-squares slope of log volume against log n over 1 <= n <= n_max.
 
@@ -153,7 +147,6 @@ def growth_exponent(
     two usable samples yields a degenerate estimate with no fitted slope.
     An n_max whose volumes could pass 2**62 raises ValueError.
     """
-    _require_sl2(n_dim)
     if n_max < 1:
         raise ValueError("n_max must be positive")
     # n * psi(n) <= n * sigma(n) < n**2 * (1 + ln n), and ln n < bit_length;
@@ -245,9 +238,7 @@ def _xi_checked(p: int, ell: int, crosscheck_limit: int) -> Fraction:
     return closed
 
 
-def harish_chandra_xi(
-    p: int, ell: int, n_dim: int = 2, config: Config = DEFAULT_CONFIG
-) -> Fraction:
+def harish_chandra_xi(p: int, ell: int, *, config: Config = DEFAULT_CONFIG) -> Fraction:
     """Exact spherical decay value at the diagonal element diag(p**ell, p**-ell).
 
     Integral over the compact group of the inverse square root of the Borel
@@ -258,7 +249,6 @@ def harish_chandra_xi(
     against the column sum over residues mod p**(2*ell) whenever p**(4*ell)
     is within the configured crosscheck limit.
     """
-    _require_sl2(n_dim)
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     return _xi_checked(p, ell, config.volume_crosscheck_limit)

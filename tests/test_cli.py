@@ -269,6 +269,8 @@ POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
         (["--config", "{file}", "params", "--alpha", "1/20"], "5"),
         (["witness", "-n", "30", "--alpha", "-1"], None),
         (["--group", "sl3", "verify-count"], None),
+        (["--group", "sl3", "volumes"], None),
+        (["--group", "sl3", "spectral", "--p", "2", "--q", "5"], None),
         (["verify-count", "--n-list", "2", "--epsilon", "0"], None),
         (["volumes", "--lmax", "-1"], None),
         (["spectral", "--p", "2", "--q", "5", "--lmax", "-1"], None),
@@ -290,6 +292,7 @@ POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
          "point-line-not-object", "alpha-zero-denominator", "a-zero-denominator",
          "config-string-int", "config-null-budget", "config-zero-r_g",
          "config-not-object", "witness-negative-alpha", "sl3-verify-count",
+         "sl3-volumes", "sl3-spectral",
          "verify-count-zero-epsilon", "volumes-negative-lmax",
          "spectral-negative-lmax", "witness-radius-underflow", "witness-alpha-inf",
          "sieve-zero-s", "sieve-zero-delta", "sieve-negative-delta",
@@ -375,6 +378,21 @@ def test_huge_modulus_exits_on_budget_unfactored(capsys, monkeypatch, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+def test_huge_modulus_volume_unfactored(capsys, monkeypatch):
+    # the volume of 10**18 + 3 comes from the witness path's factoring, not
+    # from trial division to its square root; every cell is over budget
+    def factor(*args, **kwargs):
+        raise AssertionError("a huge modulus was trial-divided")
+
+    for module in (slnapprox.core, slnapprox.volumes):
+        monkeypatch.setattr(module, "prime_factorization", factor)
+    code, out, _ = run(capsys, "verify-count", "--n-list", HUGE)
+    assert code == EXIT_OK
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == 5
+    assert all(row.split(",")[3:5] == ["", ""] for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,7 @@ class TestArrayZeroCount:
     @settings(max_examples=40, deadline=None)
     @given(family=_family_strategy(2), q=st.sampled_from(SQUAREFREE_TO_31))
     def test_two_by_two_matches_tuple_oracle(self, family, q):
-        assert densities._zero_count(family, q, 2) == zero_count_oracle(family, q, 2)
+        assert densities._zero_count(family, q) == zero_count_oracle(family, q, 2)
 
     @settings(max_examples=25, deadline=None)
     @given(family=_family_strategy(3), q=st.sampled_from([2, 3, 6]))
@@ -198,7 +198,7 @@ class TestArrayZeroCount:
             want = zero_count_oracle(family, 2, 3) * zero_count_oracle(family, 3, 3)
         else:
             want = zero_count_oracle(family, q, 3)
-        assert densities._zero_count(family, q, 3) == want
+        assert densities._zero_count(family, q) == want
 
     @settings(max_examples=25, deadline=None)
     @given(family=_family_strategy(2), q=st.sampled_from(
@@ -214,6 +214,17 @@ class TestLocalDensity:
         assert local_density(ENTRY11, 5) == F(5, 6)
         assert local_density(ENTRY11, 2) == F(2, 3)
         assert local_density(ENTRY11, 10) == F(5, 9)
+
+    def test_dimension_comes_from_the_family(self):
+        # the corner entry of SL_3 has p(p+1)/(p**2+p+1), not the 2x2 p/(p+1)
+        table = density_table(family_from_preset("entry11", 3), [2, 3])
+        assert (table.value(2), table.value(3)) == (F(6, 7), F(12, 13))
+        trace = family_from_preset("trace-minus-2", 3)
+        want = F(2 * zero_count_oracle(trace, 2, 3), group_order_mod(2, 3))
+        assert local_density(trace, 2) == local_density(trace, 2, method="direct") == want
+        # the old positional n_dim must not bind to config
+        with pytest.raises(TypeError):
+            density_table(ENTRY11, [2], 2)
 
     def test_corner_entry_closed_form(self):
         for p in (2, 3, 5, 7, 11, 13):
@@ -300,9 +311,9 @@ class TestDensityFunction:
         scanned = []
         scan = densities._zero_count
 
-        def counting_scan(family, q, n_dim):
+        def counting_scan(family, q):
             scanned.append(q)
-            return scan(family, q, n_dim)
+            return scan(family, q)
 
         monkeypatch.setattr(densities, "_zero_count", counting_scan)
         # the moduli of a sieve at n = 1, delta = 1, q_max = 42 and z = 30
@@ -490,8 +501,8 @@ class TestDeltaN:
             n_dim=3,
         )
         for n in (1, 2, 5):
-            assert delta_n(cubic, n, n_dim=3).delta == sampled_delta(cubic, n, n_dim=3)
-        assert [delta_n(cubic, n, n_dim=3).delta for n in (1, 2, 3, 6)] == [6, 3, 2, 1]
+            assert delta_n(cubic, n).delta == sampled_delta(cubic, n, n_dim=3)
+        assert [delta_n(cubic, n).delta for n in (1, 2, 3, 6)] == [6, 3, 2, 1]
 
     @pytest.mark.parametrize("name", sorted(DELTA_FAMILIES))
     def test_matches_sampled_oracle(self, name):

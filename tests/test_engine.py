@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from slnapprox import engine
 from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.core import (
     ball_membership,
@@ -155,6 +156,15 @@ class TestFindWitness:
     def test_rejects_bad_modulus(self):
         with pytest.raises(ValueError):
             find_witness(IDENTITY, 0, 1.0, ENTRY11)
+
+    @pytest.mark.parametrize("preset", ["entry11", "trace-minus-2"])
+    def test_rejects_family_of_another_dimension(self, monkeypatch, preset):
+        def scan(*args, **kwargs):
+            raise AssertionError("the ball was enumerated")
+
+        monkeypatch.setattr(engine, "enumerate_points", scan)
+        with pytest.raises(ValueError, match="n_dim"):
+            find_witness(IDENTITY, 50, F(1, 6), family_from_preset(preset, 3))
 
     def test_quality_monotone_in_radius(self):
         # a wider ball can only improve the minimal factor count

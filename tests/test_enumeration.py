@@ -353,7 +353,7 @@ class TestArrayRowSolver:
         assert scan == scalar_scan(ball)  # canonical order as built
         assert count_points(ball) == len(scan) == scalar_count(ball)
         if _box_cells(ball) <= 200_000:
-            assert scan == _oracle_scan(ball, 2, DEFAULT_CONFIG.oracle_cell_budget)
+            assert scan == _oracle_scan(ball, DEFAULT_CONFIG.oracle_cell_budget)
         return scan
 
     @settings(derandomize=True, max_examples=120, deadline=None)

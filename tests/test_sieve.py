@@ -392,6 +392,11 @@ class TestRunSieve:
                     pts, family, n, zz, delta
                 ) == almost_prime_count_direct(pts, family, n, zz, delta)
 
+    def test_rejects_density_table_of_another_family(self, cell8, rho_small):
+        trace = family_from_preset("trace-minus-2")
+        with pytest.raises(ValueError, match="another polynomial family"):
+            run_sieve(cell8, trace, 2, rho_small, tau=0.5, s=10.0)
+
     def test_consistent_on_cell(self, cell8, rho_small):
         rep = run_sieve(cell8, ENTRY11, 2, rho_small, tau=0.5, s=10.0)
         assert rep.T == 8

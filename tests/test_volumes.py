@@ -9,7 +9,7 @@ import sympy
 
 from slnapprox import volumes
 from slnapprox.config import Config
-from slnapprox.errors import BudgetExceeded, UnsupportedDimension
+from slnapprox.errors import BudgetExceeded
 from slnapprox.volumes import (
     _valuation_capped,
     _xi_column_sum,
@@ -92,8 +92,6 @@ class TestLocalVolumes:
                 local_ball_volume(composite, 1)
         with pytest.raises(ValueError):
             local_ball_volume(2, -1)
-        with pytest.raises(UnsupportedDimension):
-            local_ball_volume(2, 1, n_dim=3)
 
 
 class TestFiniteVolume:
@@ -118,6 +116,25 @@ class TestFiniteVolume:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             finite_volume(0)
+
+    def test_matches_product_of_shell_volumes(self):
+        for n in range(1, 500):
+            shells = (local_ball_volume(p, a) for p, a in sympy.factorint(n).items())
+            assert finite_volume(n) == math.prod(shells)
+
+    def test_huge_prime_not_trial_divided(self, monkeypatch):
+        # trial division of 10**18 + 3 to its square root would take minutes
+        def factor(*args, **kwargs):
+            raise AssertionError("n was trial-divided to its square root")
+
+        monkeypatch.setattr(volumes, "prime_factorization", factor)
+        n = 10**18 + 3  # prime
+        assert finite_volume(n) == n * (n + 1)
+
+    def test_unfinished_factorization_over_budget(self):
+        stingy = Config(factor_trial_limit=10, factor_bit_budget=8)
+        with pytest.raises(BudgetExceeded):
+            finite_volume(10007 * 10009, config=stingy)
 
 
 def growth_loop_oracle(n_max, restrict_primes=None):
@@ -273,5 +290,3 @@ class TestSphericalDecay:
         for composite in (4, 6):
             with pytest.raises(ValueError, match="prime"):
                 harish_chandra_xi(composite, 1)
-        with pytest.raises(UnsupportedDimension):
-            harish_chandra_xi(2, 1, n_dim=3)
