@@ -363,8 +363,11 @@ class PointRows(Sequence):
         return hash((self.n_dim, self.rows.shape))
 
     def _point(self, row: list) -> RationalGroupPoint:
-        *flat, v = row
         n = self.n_dim
+        if n == 2:  # the common case, unpacked without slicing
+            a, b, c, d, v = row
+            return RationalGroupPoint(((a, b), (c, d)), v, 2)
+        *flat, v = row
         u = tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n))
         return RationalGroupPoint(u=u, v=v, n_dim=n)
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -95,16 +97,46 @@ class SievedValue:
     cofactor: int
     complete: bool
 
-    @property
+    @cached_property
     def factor_count(self) -> int:
         base = sum(a for _, a in self.factors)
         return base + (2 if self.cofactor > 1 else 0)
 
 
+SIEVED_MEMO_SIZE = 4096
+# (w, n, id(config)) -> (config, value); holding the config keeps its id
+# from being reused while the entry lives.  Writers take the lock, so two
+# threads never evict the same entry; a read needs none.
+_SIEVED: dict[tuple[int, int, int], tuple[Config, SievedValue]] = {}
+_SIEVED_LOCK = threading.Lock()
+
+
 def coprime_part(w: int, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue:
-    """Split the integer w into a unit of Z[1/n] times [w]_n and factor [w]_n."""
+    """Split the integer w into a unit of Z[1/n] times [w]_n and factor [w]_n.
+
+    Each distinct (w, n) is factored once per config object: the result is
+    kept between calls in a memo of at most ``SIEVED_MEMO_SIZE`` entries,
+    the oldest dropped first.  Two configs never share an entry, even equal
+    ones, so a factorization left incomplete under one budget is never
+    returned under another.  The ``SievedValue`` is frozen, so callers may
+    share it.
+    """
     if w == 0:
         raise ZeroValue("coprime part of 0 is undefined")
+    key = (w, n, id(config))
+    hit = _SIEVED.get(key)
+    if hit is not None:
+        return hit[1]
+    sv = _sieved(w, n, config)
+    with _SIEVED_LOCK:
+        if key not in _SIEVED and len(_SIEVED) >= SIEVED_MEMO_SIZE:
+            del _SIEVED[next(iter(_SIEVED))]
+        _SIEVED[key] = (config, sv)
+    return sv
+
+
+def _sieved(w: int, n: int, config: Config) -> SievedValue:
+    """The uncached ``coprime_part`` of a nonzero w."""
     m = n_coprime_part(w, n)
     factors, cofactor, complete = factorize_full(m, config)
     return SievedValue(

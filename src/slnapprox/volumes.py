@@ -24,13 +24,16 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .core import prime_factorization, primes_below
+from .core import primes_below
 from .errors import BudgetExceeded
 from .sieve import factorize_full
 
 
+@lru_cache(maxsize=256)
 def _require_prime(p: int) -> None:
-    if p < 2 or prime_factorization(p) != {p: 1}:
+    # bounded trial division, then a primality test: a huge prime is never
+    # trial-divided to its square root; a prime is decided once per process
+    if p < 2 or factorize_full(p)[0] != {p: 1}:
         raise ValueError(f"p must be a prime, got {p}")
 
 

@@ -386,13 +386,28 @@ def test_huge_modulus_volume_unfactored(capsys, monkeypatch):
     def factor(*args, **kwargs):
         raise AssertionError("a huge modulus was trial-divided")
 
-    for module in (slnapprox.core, slnapprox.volumes):
-        monkeypatch.setattr(module, "prime_factorization", factor)
+    monkeypatch.setattr(slnapprox.core, "prime_factorization", factor)
     code, out, _ = run(capsys, "verify-count", "--n-list", HUGE)
     assert code == EXIT_OK
     rows = out.splitlines()[1:-1]
     assert len(rows) == 5
     assert all(row.split(",")[3:5] == ["", ""] for row in rows)
+
+
+def test_huge_prime_volumes_not_trial_divided(capsys, monkeypatch):
+    # primality of 10**18 + 3 is decided by bounded trial division and a
+    # primality test, not by trial division to its square root
+    def factor(*args, **kwargs):
+        raise AssertionError("a huge prime was trial-divided")
+
+    monkeypatch.setattr(slnapprox.core, "prime_factorization", factor)
+    code, out, _ = run(capsys, "volumes", "--p-list", HUGE, "--lmax", "1")
+    assert code == EXIT_OK
+    p = int(HUGE)
+    assert out.splitlines()[1:] == [
+        f"{p},0,1,1,true",
+        f"{p},1,{(p + 1) * p},{(p + 1) * p},true",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from slnapprox import engine
 from slnapprox.config import DEFAULT_CONFIG, Config
@@ -14,6 +15,7 @@ from slnapprox.core import (
     BallSpec,
     family_from_preset,
     identity_matrix,
+    n_coprime_part,
     to_fraction_matrix,
 )
 from slnapprox.engine import (
@@ -24,7 +26,6 @@ from slnapprox.engine import (
 )
 from slnapprox.enumeration import enumerate_points
 from slnapprox.errors import AlphaTooLarge, NoWitness, ZeroValue
-from slnapprox.sieve import coprime_part
 from slnapprox.volumes import finite_volume
 
 F = Fraction
@@ -124,14 +125,16 @@ class TestFindWitness:
             rec = find_witness(center, n, alpha, family)
             ball = BallSpec.make(center, rec.epsilon, n)
             assert ball_membership(rec.z, ball)
-            # per-point oracle: first point of least factor count, zeros skipped
+            # per-point oracle: first point of least factor count, zeros
+            # skipped, each value factored by sympy, not by the memoized
+            # coprime_part the search uses
             best, best_count, zeros = None, None, 0
             for z in enumerate_points(ball).points:
                 prod = math.prod(family.values(z))
                 if prod == 0:
                     zeros += 1
                     continue
-                fc = coprime_part(prod, n).factor_count
+                fc = sum(sympy.factorint(n_coprime_part(prod, n)).values())
                 if best_count is None or fc < best_count:
                     best, best_count = z, fc
             found = (rec.z, rec.factor_count, rec.zero_values_skipped)

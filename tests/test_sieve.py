@@ -5,6 +5,8 @@ import io
 import json
 import math
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +17,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slnapprox.config import DEFAULT_CONFIG
+from slnapprox import sieve
+from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.core import (
     BallSpec,
     PointRows,
@@ -30,6 +33,8 @@ from slnapprox.engine import BOUNDED_CENTERS
 from slnapprox.enumeration import enumerate_points, read_jsonl_points, write_jsonl
 from slnapprox.errors import MissingDensities, ZeroValue
 from slnapprox.sieve import (
+    SIEVED_MEMO_SIZE,
+    SievedValue,
     almost_prime_count,
     axiom_report,
     beta_sieve_lower_bound,
@@ -144,6 +149,94 @@ class TestCoprimePart:
         assert not sv.complete
         assert sv.cofactor == m
         assert sv.factor_count == 2  # composite cofactor counts at least 2
+
+
+def sieved_oracle(w, n):
+    """The ``coprime_part`` of w built by hand, its factors from sympy."""
+    m = n_coprime_part(w, n)
+    factors = tuple(sorted(sympy.factorint(m).items()))
+    return SievedValue(
+        raw=w, n=n, coprime_part=m, factors=factors, cofactor=1, complete=True
+    )
+
+
+class TestCoprimePartMemo:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(w=st.integers(-(10**12), 10**12).filter(bool), n=st.integers(1, 10**4))
+    def test_matches_uncached_construction(self, w, n):
+        expected = sieved_oracle(w, n)
+        for _ in range(2):  # the second answer comes from the memo
+            sv = coprime_part(w, n)
+            assert sv == expected
+            assert sv.factor_count == sum(a for _, a in expected.factors)
+
+    def test_each_value_factored_once(self, monkeypatch):
+        # a fresh memo, so no earlier entry hides the patched factorizer
+        monkeypatch.setattr(sieve, "_SIEVED", {})
+        real, calls = sieve.factorize_full, []
+
+        def counting(m, config=DEFAULT_CONFIG):
+            calls.append(m)
+            return real(m, config)
+
+        monkeypatch.setattr(sieve, "factorize_full", counting)
+        for w in (12, 35, 12, -12, 35, 12):
+            assert coprime_part(w, 2) == sieved_oracle(w, 2)
+        assert calls == [3, 35, 3]  # one call per distinct w
+
+    @pytest.mark.parametrize("stingy_first", [False, True])
+    def test_configs_never_share_an_entry(self, monkeypatch, stingy_first):
+        monkeypatch.setattr(sieve, "_SIEVED", {})
+        stingy = Config(factor_trial_limit=10, factor_bit_budget=8)
+        w = 10007 * 10009
+        configs = (stingy, DEFAULT_CONFIG) if stingy_first else (DEFAULT_CONFIG, stingy)
+        for config in configs * 2:
+            sv = coprime_part(w, 1, config)
+            if config is stingy:
+                assert (sv.complete, sv.cofactor, sv.factors) == (False, w, ())
+            else:
+                assert sv == sieved_oracle(w, 1)
+        assert len(sieve._SIEVED) == 2
+
+    def test_memo_never_passes_its_bound(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_SIEVED", {})
+        for w in range(1, SIEVED_MEMO_SIZE + 200):
+            coprime_part(w, 1)
+            assert len(sieve._SIEVED) <= SIEVED_MEMO_SIZE
+        assert len(sieve._SIEVED) == SIEVED_MEMO_SIZE
+        # the oldest entries went first, and an evicted value is recomputed
+        assert min(w for w, _, _ in sieve._SIEVED) == 200
+        assert coprime_part(12, 1) == sieved_oracle(12, 1)
+
+    def test_threads_share_the_memo(self, monkeypatch):
+        # more threads than cores, switching often, on a memo that evicts on
+        # almost every miss: no entry is evicted twice, none passes the bound
+        monkeypatch.setattr(sieve, "_SIEVED", {})
+        monkeypatch.setattr(sieve, "SIEVED_MEMO_SIZE", 8)
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(2000):
+                    w = rng.randrange(1, 40)
+                    assert coprime_part(w, 6) == sieved_oracle(w, 6)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(sieve._SIEVED) <= 8
 
 
 class TestTrialDivision:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from slnapprox import volumes
+from slnapprox import core, volumes
 from slnapprox.config import Config
 from slnapprox.errors import BudgetExceeded
 from slnapprox.volumes import (
@@ -93,6 +93,28 @@ class TestLocalVolumes:
         with pytest.raises(ValueError):
             local_ball_volume(2, -1)
 
+    def test_primality_matches_sympy(self):
+        for p in range(-3, 2000):
+            try:
+                local_ball_volume(p, 0)
+            except ValueError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == sympy.isprime(p), p
+
+    def test_huge_p_not_trial_divided(self, monkeypatch):
+        def factor(*args, **kwargs):
+            raise AssertionError("p was trial-divided to its square root")
+
+        monkeypatch.setattr(core, "prime_factorization", factor)
+        p = 10**18 + 3  # prime
+        assert local_ball_volume(p, 1) == (p + 1) * p
+        # no factor below the trial limit; one past it; one with a small factor
+        for composite in (1000003 * 1000033, (10**9 + 7) * (10**9 + 9), 10**18 + 1):
+            with pytest.raises(ValueError, match="prime"):
+                local_ball_volume(composite, 1)
+
 
 class TestFiniteVolume:
     def test_frozen_values(self):
@@ -127,7 +149,7 @@ class TestFiniteVolume:
         def factor(*args, **kwargs):
             raise AssertionError("n was trial-divided to its square root")
 
-        monkeypatch.setattr(volumes, "prime_factorization", factor)
+        monkeypatch.setattr(core, "prime_factorization", factor)
         n = 10**18 + 3  # prime
         assert finite_volume(n) == n * (n + 1)
 
