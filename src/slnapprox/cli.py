@@ -165,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--lmax", type=_parse_nonnegative_int, default=3)
-    p.add_argument("--reps", choices=["lagrange", "hermite"], default="lagrange")
 
     p = sub.add_parser("params", help="exponent threshold and almost-prime bound")
     p.add_argument("--alpha", type=_parse_fraction, required=True)
@@ -202,9 +201,7 @@ def _cmd_enumerate(args, cfg: Config, n_dim: int) -> int:
     from .core import BallSpec
 
     center = _parse_center(args.center, n_dim)
-    ball = BallSpec.make(
-        center, args.radius, args.denominator, snap_bits=cfg.dyadic_bits
-    )
+    ball = BallSpec.make(center, args.radius, args.denominator)
     result = enumeration.enumerate_points(ball, strategy=args.strategy, config=cfg)
     if args.out:
         with open(args.out, "w") as fh:
@@ -284,7 +281,7 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
 
 def _cmd_spectral(args, cfg: Config, n_dim: int) -> int:
     report = spectral.gap_decay_report(
-        args.p, args.q, range(1, args.lmax + 1), rep_reduction=args.reps, config=cfg
+        args.p, args.q, range(1, args.lmax + 1), config=cfg
     )
     print("ell,volume,lambda2")
     for row in report.rows:
@@ -293,7 +290,7 @@ def _cmd_spectral(args, cfg: Config, n_dim: int) -> int:
         print("# slope undefined (fewer than two usable rows)")
     else:
         print(
-            f"# slope {report.slope:.6f} threshold {report.threshold} "
+            f"# slope {report.slope:.6f} threshold {spectral.SLOPE_THRESHOLD} "
             f"passed {str(report.passed).lower()}"
         )
     return EXIT_OK

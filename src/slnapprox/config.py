@@ -1,4 +1,4 @@
-"""Runtime configuration: budgets, sieve constants, precision knobs.
+"""Runtime configuration: engine parameters, budgets, sieve constants.
 
 All values have safe defaults; a JSON file with any subset of the fields can
 override them (see ``Config.from_json``).  The schema is flat:
@@ -15,12 +15,12 @@ override them (see ``Config.from_json``).  The schema is flat:
       "volume_crosscheck_limit": 200000,
       "factor_trial_limit": 1000000,
       "factor_bit_budget": 256,
-      "dyadic_bits": 53,
       "word_budget": 1000
     }
 
 ``iota = null`` means: derive it from ``r_g`` as 1 when r_g is 2, otherwise
 the least even integer >= r_g / 2.
+Ball centers are always snapped to the 2**-53 dyadic grid; no key sets it.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class Config:
     volume_crosscheck_limit: int = 2 * 10**5
     factor_trial_limit: int = 10**6
     factor_bit_budget: int = 256
-    # precision; word_budget bounds the group words delta_n walks
-    dyadic_bits: int = 53
+    # word_budget bounds the group words delta_n walks
     word_budget: int = 1000
 
     @property

@@ -446,18 +446,12 @@ class BallSpec:
         return tuple(sorted(prime_factorization(self.modulus).items()))
 
     @classmethod
-    def make(
-        cls,
-        center: Sequence[Sequence],
-        radius,
-        modulus: int,
-        snap_bits: int | None = 53,
-    ) -> "BallSpec":
+    def make(cls, center: Sequence[Sequence], radius, modulus: int) -> "BallSpec":
+        """The ball around ``center`` snapped to the 2**-53 dyadic grid."""
         if modulus < 1:
             raise ValueError("modulus must be a positive integer")
         c = to_fraction_matrix(center)
-        if snap_bits is not None:
-            c = tuple(tuple(snap_dyadic(e, snap_bits) for e in row) for row in c)
+        c = tuple(tuple(snap_dyadic(e) for e in row) for row in c)
         r = Fraction(radius)
         if r < 0:
             raise ValueError("radius must be nonnegative")

@@ -155,7 +155,7 @@ def find_witness(
     eps = Fraction(float(n) ** (-float(alpha)))
     if eps == 0:  # a radius that underflowed could never be doubled
         raise ValueError(f"radius {n}^(-{alpha}) underflows to 0")
-    ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
+    ball = BallSpec.make(x, eps, n)
     if ball.n_dim != family.n_dim:
         raise ValueError(f"center of n_dim {ball.n_dim}, family of n_dim {family.n_dim}")
     result = enumerate_points(ball, strategy="optimized", config=config)
@@ -164,7 +164,7 @@ def find_witness(
         probe = eps
         for _ in range(PROBE_DOUBLINGS):
             probe = probe * 2
-            wide = BallSpec.make(x, probe, n, snap_bits=config.dyadic_bits)
+            wide = BallSpec.make(x, probe, n)
             try:
                 if count_points(wide, config):
                     smallest = probe
@@ -268,7 +268,7 @@ def counting_verification(
     for x in x_list:
         for n in n_list:
             vol = vols[n]
-            ball = BallSpec.make(x, eps, n, snap_bits=config.dyadic_bits)
+            ball = BallSpec.make(x, eps, n)
             T = ratio = skipped = None
             significant = False
             try:

@@ -12,11 +12,10 @@ and have to be handled explicitly rather than measured:
 
 * Hermite-form representatives are upper triangular, so taken literally
   they generate a triangular subgroup mod q and the walk never leaves a
-  coset of it.  The default therefore replaces each representative by the
+  coset of it.  Each representative is therefore replaced by the
   Lagrange-reduced basis of the same row lattice (a deterministic
   shortest-basis choice, left-equivalent over the integers), which spreads
-  the action.  The literal choice stays available as
-  rep_reduction="hermite" for comparison.
+  the action.
 
 * Every generator has determinant p^(2*ell), the square of a unit mod q,
   while the determinant modulo unit squares is well defined on scalar
@@ -34,7 +33,9 @@ its scalar class, left multiplication by each distinct generator image is
 stored as the vertex permutation it induces, and the gap comes from a
 Lanczos eigensolve (ARPACK) that applies the permutations and the
 class-mean projection to a vector.  Memory is about (images + 1) * n ints
-plus the q**4 code table.
+plus the q**4 code table, once the operator is built.  The build itself
+still holds the whole degree-long generator list, (p+1) * p**(2*ell-1)
+matrices, which no budget bounds yet: p = 2, ell = 12 lists 25,165,824.
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ from .errors import BudgetExceeded, ConvergenceFailure
 from .volumes import hnf_representatives, local_ball_volume
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
+
+# an eigenpair of the symmetrized operator must meet this max-norm residual
+_RESIDUAL_TOL = 1e-10
+# a gap-decay fit passes at or below this slope: the -1/4 prediction with
+# 0.05 slack
+SLOPE_THRESHOLD = -0.20
 
 
 def _units(q: int) -> tuple[int, ...]:
@@ -205,7 +212,6 @@ class HeckeOperatorGraph:
     operator: np.ndarray  # int vertex permutations, shape (images, len(vertices))
     weights: np.ndarray  # int multiplicities, shape (images,), summing to degree
     degree: int
-    rep_reduction: str
     invariant_classes: tuple[tuple[int, ...], ...]
 
 
@@ -213,26 +219,22 @@ def build_hecke_graph(
     p: int,
     q: int,
     ell: int,
-    rep_reduction: str = "lagrange",
+    *,
     config: Config = DEFAULT_CONFIG,
 ) -> HeckeOperatorGraph:
     """Averaging operator over the determinant-p^(2*ell) classes at level q.
 
-    rep_reduction "lagrange" (default) row-reduces every representative
-    before reducing mod q; "hermite" uses the triangular forms as they are.
+    Every representative is Lagrange-reduced before reduction mod q.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"p={p} must be coprime to the level q={q}")
-    if rep_reduction not in ("lagrange", "hermite"):
-        raise ValueError(f"unknown rep_reduction {rep_reduction!r}")
     degree = local_ball_volume(p, ell, config=config)
     # the vertex budget applies before the degree-long generator list exists
     level = level_table(q, config)
     reps = hnf_representatives(p, ell)
     if len(reps) != degree:
         raise AssertionError(f"{len(reps)} coset representatives for degree {degree}")
-    if rep_reduction == "lagrange":
-        reps = [lagrange_reduce(g) for g in reps]
+    reps = [lagrange_reduce(g) for g in reps]
     # distinct images as vertices, with multiplicity; equal images act equally
     g = np.array([(m[0][0], m[0][1], m[1][0], m[1][1]) for m in reps], dtype=np.int64)
     images, weights = np.unique(level.index[_encode(q, *g.T)], return_counts=True)
@@ -257,12 +259,11 @@ def build_hecke_graph(
         operator=perms,
         weights=weights,
         degree=degree,
-        rep_reduction=rep_reduction,
         invariant_classes=det_class_partition(level.vertices, q),
     )
 
 
-def second_singular_value(graph: HeckeOperatorGraph, tol: float = 1e-10) -> float:
+def second_singular_value(graph: HeckeOperatorGraph) -> float:
     """Norm of the symmetrized operator outside the invariant-class space.
 
     The generator multiset is only inversion-closed up to scalars, so the
@@ -270,12 +271,12 @@ def second_singular_value(graph: HeckeOperatorGraph, tol: float = 1e-10) -> floa
     A^T applies the inverse permutations.  The value is the largest absolute
     eigenvalue of P S P, with P subtracting the mean of each invariant
     class, found by Lanczos iteration (ARPACK) from a fixed start vector.
-    The eigenpair residual against S is checked against ``tol``; a run that
-    misses it is repeated once, from its own eigenvector.
+    The eigenpair residual against S is checked against ``_RESIDUAL_TOL``;
+    a run that misses it is repeated once, from its own eigenvector.
     """
     perms = graph.operator
     n = len(graph.vertices)
-    classes = graph.invariant_classes or (tuple(range(n)),)
+    classes = graph.invariant_classes
     k = len(classes)
     if k >= n:
         return 1.0  # every function is class-constant, nothing to measure
@@ -303,7 +304,8 @@ def second_singular_value(graph: HeckeOperatorGraph, tol: float = 1e-10) -> floa
     v = project(np.random.default_rng(0).standard_normal(n))
     # ARPACK restarts from its own random vectors when the Krylov space
     # closes early, which the projection makes likely; now and then that
-    # run ends short of tol, and a second run from its eigenvector does not
+    # run ends short of the residual bound, and a second run from its
+    # eigenvector does not
     for _ in range(2):
         try:
             vals, vecs = eigsh(op, k=1, which="LM", tol=0, v0=v)
@@ -312,9 +314,11 @@ def second_singular_value(graph: HeckeOperatorGraph, tol: float = 1e-10) -> floa
         lam = float(vals[0])
         v = vecs[:, 0]
         residual = float(np.max(np.abs(sym(v) - lam * v)))
-        if residual <= tol:
+        if residual <= _RESIDUAL_TOL:
             return abs(lam)
-    raise ConvergenceFailure(f"eigenpair residual {residual:.3e} exceeds {tol:g}")
+    raise ConvergenceFailure(
+        f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_TOL:g}"
+    )
 
 
 @dataclass(frozen=True)
@@ -331,41 +335,31 @@ class GapDecayReport:
     rows: tuple[GapDecayRow, ...]
     slope: float | None
     passed: bool | None
-    threshold: float
 
 
 def gap_decay_report(
     p: int,
     q: int,
     ell_range: Sequence[int],
-    rep_reduction: str = "lagrange",
-    threshold: float = -0.20,
+    *,
     config: Config = DEFAULT_CONFIG,
 ) -> GapDecayReport:
     """Fit log(lambda2) against log(volume) over a range of radii.
 
-    The pass flag requires the fitted slope at or below ``threshold``
-    (default -0.20, the -1/4 prediction with 0.05 slack).  Fewer than two
-    usable rows leave the slope undefined.
+    The pass flag requires the fitted slope at or below ``SLOPE_THRESHOLD``.
+    Fewer than two usable rows leave the slope undefined.
     """
     rows = []
     for ell in ell_range:
-        g = build_hecke_graph(p, q, ell, rep_reduction=rep_reduction, config=config)
+        g = build_hecke_graph(p, q, ell, config=config)
         lam = second_singular_value(g)
         rows.append(GapDecayRow(ell=ell, volume=g.degree, lambda2=lam))
     usable = [r for r in rows if r.lambda2 > 0]
     if len(usable) < 2:
-        return GapDecayReport(
-            p=p, q=q, rows=tuple(rows), slope=None, passed=None, threshold=threshold
-        )
+        return GapDecayReport(p=p, q=q, rows=tuple(rows), slope=None, passed=None)
     xs = np.log([r.volume for r in usable])
     ys = np.log([r.lambda2 for r in usable])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return GapDecayReport(
-        p=p,
-        q=q,
-        rows=tuple(rows),
-        slope=slope,
-        passed=slope <= threshold,
-        threshold=threshold,
+        p=p, q=q, rows=tuple(rows), slope=slope, passed=slope <= SLOPE_THRESHOLD
     )

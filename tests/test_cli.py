@@ -236,6 +236,26 @@ class TestSpectral:
         assert lines[-1].startswith("# slope ")
         assert "passed true" in lines[-1]
 
+    @pytest.mark.parametrize(
+        "p,q,lmax,expected",
+        [
+            ("2", "11", "3", "ell,volume,lambda2\n"
+             "1,6,0.638489980405\n"
+             "2,24,0.433709318745\n"
+             "3,96,0.272095536214\n"
+             "# slope -0.307638 threshold -0.2 passed true\n"),
+            ("3", "5", "4", "ell,volume,lambda2\n"
+             "1,12,0.400231303144\n"
+             "2,108,0.177854110365\n"
+             "3,972,0.0637067753845\n"
+             "4,8748,0.0123267846191\n"
+             "# slope -0.521907 threshold -0.2 passed true\n"),
+        ],
+    )
+    def test_stdout_is_pinned(self, capsys, p, q, lmax, expected):
+        code, out, _ = run(capsys, "spectral", "--p", p, "--q", q, "--lmax", lmax)
+        assert code == EXIT_OK
+        assert out == expected
 
     def test_eigensolve_failure_is_budget_exit(self, capsys, monkeypatch):
         import scipy.sparse.linalg as sla
@@ -251,6 +271,14 @@ class TestSpectral:
 
 # one denominator-2 point record, the first point `enumerate -n 2` prints
 POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
+
+
+# the cause stderr names when an input sets a setting that no longer exists
+REMOVED_SETTING_CAUSES = {
+    "config-gcd-window": "unknown config keys",
+    "config-dyadic-bits": "unknown config keys",
+    "spectral-reps": "unrecognized arguments",
+}
 
 
 @pytest.mark.parametrize(
@@ -287,6 +315,8 @@ POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
         (["density", "--p-range", "-5"], None),
         (["density", "--p-range", "1"], None),
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"gcd_window": 50}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"dyadic_bits": 53}'),
+        (["spectral", "--p", "2", "--q", "5", "--reps", "hermite"], None),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
          "point-line-not-object", "alpha-zero-denominator", "a-zero-denominator",
@@ -298,15 +328,17 @@ POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
          "sieve-zero-s", "sieve-zero-delta", "sieve-negative-delta",
          "sieve-negative-q-max", "sieve-zero-n", "sieve-negative-n",
          "negative-budget", "density-p-range-0", "density-p-range-negative",
-         "density-p-range-1", "config-gcd-window"],
+         "density-p-range-1", "config-gcd-window", "config-dyadic-bits",
+         "spectral-reps"],
 )
-def test_malformed_input_exits_invalid(tmp_path, argv, file_text):
+def test_malformed_input_exits_invalid(request, tmp_path, argv, file_text):
     path = tmp_path / "input.json"
     if file_text is not None:
         path.write_text(file_text)
     code, _, err = run_process(*(arg.format(file=path) for arg in argv))
     assert code == EXIT_INVALID
     assert "Traceback" not in err
+    assert REMOVED_SETTING_CAUSES.get(request.node.callspec.id, "") in err
 
 
 @pytest.mark.parametrize("flags", [["--s", "0"], ["--tau", "-1"], ["--q-max", "-3"]])
@@ -457,8 +489,7 @@ def _flag_pools(files):
         "sieve": {"--points": paths, "--poly": presets + paths, "-n": VALUES,
                   "--tau": VALUES, "--s": VALUES, "--q-max": VALUES,
                   "--delta": VALUES},
-        "spectral": {"--p": SPECTRAL_P, "--q": SMALL, "--lmax": SPECTRAL_LMAX,
-                     "--reps": ["lagrange", "hermite", "x"]},
+        "spectral": {"--p": SPECTRAL_P, "--q": SMALL, "--lmax": SPECTRAL_LMAX},
         "params": {"--alpha": VALUES, "--t": VALUES, "--deg": VALUES,
                    "--delta": VALUES, "--d": VALUES, "--a": VALUES},
         "witness": {"--center": centers, "-n": VALUES, "--alpha": VALUES,

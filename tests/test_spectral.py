@@ -81,11 +81,9 @@ def oracle_vertices(q):
     )
 
 
-def oracle_operator(p, q, ell, rep_reduction="lagrange"):
+def oracle_operator(p, q, ell):
     """Row-stochastic n x n averaging matrix, one product at a time."""
-    reps = hnf_representatives(p, ell)
-    if rep_reduction == "lagrange":
-        reps = [lagrange_reduce(g) for g in reps]
+    reps = [lagrange_reduce(g) for g in hnf_representatives(p, ell)]
     units = _units(q)
     vertices = oracle_vertices(q)
     index = {v: i for i, v in enumerate(vertices)}
@@ -97,12 +95,22 @@ def oracle_operator(p, q, ell, rep_reduction="lagrange"):
     return op / len(reps)
 
 
-def oracle_lambda2(p, q, ell, rep_reduction="lagrange"):
+def oracle_det_classes(q):
+    """Vertex indices grouped by the coset det * (unit squares) mod q."""
+    units = _units(q)
+    buckets = {}
+    for i, m in enumerate(oracle_vertices(q)):
+        coset = frozenset(det2(m) * u * u % q for u in units)
+        buckets.setdefault(coset, []).append(i)
+    return [tuple(block) for block in buckets.values()]
+
+
+def oracle_lambda2(p, q, ell):
     """Largest |eigenvalue| of the symmetrized matrix off the det classes."""
-    a = oracle_operator(p, q, ell, rep_reduction)
+    a = oracle_operator(p, q, ell)
     n = a.shape[0]
     s = (a + a.T) / 2.0
-    classes = det_class_partition(oracle_vertices(q), q)
+    classes = oracle_det_classes(q)
     ind = np.zeros((n, len(classes)))
     for col, block in enumerate(classes):
         ind[list(block), col] = 1.0
@@ -121,8 +129,13 @@ def dense(graph):
     return op / graph.degree
 
 
+def oracle_case(p, q, ell):
+    # the id names the reduction both the package and the oracle apply
+    return pytest.param(p, q, ell, id=f"{p}-{q}-{ell}-lagrange")
+
+
 ORACLE_CASES = [
-    (p, q, ell, "lagrange")
+    oracle_case(p, q, ell)
     for p, q, ell in (
         [(2, 5, ell) for ell in range(5)]
         + [(3, 5, ell) for ell in range(1, 5)]
@@ -130,7 +143,7 @@ ORACLE_CASES = [
         + [(2, 11, ell) for ell in range(1, 4)]
         + [(2, 9, 2), (5, 8, 1), (2, 15, 1), (7, 4, 1)]
     )
-] + [(2, 5, 2, "hermite"), (2, 9, 2, "hermite"), (5, 8, 1, "hermite"), (7, 4, 1, "hermite")]
+]
 
 
 class TestProjectiveGroup:
@@ -248,13 +261,22 @@ class TestOperator:
         np.testing.assert_allclose(dense(g).sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "p,q,ell,reps",
-        [(2, 5, 2, "lagrange"), (3, 5, 1, "hermite"), (5, 8, 1, "lagrange"),
-         (2, 9, 1, "lagrange"), (7, 4, 1, "hermite")],
+        "p,q,ell",
+        [oracle_case(*case) for case in
+         [(2, 5, 2), (3, 5, 1), (5, 8, 1), (2, 9, 1), (7, 4, 1)]],
     )
-    def test_permutation_table_matches_dense_build(self, p, q, ell, reps):
-        g = build_hecke_graph(p, q, ell, rep_reduction=reps)
-        np.testing.assert_array_equal(dense(g), oracle_operator(p, q, ell, reps))
+    def test_permutation_table_matches_dense_build(self, p, q, ell):
+        g = build_hecke_graph(p, q, ell)
+        np.testing.assert_array_equal(dense(g), oracle_operator(p, q, ell))
+
+    @pytest.mark.parametrize("p,q,ell", ORACLE_CASES)
+    def test_images_preserve_the_det_classes(self, p, q, ell):
+        g = build_hecke_graph(p, q, ell)
+        blocks = {frozenset(block) for block in g.invariant_classes}
+        assert blocks == {frozenset(block) for block in oracle_det_classes(q)}
+        for perm in g.operator:
+            for block in blocks:
+                assert set(perm[list(block)].tolist()) == block
 
     def test_radii_share_the_level_table(self):
         g1 = build_hecke_graph(2, 7, 1)
@@ -275,9 +297,11 @@ class TestOperator:
         with pytest.raises(ValueError):
             build_hecke_graph(5, 5, 1)
 
-    def test_unknown_reduction(self):
-        with pytest.raises(ValueError):
-            build_hecke_graph(2, 5, 1, rep_reduction="smith")
+    def test_settings_after_the_radius_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            build_hecke_graph(2, 5, 1, "hermite")
+        with pytest.raises(TypeError):
+            gap_decay_report(2, 5, [1], "lagrange")
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError, match="prime"):
@@ -303,12 +327,6 @@ class TestSecondSingularValue:
         g = build_hecke_graph(2, 5, 0)
         assert abs(second_singular_value(g) - 1.0) < 1e-12
 
-    def test_triangular_reps_stay_confined(self):
-        # without row reduction the images are upper triangular mod q and
-        # the walk never leaves that coset structure: no gap appears
-        g = build_hecke_graph(2, 5, 1, rep_reduction="hermite")
-        assert second_singular_value(g) > 0.999
-
     def test_disconnected_two_copy_fixture(self):
         g = build_hecke_graph(2, 5, 1)
         n = len(g.vertices)
@@ -320,7 +338,6 @@ class TestSecondSingularValue:
             operator=np.concatenate([g.operator, g.operator + n], axis=1),
             weights=g.weights,
             degree=g.degree,
-            rep_reduction="lagrange",
             invariant_classes=(tuple(range(2 * n)),),
         )
         assert abs(second_singular_value(fixture) - 1.0) < 1e-9
@@ -334,28 +351,28 @@ class TestSecondSingularValue:
             operator=np.array([[1, 0]]),
             weights=np.array([1]),
             degree=1,
-            rep_reduction="lagrange",
             invariant_classes=((0,), (1,)),
         )
         assert second_singular_value(fixture) == 1.0
 
     def test_classes_must_cover_vertices(self):
         g = build_hecke_graph(2, 5, 1)
-        partial = dataclasses.replace(g, invariant_classes=g.invariant_classes[:1])
-        with pytest.raises(ValueError, match="cover"):
-            second_singular_value(partial)
+        for classes in (g.invariant_classes[:1], ()):
+            partial = dataclasses.replace(g, invariant_classes=classes)
+            with pytest.raises(ValueError, match="cover"):
+                second_singular_value(partial)
 
-    @pytest.mark.parametrize("p,q,ell,reps", ORACLE_CASES)
-    def test_matches_dense_oracle(self, p, q, ell, reps):
-        lam = second_singular_value(build_hecke_graph(p, q, ell, rep_reduction=reps))
-        assert abs(lam - oracle_lambda2(p, q, ell, reps)) < 1e-9
+    @pytest.mark.parametrize("p,q,ell", ORACLE_CASES)
+    def test_matches_dense_oracle(self, p, q, ell):
+        lam = second_singular_value(build_hecke_graph(p, q, ell))
+        assert abs(lam - oracle_lambda2(p, q, ell)) < 1e-9
 
     def test_repeated_calls_converge(self):
         # ARPACK's restart vectors differ from call to call; at 48 vertices
         # about one call in seventy used to end short of the residual bound
         g = build_hecke_graph(7, 4, 1)
         lams = {round(second_singular_value(g), 12) for _ in range(500)}
-        assert lams == {round(oracle_lambda2(7, 4, 1, "lagrange"), 12)}
+        assert lams == {round(oracle_lambda2(7, 4, 1), 12)}
 
     @pytest.mark.parametrize("misses", [1, 2])
     def test_residual_miss_reruns_from_its_eigenvector(self, monkeypatch, misses):
