@@ -272,7 +272,7 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
     rho = densities.density_table(family, sorted(needed), config=cfg)
     report = sieve.run_sieve(
         points, family, n, rho, tau=args.tau, s=args.s, q_max=q_max,
-        delta=delta, C1=cfg.c1, C2=cfg.c2,
+        delta=delta,
     )
     json.dump(sieve.sieve_report_to_json_dict(report), sys.stdout, indent=2)
     print()

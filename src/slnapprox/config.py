@@ -1,4 +1,4 @@
-"""Runtime configuration: engine parameters, budgets, sieve constants.
+"""Runtime configuration: engine parameters and budgets.
 
 All values have safe defaults; a JSON file with any subset of the fields can
 override them (see ``Config.from_json``).  The schema is flat:
@@ -6,8 +6,6 @@ override them (see ``Config.from_json``).  The schema is flat:
     {
       "r_g": 4,
       "iota": null,
-      "c1": 1.0,
-      "c2": 1.0,
       "oracle_cell_budget": 1000000000,
       "optimized_row_budget": 10000000,
       "density_order_budget": 100000000,
@@ -30,17 +28,14 @@ import json
 from dataclasses import dataclass
 
 # the JSON values each field annotation accepts (annotations are strings here)
-_JSON_TYPES = {"int": int, "int | None": (int, type(None)), "float": (int, float)}
+_JSON_TYPES = {"int": int, "int | None": (int, type(None))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Config:
     # engine parameters
     r_g: int = 4
     iota: int | None = None
-    # sieve constants, advisory defaults
-    c1: float = 1.0
-    c2: float = 1.0
     # budgets
     oracle_cell_budget: int = 10**9
     optimized_row_budget: int = 10**7

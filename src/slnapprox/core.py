@@ -13,6 +13,7 @@ tuples, hence immutable and hashable.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import re
 from collections.abc import Iterator, Sequence
@@ -23,10 +24,13 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NotUnimodular
+from .config import DEFAULT_CONFIG, Config
+from .errors import BudgetExceeded, NotUnimodular
 
 IntMatrix = tuple[tuple[int, ...], ...]
 FracMatrix = tuple[tuple[Fraction, ...], ...]
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +114,37 @@ def trial_division(m: int, limit: int) -> tuple[dict[int, int], int, bool]:
             rest //= d
         d += 1 if d == 2 else 2
     return factors, rest, d * d > rest
+
+
+def factorize_full(
+    m: int, config: Config = DEFAULT_CONFIG
+) -> tuple[dict[int, int], int, bool]:
+    """Factor a positive integer: trial division, then a general factorizer.
+
+    Returns (factors, cofactor, complete).  When the remaining cofactor is
+    composite and wider than the configured bit budget it is left unfactored
+    and complete is False.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    factors, rest, done = trial_division(m, config.factor_trial_limit)
+    if rest == 1:
+        return factors, 1, True
+    if not done:
+        # imported here, not at module level: sympy is most of an import of
+        # the package, and only a cofactor that trial division left needs it
+        import sympy
+
+        done = sympy.isprime(rest)
+    if done:
+        factors[rest] = factors.get(rest, 0) + 1
+        return factors, 1, True
+    if rest.bit_length() <= config.factor_bit_budget:
+        for p, a in sympy.factorint(rest).items():
+            factors[p] = factors.get(p, 0) + a
+        return factors, 1, True
+    log.warning("cofactor %d bits left unfactored", rest.bit_length())
+    return factors, rest, False
 
 
 def prime_factorization(n: int) -> dict[int, int]:
@@ -442,8 +477,14 @@ class BallSpec:
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...]:
         """(p, a) for each prime power p**a exactly dividing the modulus,
-        computed only when asked, as a huge modulus is slow to factor."""
-        return tuple(sorted(prime_factorization(self.modulus).items()))
+        computed only when asked by ``factorize_full`` with the default
+        budgets; a cofactor it leaves unfactored raises BudgetExceeded."""
+        factors, _, complete = factorize_full(self.modulus)
+        if not complete:
+            raise BudgetExceeded(
+                f"modulus {self.modulus} has a cofactor past the factoring budget"
+            )
+        return tuple(sorted(factors.items()))
 
     @classmethod
     def make(cls, center: Sequence[Sequence], radius, modulus: int) -> "BallSpec":

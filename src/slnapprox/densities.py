@@ -300,11 +300,14 @@ class LangWeilRow:
     deviation_scaled: float  # sqrt(p) * |rho(p) - t|
 
 
+# deviations past this are flagged for review
+LANG_WEIL_THRESHOLD = 5.0
+
+
 @dataclass(frozen=True)
 class LangWeilReport:
     rows: tuple[LangWeilRow, ...]
     t: int
-    threshold: float
     flagged: tuple[int, ...]
 
 
@@ -312,14 +315,13 @@ def lang_weil_report(
     family: PolynomialFamily,
     primes: Sequence[int],
     *,
-    threshold: float = 5.0,
     config: Config = DEFAULT_CONFIG,
 ) -> LangWeilReport:
     """Table of sqrt(p)-scaled deviations of rho(p) from the member count.
 
     Deviations staying bounded is the expected square-root cancellation;
-    primes whose deviation exceeds ``threshold`` are flagged for review,
-    nothing is asserted here.
+    primes whose deviation exceeds ``LANG_WEIL_THRESHOLD`` are flagged for
+    review, nothing is asserted here.
     """
     t = family.t
     rows = []
@@ -328,11 +330,9 @@ def lang_weil_report(
         rho = local_density(family, p, method="direct", config=config)
         dev = math.sqrt(p) * abs(float(rho) - t)
         rows.append(LangWeilRow(p=p, rho=rho, deviation_scaled=dev))
-        if dev > threshold:
+        if dev > LANG_WEIL_THRESHOLD:
             flagged.append(p)
-    return LangWeilReport(
-        rows=tuple(rows), t=t, threshold=threshold, flagged=tuple(flagged)
-    )
+    return LangWeilReport(rows=tuple(rows), t=t, flagged=tuple(flagged))
 
 
 # ---------------------------------------------------------------------------

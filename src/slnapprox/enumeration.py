@@ -37,14 +37,14 @@ from .core import (
     BallSpec,
     PointRows,
     RationalGroupPoint,
+    factorize_full,
     frac_ceil,
     frac_floor,
     mat_det,
     point_line_template,
     point_row_array,
-    prime_factorization,
 )
-from .errors import SearchSpaceTooLarge, UnsupportedDimension
+from .errors import BudgetExceeded, SearchSpaceTooLarge, UnsupportedDimension
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def _optimized_scan_sl2(ball: BallSpec, budget: int) -> np.ndarray:
     return np.concatenate(found) if found else np.zeros((0, 4), dtype=object)
 
 
-def _imprimitive_correction(rows: _Rows) -> int:
+def _imprimitive_correction(rows: _Rows, config: Config) -> int:
     """What rows with h > 1 lose: minus their solutions with gcd(c, d, h) > 1.
 
     With k = n**2 / g the solutions satisfy dc*d - dd*c = k and start at
@@ -244,13 +244,20 @@ def _imprimitive_correction(rows: _Rows) -> int:
     both c and d exactly when p | k and p | j.  Moebius inversion over
     q = gcd(h, k) gives sum_{1 < e | rad q} mu(e) * #{j in range : e | j},
     summed depth-first over square-free e; a branch with no row left
-    stops.
+    stops.  The primes of each distinct q come from ``factorize_full``; a
+    cofactor it leaves unfactored raises BudgetExceeded.
     """
     on = np.flatnonzero(rows.h > 1)
     q = np.gcd(rows.h[on], rows.k[on])
     on = on[q > 1]
     q, lo, hi = q[q > 1], rows.j_lo[on] - 1, rows.j_hi[on]
-    primes = sorted({p for v in np.unique(q).tolist() for p in prime_factorization(v)})
+    found: set[int] = set()
+    for v in np.unique(q).tolist():
+        factors, _, complete = factorize_full(v, config)
+        if not complete:
+            raise BudgetExceeded(f"q = {v} has a cofactor past the factoring budget")
+        found.update(factors)
+    primes = sorted(found)
 
     def terms(first: int, idx, e: int, sign: int) -> int:
         total = 0
@@ -278,7 +285,7 @@ def count_points(ball: BallSpec, config: Config = DEFAULT_CONFIG) -> int:
         raise UnsupportedDimension("point counting is 2x2 only")
     count = 0
     for rows in _sl2_rows(ball, config.optimized_row_budget):
-        count += int((rows.j_hi - rows.j_lo + 1).sum()) + _imprimitive_correction(rows)
+        count += int((rows.j_hi - rows.j_lo + 1).sum()) + _imprimitive_correction(rows, config)
     return count
 
 

@@ -9,17 +9,17 @@ combinatorial lower bound
 
     S >= T * W(z) * (C1 - C2 * l * (loglog 3T)^(3t+2) / log T)
 
-with W(z) the product of (1 - rho(p)/p) over sieving primes p <= z.
+with W(z) the product of (1 - rho(p)/p) over sieving primes p <= z.  The
+paper leaves the absolute constants C1 and C2 unspecified; the bound is
+evaluated with C1 = C2 = 1.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,15 +30,13 @@ from .core import (
     PointRows,
     PolynomialFamily,
     RationalGroupPoint,
+    factorize_full,
     frac_json,
     n_coprime_part,
     primes_below,
-    trial_division,
 )
 from .enumeration import EnumerationResult
 from .errors import ZeroValue
-
-log = logging.getLogger(__name__)
 
 
 def sieving_primes(z: float, n: int, delta: int = 1) -> tuple[int, ...]:
@@ -47,37 +45,6 @@ def sieving_primes(z: float, n: int, delta: int = 1) -> tuple[int, ...]:
         return ()
     excluded = delta * n
     return tuple(p for p in primes_below(int(z) + 1) if math.gcd(p, excluded) == 1)
-
-
-def factorize_full(
-    m: int, config: Config = DEFAULT_CONFIG
-) -> tuple[dict[int, int], int, bool]:
-    """Factor a positive integer: trial division, then a general factorizer.
-
-    Returns (factors, cofactor, complete).  When the remaining cofactor is
-    composite and wider than the configured bit budget it is left unfactored
-    and complete is False.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    factors, rest, done = trial_division(m, config.factor_trial_limit)
-    if rest == 1:
-        return factors, 1, True
-    if not done:
-        # imported here, not at module level: sympy is most of an import of
-        # the package, and only a cofactor that trial division left needs it
-        import sympy
-
-        done = sympy.isprime(rest)
-    if done:
-        factors[rest] = factors.get(rest, 0) + 1
-        return factors, 1, True
-    if rest.bit_length() <= config.factor_bit_budget:
-        for p, a in sympy.factorint(rest).items():
-            factors[p] = factors.get(p, 0) + a
-        return factors, 1, True
-    log.warning("cofactor %d bits left unfactored", rest.bit_length())
-    return factors, rest, False
 
 
 @dataclass(frozen=True)
@@ -104,41 +71,30 @@ class SievedValue:
 
 
 SIEVED_MEMO_SIZE = 4096
-# (w, n, id(config)) -> (config, value); holding the config keeps its id
-# from being reused while the entry lives.  Writers take the lock, so two
-# threads never evict the same entry; a read needs none.
-_SIEVED: dict[tuple[int, int, int], tuple[Config, SievedValue]] = {}
-_SIEVED_LOCK = threading.Lock()
 
 
 def coprime_part(w: int, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue:
     """Split the integer w into a unit of Z[1/n] times [w]_n and factor [w]_n.
 
-    Each distinct (w, n) is factored once per config object: the result is
-    kept between calls in a memo of at most ``SIEVED_MEMO_SIZE`` entries,
-    the oldest dropped first.  Two configs never share an entry, even equal
-    ones, so a factorization left incomplete under one budget is never
-    returned under another.  The ``SievedValue`` is frozen, so callers may
-    share it.
+    Each distinct (w, n) is factored once per pair of factoring budgets
+    (``factor_trial_limit``, ``factor_bit_budget``), the only fields of the
+    config that the factorization reads: the result is kept between calls
+    in a memo of at most ``SIEVED_MEMO_SIZE`` entries, the least recently
+    used dropped first.  A factorization left incomplete under one budget
+    is never returned under another.  The ``SievedValue`` is frozen, so
+    callers may share it.
     """
     if w == 0:
         raise ZeroValue("coprime part of 0 is undefined")
-    key = (w, n, id(config))
-    hit = _SIEVED.get(key)
-    if hit is not None:
-        return hit[1]
-    sv = _sieved(w, n, config)
-    with _SIEVED_LOCK:
-        if key not in _SIEVED and len(_SIEVED) >= SIEVED_MEMO_SIZE:
-            del _SIEVED[next(iter(_SIEVED))]
-        _SIEVED[key] = (config, sv)
-    return sv
+    return _sieved(w, n, config.factor_trial_limit, config.factor_bit_budget)
 
 
-def _sieved(w: int, n: int, config: Config) -> SievedValue:
-    """The uncached ``coprime_part`` of a nonzero w."""
+@lru_cache(maxsize=SIEVED_MEMO_SIZE)
+def _sieved(w: int, n: int, trial_limit: int, bit_budget: int) -> SievedValue:
+    """``coprime_part`` of a nonzero w under the given factoring budgets."""
     m = n_coprime_part(w, n)
-    factors, cofactor, complete = factorize_full(m, config)
+    budgets = Config(factor_trial_limit=trial_limit, factor_bit_budget=bit_budget)
+    factors, cofactor, complete = factorize_full(m, budgets)
     return SievedValue(
         raw=w,
         n=n,
@@ -419,18 +375,17 @@ def beta_sieve_lower_bound(
     tau: float,
     s: float,
     l: float,
+    *,
     z: float | None = None,
-    C1: float = 1.0,
-    C2: float = 1.0,
     n: int = 1,
     delta: int = 1,
 ) -> SieveBound:
     """Evaluate the combinatorial lower bound at level z = T^(tau/s).
 
-    Without z the level comes from ``sieve_level``, which checks the
-    arguments (s > 9t among them).  W(z) is computed exactly from the
+    The constants are C1 = C2 = 1.  Without z the level comes from
+    ``sieve_level``, which checks the arguments (s > 9t among them).  W(z) is computed exactly from the
     density handle; the result may be negative, in which case it is
-    flagged vacuous.  T <= 1 degenerates to T * W * C1 (the log-power
+    flagged vacuous.  T <= 1 degenerates to T * W (the log-power
     correction needs log T > 0).
     """
     if z is None:
@@ -441,10 +396,10 @@ def beta_sieve_lower_bound(
         W *= 1 - rho.value(p) / p
     degenerate = T <= 1
     if degenerate:
-        value = T * float(W) * C1
+        value = T * float(W)
     else:
-        correction = C2 * l * math.log(math.log(3 * T)) ** (3 * t + 2) / math.log(T)
-        value = T * float(W) * (C1 - correction)
+        correction = l * math.log(math.log(3 * T)) ** (3 * t + 2) / math.log(T)
+        value = T * float(W) * (1 - correction)
     return SieveBound(
         value=value,
         W_z=W,
@@ -487,8 +442,6 @@ def run_sieve(
     s: float,
     q_max: int | None = None,
     delta: int = 1,
-    C1: float = 1.0,
-    C2: float = 1.0,
 ) -> SieveReport:
     """Axiom check, lower bound, and direct count on one enumerated cell.
 
@@ -501,7 +454,7 @@ def run_sieve(
     z, q_max = sieve_level(T, t, tau, s, delta, q_max)
     axioms = axiom_report(cell, family, q_max, rho, n, delta=delta, z=z)
     bound = beta_sieve_lower_bound(
-        T, rho, t, tau, s, axioms.a2_l, z=z, C1=C1, C2=C2, n=n, delta=delta
+        T, rho, t, tau, s, axioms.a2_l, z=z, n=n, delta=delta
     )
     direct = _avoiding_count(axioms.a_k, bound.primes_used)
     consistent = bound.vacuous or bound.value <= direct

@@ -24,9 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .core import primes_below
+from .core import factorize_full, primes_below
 from .errors import BudgetExceeded
-from .sieve import factorize_full
 
 
 @lru_cache(maxsize=256)
@@ -135,17 +134,12 @@ class GrowthEstimate:
     degenerate: bool
 
 
-def growth_exponent(
-    n_max: int,
-    restrict_primes: frozenset[int] | set[int] | None = None,
-) -> GrowthEstimate:
+def growth_exponent(n_max: int) -> GrowthEstimate:
     """Least-squares slope of log volume against log n over 1 <= n <= n_max.
 
     The volumes come from a prime sieve on an int64 array: finite_volume(n)
     is n * psi(n) = n**2 * prod over p | n of (1 + 1/p), with psi the
     Dedekind psi function, so each prime p updates its multiples once.
-    With ``restrict_primes`` only moduli whose prime factors all lie in the
-    given set are sampled; its members that are not primes match nothing.
     The n = 1 sample is recorded but excluded from the fit, and fewer than
     two usable samples yields a degenerate estimate with no fitted slope.
     An n_max whose volumes could pass 2**62 raises ValueError.
@@ -158,12 +152,9 @@ def growth_exponent(
         raise ValueError(f"n_max = {n_max} is too large for int64 volumes")
     n = np.arange(n_max + 1, dtype=np.int64)
     vol = n * n
-    keep = np.ones(n_max + 1, dtype=bool)
     for p in primes_below(n_max + 1):
         vol[p::p] = vol[p::p] // p * (p + 1)
-        if restrict_primes is not None and p not in restrict_primes:
-            keep[p::p] = False
-    ns = np.flatnonzero(keep[1:]) + 1
+    ns = np.arange(1, n_max + 1)
     samples = tuple(zip(ns.tolist(), vol[ns].tolist()))
     fit = ns[ns >= 2]
     if len(fit) < 2:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,9 @@ from hypothesis import strategies as st
 import slnapprox
 from slnapprox import cli
 from slnapprox.cli import main
+from slnapprox.core import BallSpec
+from slnapprox.engine import BOUNDED_CENTERS
+from slnapprox.enumeration import enumerate_points
 from slnapprox.errors import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -277,6 +281,8 @@ POINT_LINE = '{"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}\n'
 REMOVED_SETTING_CAUSES = {
     "config-gcd-window": "unknown config keys",
     "config-dyadic-bits": "unknown config keys",
+    "config-c1": "unknown config keys",
+    "config-c2": "unknown config keys",
     "spectral-reps": "unrecognized arguments",
 }
 
@@ -316,6 +322,8 @@ REMOVED_SETTING_CAUSES = {
         (["density", "--p-range", "1"], None),
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"gcd_window": 50}'),
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"dyadic_bits": 53}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"c1": 1.0}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"c2": 1.0}'),
         (["spectral", "--p", "2", "--q", "5", "--reps", "hermite"], None),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
@@ -329,7 +337,7 @@ REMOVED_SETTING_CAUSES = {
          "sieve-negative-q-max", "sieve-zero-n", "sieve-negative-n",
          "negative-budget", "density-p-range-0", "density-p-range-negative",
          "density-p-range-1", "config-gcd-window", "config-dyadic-bits",
-         "spectral-reps"],
+         "config-c1", "config-c2", "spectral-reps"],
 )
 def test_malformed_input_exits_invalid(request, tmp_path, argv, file_text):
     path = tmp_path / "input.json"
@@ -424,6 +432,35 @@ def test_huge_modulus_volume_unfactored(capsys, monkeypatch):
     rows = out.splitlines()[1:-1]
     assert len(rows) == 5
     assert all(row.split(",")[3:5] == ["", ""] for row in rows)
+
+
+def _forbid_trial_division_to_the_root(monkeypatch):
+    def factor(*args, **kwargs):
+        raise AssertionError("a huge modulus was trial-divided")
+
+    for module in (slnapprox.core, slnapprox.densities, slnapprox.enumeration):
+        monkeypatch.setattr(module, "prime_factorization", factor, raising=False)
+
+
+def test_huge_modulus_counted_with_bounded_factoring(capsys, monkeypatch):
+    # at radius 1/n the identity cell holds points whose top row shares a
+    # factor with n, so the count factors gcd(h, k), a divisor of n, within
+    # the factoring budgets
+    _forbid_trial_division_to_the_root(monkeypatch)
+    code, out, _ = run(capsys, "verify-count", "--n-list", HUGE, "--epsilon", f"1/{HUGE}")
+    assert code == EXIT_OK
+    first = out.splitlines()[1].split(",")
+    assert first[:4] == ["0", HUGE, f"1/{HUGE}", "8"]
+    ball = BallSpec.make(BOUNDED_CENTERS[0], Fraction(1, int(HUGE)), int(HUGE))
+    assert enumerate_points(ball).count == 8
+
+
+def test_huge_modulus_witness_probe_bounded(capsys, monkeypatch):
+    # the witness radius probe counts points, as verify-count does
+    _forbid_trial_division_to_the_root(monkeypatch)
+    code, _, err = run(capsys, "witness", "-n", HUGE, "--alpha", "1.5")
+    assert code == EXIT_NO_WITNESS
+    assert "no witness" in err
 
 
 def test_huge_prime_volumes_not_trial_divided(capsys, monkeypatch):

@@ -405,9 +405,14 @@ class TestLangWeil:
         assert rep.rows == ()
         assert rep.flagged == ()
 
-    def test_flagging_threshold(self):
-        rep = lang_weil_report(ENTRY11, (2, 3), threshold=0.1)
-        assert rep.flagged == (2, 3)
+    def test_flagging_threshold(self, monkeypatch):
+        assert lang_weil_report(ENTRY11, (2, 3)).flagged == ()
+        monkeypatch.setattr(densities, "LANG_WEIL_THRESHOLD", 0.1)
+        assert lang_weil_report(ENTRY11, (2, 3)).flagged == (2, 3)
+
+    def test_threshold_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            lang_weil_report(ENTRY11, (2, 3), threshold=1)
 
 
 class TestGroupWords:

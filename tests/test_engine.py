@@ -57,6 +57,12 @@ class TestExponentParameters:
         assert par.alpha == F(1, 10)
         assert par.r == 720
 
+    def test_config_is_keyword_only(self):
+        # a positional call cannot bind a value to a field of another meaning
+        with pytest.raises(TypeError):
+            Config(4)
+        assert Config(r_g=4) == DEFAULT_CONFIG
+
     def test_restricted_threshold(self):
         par = exponent_parameters(0.1, config=SPHERICAL_CONFIG)
         assert par.alpha0_restricted == F(1, 6) * 2  # a / (2 iota d)

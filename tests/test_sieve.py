@@ -172,7 +172,7 @@ class TestCoprimePartMemo:
 
     def test_each_value_factored_once(self, monkeypatch):
         # a fresh memo, so no earlier entry hides the patched factorizer
-        monkeypatch.setattr(sieve, "_SIEVED", {})
+        sieve._sieved.cache_clear()
         real, calls = sieve.factorize_full, []
 
         def counting(m, config=DEFAULT_CONFIG):
@@ -185,8 +185,8 @@ class TestCoprimePartMemo:
         assert calls == [3, 35, 3]  # one call per distinct w
 
     @pytest.mark.parametrize("stingy_first", [False, True])
-    def test_configs_never_share_an_entry(self, monkeypatch, stingy_first):
-        monkeypatch.setattr(sieve, "_SIEVED", {})
+    def test_configs_never_share_an_entry(self, stingy_first):
+        sieve._sieved.cache_clear()
         stingy = Config(factor_trial_limit=10, factor_bit_budget=8)
         w = 10007 * 10009
         configs = (stingy, DEFAULT_CONFIG) if stingy_first else (DEFAULT_CONFIG, stingy)
@@ -196,30 +196,39 @@ class TestCoprimePartMemo:
                 assert (sv.complete, sv.cofactor, sv.factors) == (False, w, ())
             else:
                 assert sv == sieved_oracle(w, 1)
-        assert len(sieve._SIEVED) == 2
+        assert sieve._sieved.cache_info().currsize == 2
+        # an equal config, and one differing outside the budgets, share the
+        # entry of its budgets
+        for config in (Config(factor_trial_limit=10, factor_bit_budget=8),
+                       Config(factor_trial_limit=10, factor_bit_budget=8, r_g=6)):
+            assert coprime_part(w, 1, config) is coprime_part(w, 1, stingy)
+        assert sieve._sieved.cache_info().currsize == 2
 
-    def test_memo_never_passes_its_bound(self, monkeypatch):
-        monkeypatch.setattr(sieve, "_SIEVED", {})
+    def test_memo_never_passes_its_bound(self):
+        sieve._sieved.cache_clear()
         for w in range(1, SIEVED_MEMO_SIZE + 200):
             coprime_part(w, 1)
-            assert len(sieve._SIEVED) <= SIEVED_MEMO_SIZE
-        assert len(sieve._SIEVED) == SIEVED_MEMO_SIZE
-        # the oldest entries went first, and an evicted value is recomputed
-        assert min(w for w, _, _ in sieve._SIEVED) == 200
+            assert sieve._sieved.cache_info().currsize <= SIEVED_MEMO_SIZE
+        assert sieve._sieved.cache_info().currsize == SIEVED_MEMO_SIZE
+        # the least recently used entries went first, and an evicted value
+        # is recomputed
+        misses = sieve._sieved.cache_info().misses
+        coprime_part(SIEVED_MEMO_SIZE + 199, 1)
+        assert sieve._sieved.cache_info().misses == misses
         assert coprime_part(12, 1) == sieved_oracle(12, 1)
+        assert sieve._sieved.cache_info().misses == misses + 1
 
-    def test_threads_share_the_memo(self, monkeypatch):
-        # more threads than cores, switching often, on a memo that evicts on
-        # almost every miss: no entry is evicted twice, none passes the bound
-        monkeypatch.setattr(sieve, "_SIEVED", {})
-        monkeypatch.setattr(sieve, "SIEVED_MEMO_SIZE", 8)
+    def test_threads_share_the_memo(self):
+        # more threads than cores, switching often, drawing from more values
+        # than the memo holds, so entries are evicted while the threads race
+        sieve._sieved.cache_clear()
         errors = []
 
         def work(seed):
             rng = random.Random(seed)
             try:
                 for _ in range(2000):
-                    w = rng.randrange(1, 40)
+                    w = rng.randrange(1, 2 * SIEVED_MEMO_SIZE)
                     assert coprime_part(w, 6) == sieved_oracle(w, 6)
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
@@ -236,7 +245,7 @@ class TestCoprimePartMemo:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert len(sieve._SIEVED) <= 8
+        assert sieve._sieved.cache_info().currsize == SIEVED_MEMO_SIZE
 
 
 class TestTrialDivision:
@@ -457,6 +466,13 @@ class TestLowerBound:
         b = beta_sieve_lower_bound(8, rho_small, 1, tau=0.5, s=10.0, l=50.0, n=2)
         assert b.vacuous
         assert b.value < 0
+
+    def test_constants_are_not_parameters(self, rho_small, cell8):
+        with pytest.raises(TypeError):
+            run_sieve(cell8, ENTRY11, 2, rho_small, tau=0.5, s=10.0, C1=2.0)
+        # z and the settings after it are keyword-only
+        with pytest.raises(TypeError):
+            beta_sieve_lower_bound(8, rho_small, 1, 0.5, 10.0, 0.0, 6.0)
 
     def test_input_validation(self, rho_small):
         with pytest.raises(ValueError):
