@@ -147,6 +147,15 @@ def factorize_full(
     return factors, rest, False
 
 
+def complete_factorization(m: int, config: Config = DEFAULT_CONFIG) -> dict[int, int]:
+    """The factors of m from ``factorize_full``; a cofactor it leaves
+    unfactored raises BudgetExceeded."""
+    factors, _, complete = factorize_full(m, config)
+    if not complete:
+        raise BudgetExceeded(f"{m} has a cofactor past the factoring budget")
+    return factors
+
+
 def prime_factorization(n: int) -> dict[int, int]:
     """Trial-division factorization, meant for moduli of desk scale."""
     if n < 1:
@@ -262,7 +271,7 @@ def _json_int(x) -> int:
     """A JSON int (not a bool) or an ASCII decimal string, as an int."""
     if type(x) is int or (isinstance(x, str) and _DECIMAL.fullmatch(x)):
         return int(x)
-    raise ValueError(f"point record holds {x!r} where an integer belongs")
+    raise ValueError(f"found {x!r} where a JSON integer or decimal string belongs")
 
 
 @dataclass(frozen=True)
@@ -477,14 +486,9 @@ class BallSpec:
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...]:
         """(p, a) for each prime power p**a exactly dividing the modulus,
-        computed only when asked by ``factorize_full`` with the default
-        budgets; a cofactor it leaves unfactored raises BudgetExceeded."""
-        factors, _, complete = factorize_full(self.modulus)
-        if not complete:
-            raise BudgetExceeded(
-                f"modulus {self.modulus} has a cofactor past the factoring budget"
-            )
-        return tuple(sorted(factors.items()))
+        computed only when asked by ``complete_factorization`` with the
+        default budgets."""
+        return tuple(sorted(complete_factorization(self.modulus).items()))
 
     @classmethod
     def make(cls, center: Sequence[Sequence], radius, modulus: int) -> "BallSpec":
@@ -677,14 +681,18 @@ def family_from_preset(name: str, n_dim: int = 2) -> PolynomialFamily:
 
 
 def family_from_file(path: str) -> PolynomialFamily:
-    """Load a family from JSON: {"n_dim": N, "polys": [[[coeff, [exps...]], ...], ...]}."""
+    """Load a family from JSON: {"n_dim": N, "polys": [[[coeff, [exps...]], ...], ...]};
+    each number is read by ``_json_int``, and repeated monomials add."""
     with open(path) as fp:
         raw = json.load(fp)
     try:
-        n_dim = int(raw["n_dim"])
+        n_dim = _json_int(raw["n_dim"])
         polys = []
         for monomials in raw["polys"]:
-            mono = {tuple(exps): int(c) for c, exps in monomials}
+            mono: dict = {}
+            for c, exps in monomials:
+                key = tuple(_json_int(e) for e in exps)
+                mono[key] = mono.get(key, 0) + _json_int(c)
             polys.append(Polynomial.from_monomials(mono, n_dim))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"family file lacks or mistypes a key: {exc!r}") from exc

@@ -27,7 +27,7 @@ from .core import (
     to_fraction_matrix,
 )
 from .enumeration import count_points, enumerate_points
-from .errors import AlphaTooLarge, NoWitness, SearchSpaceTooLarge, ZeroValue
+from .errors import AlphaTooLarge, BudgetExceeded, NoWitness, SearchSpaceTooLarge, ZeroValue
 from .sieve import coprime_part
 from .volumes import finite_volume
 
@@ -143,7 +143,8 @@ def find_witness(
     witness minimizes the factor count of the value's n-coprime part, ties
     broken by the canonical point order.  An empty ball raises NoWitness;
     before giving up, the radius is doubled up to PROBE_DOUBLINGS times to
-    report the smallest radius at which a point does exist.  The exponent
+    report the smallest radius at which a point does exist, and a probe
+    ball past a budget ends the probe with no radius.  The exponent
     must be positive, n^(-alpha) must not underflow to a zero radius, and
     the family must be of the center's n_dim (ValueError otherwise).
     """
@@ -169,7 +170,7 @@ def find_witness(
                 if count_points(wide, config):
                     smallest = probe
                     break
-            except SearchSpaceTooLarge:
+            except (SearchSpaceTooLarge, BudgetExceeded):
                 break
         raise NoWitness(eps, smallest)
     best = None

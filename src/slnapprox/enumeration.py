@@ -37,14 +37,14 @@ from .core import (
     BallSpec,
     PointRows,
     RationalGroupPoint,
-    factorize_full,
+    complete_factorization,
     frac_ceil,
     frac_floor,
     mat_det,
     point_line_template,
     point_row_array,
 )
-from .errors import BudgetExceeded, SearchSpaceTooLarge, UnsupportedDimension
+from .errors import SearchSpaceTooLarge, UnsupportedDimension
 
 
 @dataclass(frozen=True)
@@ -244,8 +244,8 @@ def _imprimitive_correction(rows: _Rows, config: Config) -> int:
     both c and d exactly when p | k and p | j.  Moebius inversion over
     q = gcd(h, k) gives sum_{1 < e | rad q} mu(e) * #{j in range : e | j},
     summed depth-first over square-free e; a branch with no row left
-    stops.  The primes of each distinct q come from ``factorize_full``; a
-    cofactor it leaves unfactored raises BudgetExceeded.
+    stops.  The primes of each distinct q come from
+    ``complete_factorization``, which raises BudgetExceeded past its budget.
     """
     on = np.flatnonzero(rows.h > 1)
     q = np.gcd(rows.h[on], rows.k[on])
@@ -253,10 +253,7 @@ def _imprimitive_correction(rows: _Rows, config: Config) -> int:
     q, lo, hi = q[q > 1], rows.j_lo[on] - 1, rows.j_hi[on]
     found: set[int] = set()
     for v in np.unique(q).tolist():
-        factors, _, complete = factorize_full(v, config)
-        if not complete:
-            raise BudgetExceeded(f"q = {v} has a cofactor past the factoring budget")
-        found.update(factors)
+        found.update(complete_factorization(v, config))
     primes = sorted(found)
 
     def terms(first: int, idx, e: int, sign: int) -> int:

@@ -32,10 +32,11 @@ A table indexed by the integer code of a matrix mod q gives the vertex of
 its scalar class, left multiplication by each distinct generator image is
 stored as the vertex permutation it induces, and the gap comes from a
 Lanczos eigensolve (ARPACK) that applies the permutations and the
-class-mean projection to a vector.  Memory is about (images + 1) * n ints
-plus the q**4 code table, once the operator is built.  The build itself
-still holds the whole degree-long generator list, (p+1) * p**(2*ell-1)
-matrices, which no budget bounds yet: p = 2, ell = 12 lists 25,165,824.
+class-mean projection to a vector.  The shell is streamed: generator
+codes are read SHELL_BLOCK at a time and tallied per vertex, so memory is
+about (images + 1) * n ints plus the q**4 code table, whatever the degree.
+Time still grows with the (p+1) * p**(2*ell-1) generators, each
+Lagrange-reduced in Python, and no budget bounds it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +61,9 @@ _RESIDUAL_TOL = 1e-10
 # a gap-decay fit passes at or below this slope: the -1/4 prediction with
 # 0.05 slack
 SLOPE_THRESHOLD = -0.20
+# generator codes read at a time from the streamed shell: the block and its
+# vertex tally are all the build holds beyond the level and the operator
+SHELL_BLOCK = 1 << 16
 
 
 def _units(q: int) -> tuple[int, ...]:
@@ -71,20 +76,21 @@ class LevelTable:
 
     A matrix [[a, b], [c, d]] mod q has the code ((a*q + b)*q + c)*q + d,
     so code order is the lexicographic order of matrices.  Each class is
-    represented by its least member; ``vertices`` lists these in code order
-    and ``entries`` holds the same matrices as an (n, 4) int array of
-    (a, b, c, d).  ``index[code]`` is the vertex index of the class of any
-    invertible matrix and -1 for a singular one.
+    represented by its least member; ``vertices`` holds these in code order
+    as an (n, 4) int array of (a, b, c, d).  ``det_classes`` numbers the
+    vertices' determinants modulo unit squares (well defined on classes) by
+    the least element of det * (unit squares) mod q.  ``index[code]`` is the
+    vertex of the class of any invertible matrix and -1 for a singular one.
     """
 
     q: int
-    vertices: tuple[Mat2, ...]
-    entries: np.ndarray
+    vertices: np.ndarray
+    det_classes: np.ndarray
     index: np.ndarray
 
 
 def _encode(q: int, a, b, c, d):
-    """Code of [[a, b], [c, d]] mod q, entrywise over int arrays."""
+    """Code of [[a, b], [c, d]] mod q, for ints or entrywise over int arrays."""
     return ((a % q * q + b % q) * q + c % q) * q + d % q
 
 
@@ -113,9 +119,11 @@ def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
         )
     codes = np.arange(q**4, dtype=np.int64)
     a, b, c, d = (codes // q**3, codes // q**2 % q, codes // q % q, codes % q)
-    invertible = np.gcd(a * d - b * c, q) == 1
+    det = (a * d - b * c) % q
+    invertible = np.gcd(det, q) == 1
+    units = _units(q)
     least = codes.copy()
-    for lam in _units(q)[1:]:
+    for lam in units[1:]:
         np.minimum(least, _encode(q, lam * a, lam * b, lam * c, lam * d), out=least)
     vertex_codes = codes[invertible & (least == codes)]
     if len(vertex_codes) != expected:
@@ -123,31 +131,13 @@ def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
     index = np.full(q**4, -1, dtype=np.intp)
     index[vertex_codes] = np.arange(len(vertex_codes))
     index = np.where(invertible, index[least], -1)
-    entries = np.stack([x[vertex_codes] for x in (a, b, c, d)], axis=1)
-    vertices = tuple(((e[0], e[1]), (e[2], e[3])) for e in entries.tolist())
-    entries.flags.writeable = False
-    index.flags.writeable = False
-    return LevelTable(q=q, vertices=vertices, entries=entries, index=index)
-
-
-def det_class_partition(
-    vertices: Sequence[Mat2], q: int
-) -> tuple[tuple[int, ...], ...]:
-    """Group vertex indices by determinant modulo unit squares.
-
-    The label of a class is the least element of its coset, so the
-    partition order is deterministic.  Scalar rescaling moves the
-    determinant by a square, which is why this is well defined on
-    projective classes.
-    """
-    units = _units(q)
-    squares = sorted({u * u % q for u in units})
-    buckets: dict[int, list[int]] = {}
-    for i, m in enumerate(vertices):
-        det = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q
-        label = min(det * s % q for s in squares)
-        buckets.setdefault(label, []).append(i)
-    return tuple(tuple(buckets[k]) for k in sorted(buckets))
+    vertices = np.stack([x[vertex_codes] for x in (a, b, c, d)], axis=1)
+    det = det[vertex_codes]
+    least_det = np.min([det * s % q for s in {u * u % q for u in units}], axis=0)
+    det_classes = np.unique(least_det, return_inverse=True)[1]
+    for x in (vertices, det_classes, index):
+        x.flags.writeable = False
+    return LevelTable(q=q, vertices=vertices, det_classes=det_classes, index=index)
 
 
 def lagrange_reduce(m: Mat2) -> Mat2:
@@ -198,21 +188,21 @@ class HeckeOperatorGraph:
     averages f over the images, (A f)(j) = sum_i weights[i] *
     f(operator[i, j]) / degree; it is never formed as an n x n matrix.
 
-    ``invariant_classes`` lists vertex-index blocks known to be preserved
-    by the walk for structural reasons (the determinant classes, for built
-    graphs); the gap is measured orthogonally to functions constant on
-    each block.  Hand-built fixtures may pass a single block covering
-    everything to get the plain mean-zero convention.
+    ``classes`` labels each vertex with one of 0..k-1, naming blocks known
+    to be preserved by the walk for structural reasons (the determinant
+    classes, for built graphs); the gap is measured orthogonally to
+    functions constant on each block.  Hand-built fixtures may label every
+    vertex 0 to get the plain mean-zero convention.
     """
 
     p: int
     q: int
     ell: int
-    vertices: tuple[Mat2, ...]
-    operator: np.ndarray  # int vertex permutations, shape (images, len(vertices))
+    vertices: np.ndarray  # (n, 4) int (a, b, c, d) of each vertex, code order
+    operator: np.ndarray  # int vertex permutations, shape (images, n)
     weights: np.ndarray  # int multiplicities, shape (images,), summing to degree
     degree: int
-    invariant_classes: tuple[tuple[int, ...], ...]
+    classes: np.ndarray  # int label per vertex, shape (n,), each of 0..k-1 used
 
 
 def build_hecke_graph(
@@ -224,29 +214,33 @@ def build_hecke_graph(
 ) -> HeckeOperatorGraph:
     """Averaging operator over the determinant-p^(2*ell) classes at level q.
 
-    Every representative is Lagrange-reduced before reduction mod q.
+    Every representative is Lagrange-reduced before reduction mod q, and
+    the shell is tallied per vertex SHELL_BLOCK generators at a time.
     """
     if math.gcd(p, q) != 1:
         raise ValueError(f"p={p} must be coprime to the level q={q}")
     degree = local_ball_volume(p, ell, config=config)
-    # the vertex budget applies before the degree-long generator list exists
+    # the vertex budget applies before the first generator is built
     level = level_table(q, config)
-    reps = hnf_representatives(p, ell)
-    if len(reps) != degree:
-        raise AssertionError(f"{len(reps)} coset representatives for degree {degree}")
-    reps = [lagrange_reduce(g) for g in reps]
+    n = len(level.vertices)
+    codes = (
+        _encode(q, *(x for row in lagrange_reduce(g) for x in row))
+        for g in hnf_representatives(p, ell)
+    )
     # distinct images as vertices, with multiplicity; equal images act equally
-    g = np.array([(m[0][0], m[0][1], m[1][0], m[1][1]) for m in reps], dtype=np.int64)
-    images, weights = np.unique(level.index[_encode(q, *g.T)], return_counts=True)
+    weights = np.zeros(n, dtype=np.intp)
+    while (block := np.fromiter(islice(codes, SHELL_BLOCK), dtype=np.int64)).size:
+        weights += np.bincount(level.index[block], minlength=n)
+    images = np.flatnonzero(weights)
+    weights = weights[images]
     # row i of the products: image_i times every vertex, all at once
-    ga, gb, gc, gd = (col[:, None] for col in level.entries[images].T)
-    va, vb, vc, vd = level.entries.T
+    ga, gb, gc, gd = (col[:, None] for col in level.vertices[images].T)
+    va, vb, vc, vd = level.vertices.T
     perms = level.index[
         _encode(
             q, ga * va + gb * vc, ga * vb + gb * vd, gc * va + gd * vc, gc * vb + gd * vd
         )
     ]
-    n = len(level.vertices)
     if perms.min() < 0 or (np.sort(perms, axis=1) != np.arange(n)).any():
         raise AssertionError("a generator image does not permute the vertices")
     if int(weights.sum()) != degree:
@@ -259,33 +253,31 @@ def build_hecke_graph(
         operator=perms,
         weights=weights,
         degree=degree,
-        invariant_classes=det_class_partition(level.vertices, q),
+        classes=level.det_classes,
     )
 
 
 def second_singular_value(graph: HeckeOperatorGraph) -> float:
-    """Norm of the symmetrized operator outside the invariant-class space.
+    """Norm of the symmetrized operator outside the class-constant space.
 
     The generator multiset is only inversion-closed up to scalars, so the
     operator is averaged with its transpose: S f = (A f + A^T f) / 2, where
     A^T applies the inverse permutations.  The value is the largest absolute
-    eigenvalue of P S P, with P subtracting the mean of each invariant
-    class, found by Lanczos iteration (ARPACK) from a fixed start vector.
-    The eigenpair residual against S is checked against ``_RESIDUAL_TOL``;
-    a run that misses it is repeated once, from its own eigenvector.
+    eigenvalue of P S P, with P subtracting the mean of each class, found
+    by Lanczos iteration (ARPACK) from a fixed start vector.  The eigenpair
+    residual against S is checked against ``_RESIDUAL_TOL``; a run that
+    misses it is repeated once, from its own eigenvector.  The class labels
+    must have shape (n,) and use every value 0..k-1 (ValueError otherwise).
     """
     perms = graph.operator
     n = len(graph.vertices)
-    classes = graph.invariant_classes
-    k = len(classes)
+    labels = graph.classes
+    values, sizes = np.unique(labels, return_counts=True)
+    if labels.shape != (n,) or (values != np.arange(len(values))).any():
+        raise ValueError("class labels must give each vertex one of 0..k-1, each used")
+    k = len(sizes)
     if k >= n:
         return 1.0  # every function is class-constant, nothing to measure
-    labels = np.full(n, -1, dtype=np.intp)
-    for c, block in enumerate(classes):
-        labels[list(block)] = c
-    if labels.min() < 0:
-        raise ValueError("invariant classes must cover every vertex")
-    sizes = np.bincount(labels, minlength=k)
     inverses = np.empty_like(perms)
     np.put_along_axis(inverses, perms, np.arange(n)[None, :], axis=1)
     w = graph.weights / (2.0 * graph.degree)

@@ -17,6 +17,7 @@ against a brute-force average over residues mod p**(2*ell).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,8 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .core import factorize_full, primes_below
-from .errors import BudgetExceeded
+from .core import complete_factorization, factorize_full, primes_below
 
 
 @lru_cache(maxsize=256)
@@ -66,18 +66,14 @@ def hnf_coset_oracle(p: int, ell: int) -> int:
     return total
 
 
-def hnf_representatives(p: int, ell: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The primitive Hermite matrices themselves, in (a, b, d) scan order."""
-    if ell == 0:
-        return [((1, 0), (0, 1))]
-    reps = []
+def hnf_representatives(p: int, ell: int) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+    """The primitive Hermite matrices themselves, yielded in (a, b, d) scan order."""
     for i in range(2 * ell + 1):
         a = p**i
         d = p ** (2 * ell - i)
         for b in range(d):
             if math.gcd(a, b, d) == 1:
-                reps.append(((a, b), (0, d)))
-    return reps
+                yield ((a, b), (0, d))
 
 
 @lru_cache(maxsize=None)
@@ -109,15 +105,12 @@ def local_ball_volume(p: int, ell: int, *, config: Config = DEFAULT_CONFIG) -> i
 
 def finite_volume(n: int, *, config: Config = DEFAULT_CONFIG) -> int:
     """n * psi(n) = n**2 * prod over p | n of (1 + 1/p), the product of the
-    local shell volumes; n is factored by ``factorize_full``, and a cofactor
-    it leaves unfactored raises BudgetExceeded."""
+    local shell volumes; n is factored by ``complete_factorization``, which
+    raises BudgetExceeded past its budget."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    factors, _, complete = factorize_full(n, config)
-    if not complete:
-        raise BudgetExceeded(f"n = {n} has a cofactor past the factoring budget")
     vol = n * n
-    for p in factors:
+    for p in complete_factorization(n, config):
         vol = vol // p * (p + 1)
     return vol
 

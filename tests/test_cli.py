@@ -175,6 +175,18 @@ class TestDensity:
         assert code == EXIT_INVALID
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "monomial", [[1.9, [1, 0, 0, 0]], [True, [1, 0, 0, 0]], [1, [1.5, 0, 0, 0]]],
+        ids=["float-coefficient", "true-coefficient", "float-exponent"],
+    )
+    def test_family_file_numbers_must_be_integers(self, tmp_path, monomial):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n_dim": 2, "polys": [[monomial]]}))
+        code, _, err = run_process("density", "--poly", str(path), "--q", "2")
+        assert code == EXIT_INVALID
+        assert "integer" in err
+        assert "Traceback" not in err
+
 
 class TestSieve:
     def test_end_to_end(self, capsys, tmp_path):
@@ -395,6 +407,11 @@ def test_sieve_checks_density_budget_before_factoring(capsys, monkeypatch, tmp_p
 
 
 HUGE = str(10**18 + 3)  # prime
+# nextprime(2**150) * nextprime(2**151), 302 bits: past the factoring budget
+SEMIPRIME = (
+    "40740719526689721725368913768187563221029372711688"
+    "40328592680577467706242905524646117906903"
+)
 
 
 @pytest.mark.parametrize(
@@ -463,6 +480,15 @@ def test_huge_modulus_witness_probe_bounded(capsys, monkeypatch):
     assert "no witness" in err
 
 
+def test_unfactorable_modulus_witness_probe_ends(capsys):
+    # the requested ball is searched in full and is empty; a wider probe
+    # ball that cannot be counted within the factoring budget ends the
+    # probe, it does not turn "no witness" into "budget exhausted"
+    code, _, err = run(capsys, "witness", "-n", SEMIPRIME, "--alpha", "1.5")
+    assert code == EXIT_NO_WITNESS
+    assert "no point within radius" in err
+
+
 def test_huge_prime_volumes_not_trial_divided(capsys, monkeypatch):
     # primality of 10**18 + 3 is decided by bounded trial division and a
     # primality test, not by trial division to its square root
@@ -485,8 +511,8 @@ def test_huge_prime_volumes_not_trial_divided(capsys, monkeypatch):
 INTS = [str(i) for i in range(-3, 61)]
 ODD = ["1/2", "-2/3", "1/0", "0.25", "nan", "inf", "-inf", "", "x", "[[1,0", "3,,5"]
 VALUES = INTS + ODD
-# the shell degree (p+1) p^(2l-1) of `spectral` has no budget (the generator
-# list is built whole), so p and l stay where it is at most a few thousand;
+# the shell of `spectral` is streamed, but its (p+1) p^(2l-1) generators have
+# no time budget, so p and l stay where there are at most a few thousand;
 # `volumes` runs the Hermite count for every shell, so its l stays small too
 SMALL = [str(i) for i in range(-3, 14)] + ["x", "1/2", "nan"]
 SPECTRAL_P = [str(i) for i in range(-3, 8)] + ["x", "1/2"]

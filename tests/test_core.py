@@ -27,6 +27,7 @@ from slnapprox.core import (
     PolynomialFamily,
     RationalGroupPoint,
     ball_membership,
+    complete_factorization,
     FAMILY_PRESETS,
     family_from_file,
     family_from_preset,
@@ -39,7 +40,7 @@ from slnapprox.core import (
     snap_dyadic,
 )
 from slnapprox.enumeration import enumerate_points
-from slnapprox.errors import NotUnimodular
+from slnapprox.errors import BudgetExceeded, NotUnimodular
 
 F = Fraction
 
@@ -346,6 +347,36 @@ class TestPolynomials:
         assert fam.t == 2
         assert math.prod(fam.values(reduce(IDENTITY))) == 1
 
+    def test_family_file_adds_repeated_monomials(self, tmp_path):
+        path = tmp_path / "fam.json"
+        u11, one = [1, 0, 0, 0], [0, 0, 0, 0]
+        polys = [[[1, u11], [1, u11], [-1, one]]]
+        path.write_text(json.dumps({"n_dim": 2, "polys": polys}))
+        (poly,) = family_from_file(str(path)).polys
+        assert poly == Polynomial.from_monomials({tuple(u11): 2, tuple(one): -1}, 2)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"n_dim": 2, "polys": [[[1.9, [1, 0, 0, 0]]]]},
+            {"n_dim": 2, "polys": [[[True, [1, 0, 0, 0]]]]},
+            {"n_dim": 2, "polys": [[[1, [1.5, 0, 0, 0]]]]},
+            {"n_dim": 2.0, "polys": [[[1, [1, 0, 0, 0]]]]},
+        ],
+        ids=["float-coefficient", "true-coefficient", "float-exponent", "float-n_dim"],
+    )
+    def test_family_file_numbers_must_be_integers(self, tmp_path, raw):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="integer"):
+            family_from_file(str(path))
+
+    def test_family_file_accepts_decimal_strings(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"n_dim": "2", "polys": [[["-3", ["1", 0, 0, 0]]]]}))
+        (poly,) = family_from_file(str(path)).polys
+        assert poly == Polynomial.from_monomials({(1, 0, 0, 0): -3}, 2)
+
 
 def strip_by_factorization(w, n):
     """Oracle: divide |w| by every prime of n, found by factoring n."""
@@ -387,6 +418,16 @@ class TestCoprimePart:
         assert m == strip_by_factorization(w, n)
         assert m == n_coprime_part(base, n)
         assert math.gcd(m, n) == 1
+
+
+class TestCompleteFactorization:
+    def test_prime_past_the_trial_limit(self):
+        assert complete_factorization(10**18 + 3) == {10**18 + 3: 1}
+
+    def test_cofactor_past_the_bit_budget(self):
+        n = sympy.nextprime(2**150) * sympy.nextprime(2**151)
+        with pytest.raises(BudgetExceeded, match="factoring budget"):
+            complete_factorization(n)
 
 
 class TestJsonRoundTrip:

@@ -157,6 +157,14 @@ class TestFindWitness:
         assert info.value.requested_radius == F(1, 4)
         assert info.value.smallest_radius == F(1, 2)
 
+    def test_probe_past_the_factoring_budget_reports_no_radius(self):
+        # nextprime(2**150) * nextprime(2**151): counting a probe ball must
+        # factor it, which the default budget cannot
+        n = sympy.nextprime(2**150) * sympy.nextprime(2**151)
+        with pytest.raises(NoWitness) as info:
+            find_witness(IDENTITY, n, 1.5, ENTRY11)
+        assert info.value.smallest_radius is None
+
     def test_all_zero_values(self):
         trace = family_from_preset("trace-minus-2")
         with pytest.raises(ZeroValue):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -16,7 +17,6 @@ from slnapprox.errors import BudgetExceeded, ConvergenceFailure
 from slnapprox.spectral import (
     HeckeOperatorGraph,
     build_hecke_graph,
-    det_class_partition,
     gap_decay_report,
     lagrange_reduce,
     level_table,
@@ -32,7 +32,8 @@ def det2(m):
 
 def projective_vertices(q, config=DEFAULT_CONFIG):
     """All scalar classes of invertible matrices mod q, least member each."""
-    return level_table(q, config).vertices
+    rows = level_table(q, config).vertices.tolist()
+    return tuple(((a, b), (c, d)) for a, b, c, d in rows)
 
 
 def code(entries, q):
@@ -165,12 +166,13 @@ class TestProjectiveGroup:
         q = 5
         units = _units(q)
         level = level_table(q)
+        vertices = projective_vertices(q)
         rng = random.Random(11)
         for _ in range(20):
             m = ((rng.randrange(q), rng.randrange(q)), (rng.randrange(q), rng.randrange(q)))
             if det2(m) % q == 0:
                 continue
-            base = level.vertices.index(proj_canon(m, q, units))
+            base = vertices.index(proj_canon(m, q, units))
             for s in units:
                 assert level.index[code(tuple(s * e for row in m for e in row), q)] == base
 
@@ -185,11 +187,7 @@ class TestProjectiveGroup:
             assert level.index[code(m, q)] == -1
 
     def test_determinant_classes_split_evenly(self):
-        verts = projective_vertices(5)
-        classes = det_class_partition(verts, 5)
-        assert sorted(len(c) for c in classes) == [60, 60]
-        covered = sorted(i for c in classes for i in c)
-        assert covered == list(range(120))
+        assert np.bincount(level_table(5).det_classes).tolist() == [60, 60]
 
     def test_vertex_budget(self):
         tight = dataclasses.replace(DEFAULT_CONFIG, spectral_vertex_budget=100)
@@ -272,7 +270,8 @@ class TestOperator:
     @pytest.mark.parametrize("p,q,ell", ORACLE_CASES)
     def test_images_preserve_the_det_classes(self, p, q, ell):
         g = build_hecke_graph(p, q, ell)
-        blocks = {frozenset(block) for block in g.invariant_classes}
+        blocks = {frozenset(np.flatnonzero(g.classes == c).tolist())
+                  for c in range(g.classes.max() + 1)}
         assert blocks == {frozenset(block) for block in oracle_det_classes(q)}
         for perm in g.operator:
             for block in blocks:
@@ -291,7 +290,7 @@ class TestOperator:
 
     def test_invariant_classes_attached(self):
         g = build_hecke_graph(2, 5, 1)
-        assert sorted(len(c) for c in g.invariant_classes) == [60, 60]
+        assert np.bincount(g.classes).tolist() == [60, 60]
 
     def test_coprimality_required(self):
         with pytest.raises(ValueError):
@@ -316,6 +315,19 @@ class TestOperator:
         with pytest.raises(BudgetExceeded):
             build_hecke_graph(2, 7, 3, config=cfg)
 
+    def test_shell_memory_follows_the_level(self):
+        # the 6144 generators of (2, 5, 6) are tallied as they stream, so
+        # the peak follows the 120-vertex level, not the degree
+        build_hecke_graph(2, 5, 1)  # the level table and volume checks, cached
+        tracemalloc.start()
+        try:
+            g = build_hecke_graph(2, 5, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.degree == 6144
+        assert peak < 1_000_000
+
 
 class TestSecondSingularValue:
     def test_frozen_value(self):
@@ -334,11 +346,11 @@ class TestSecondSingularValue:
             p=2,
             q=5,
             ell=1,
-            vertices=g.vertices + g.vertices,
+            vertices=np.concatenate([g.vertices, g.vertices]),
             operator=np.concatenate([g.operator, g.operator + n], axis=1),
             weights=g.weights,
             degree=g.degree,
-            invariant_classes=(tuple(range(2 * n)),),
+            classes=np.zeros(2 * n, dtype=np.intp),
         )
         assert abs(second_singular_value(fixture) - 1.0) < 1e-9
 
@@ -347,19 +359,20 @@ class TestSecondSingularValue:
             p=2,
             q=5,
             ell=1,
-            vertices=(((1, 0), (0, 1)),) * 2,
+            vertices=np.array([[1, 0, 0, 1]] * 2),
             operator=np.array([[1, 0]]),
             weights=np.array([1]),
             degree=1,
-            invariant_classes=((0,), (1,)),
+            classes=np.array([0, 1]),
         )
         assert second_singular_value(fixture) == 1.0
 
     def test_classes_must_cover_vertices(self):
         g = build_hecke_graph(2, 5, 1)
-        for classes in (g.invariant_classes[:1], ()):
-            partial = dataclasses.replace(g, invariant_classes=classes)
-            with pytest.raises(ValueError, match="cover"):
+        gap = np.where(g.classes == 1, 2, g.classes)
+        for classes in (g.classes[:-1], gap, np.array([], dtype=np.intp)):
+            partial = dataclasses.replace(g, classes=classes)
+            with pytest.raises(ValueError, match="0..k-1"):
                 second_singular_value(partial)
 
     @pytest.mark.parametrize("p,q,ell", ORACLE_CASES)

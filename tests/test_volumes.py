@@ -73,7 +73,7 @@ class TestLocalVolumes:
 
     def test_representatives_are_primitive(self):
         for p, ell in ((2, 1), (3, 1), (2, 2)):
-            reps = hnf_representatives(p, ell)
+            reps = list(hnf_representatives(p, ell))
             assert len(reps) == hnf_coset_oracle(p, ell)
             target = p ** (2 * ell)
             for (a, b), (zero, d) in reps:
@@ -81,7 +81,7 @@ class TestLocalVolumes:
                 assert math.gcd(math.gcd(a, b), d) == 1
 
     def test_identity_representative_at_zero(self):
-        assert hnf_representatives(7, 0) == [((1, 0), (0, 1))]
+        assert list(hnf_representatives(7, 0)) == [((1, 0), (0, 1))]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
