@@ -35,7 +35,6 @@ from .errors import (
     EXIT_NO_WITNESS,
     EXIT_OK,
     NoWitness,
-    SearchSpaceTooLarge,
     SlnApproxError,
     UnsupportedDimension,
 )
@@ -251,25 +250,12 @@ def _cmd_sieve(args, cfg: Config, n_dim: int) -> int:
         if len(dens) != 1:
             raise ValueError("points have mixed denominators; pass -n explicitly")
         n = dens.pop()
-    delta = args.delta
     # z and q_max do not depend on delta: check the arguments before delta_n
-    z, q_max = sieve.sieve_level(
-        len(points), family.t, args.tau, args.s,
-        1 if delta is None else delta, args.q_max,
-    )
+    z, q_max = sieve.sieve_level(len(points), family.t, args.tau, args.s, args.q_max)
+    delta = args.delta
     if delta is None:
         delta = densities.delta_n(family, n, config=cfg).delta
-    # the moduli and sieving primes need every prime up to max(q_max, z)
-    # coprime to delta * n: check their scan before any modulus is built
-    excluded = delta * n
-    densities.check_density_budget(
-        (p for p in primes_below(max(q_max, int(z)) + 1) if excluded % p),
-        n_dim,
-        cfg,
-    )
-    needed = set(sieve.squarefree_moduli(q_max, excluded))
-    needed.update(sieve.sieving_primes(z, n, delta))
-    rho = densities.density_table(family, sorted(needed), config=cfg)
+    rho = sieve.sieve_densities(family, n, delta, z, q_max, cfg)
     report = sieve.run_sieve(
         points, family, n, rho, tau=args.tau, s=args.s, q_max=q_max,
         delta=delta,
@@ -370,7 +356,7 @@ def main(argv=None) -> int:
             raise UnsupportedDimension(f"{args.command} is for the 2x2 group")
         cfg = _make_config(args)
         return _COMMANDS[args.command](args, cfg, n_dim)
-    except (SearchSpaceTooLarge, BudgetExceeded, ConvergenceFailure) as exc:
+    except (BudgetExceeded, ConvergenceFailure) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NoWitness as exc:

@@ -5,7 +5,6 @@ override them (see ``Config.from_json``).  The schema is flat:
 
     {
       "r_g": 4,
-      "iota": null,
       "oracle_cell_budget": 1000000000,
       "optimized_row_budget": 10000000,
       "density_order_budget": 100000000,
@@ -16,8 +15,8 @@ override them (see ``Config.from_json``).  The schema is flat:
       "word_budget": 1000
     }
 
-``iota = null`` means: derive it from ``r_g`` as 1 when r_g is 2, otherwise
-the least even integer >= r_g / 2.
+The integrability exponent iota is derived from ``r_g`` (see
+``Config.derived_iota``); no key sets it.
 Ball centers are always snapped to the 2**-53 dyadic grid; no key sets it.
 """
 
@@ -27,15 +26,11 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-# the JSON values each field annotation accepts (annotations are strings here)
-_JSON_TYPES = {"int": int, "int | None": (int, type(None))}
-
 
 @dataclass(frozen=True, kw_only=True)
 class Config:
     # engine parameters
     r_g: int = 4
-    iota: int | None = None
     # budgets
     oracle_cell_budget: int = 10**9
     optimized_row_budget: int = 10**7
@@ -50,8 +45,6 @@ class Config:
     @property
     def derived_iota(self) -> int:
         """Integrability exponent: 1 for r_g = 2, else least even int >= r_g/2."""
-        if self.iota is not None:
-            return self.iota
         if self.r_g == 2:
             return 1
         e = -(-self.r_g // 2)
@@ -69,10 +62,9 @@ class Config:
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         for key, value in raw.items():
-            # JSON true/false load as bool, an int subclass; no field takes one
-            kind = types[key]
-            if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-                raise ValueError(f"config key {key!r} takes {kind}, got {value!r}")
+            # every field is an int; JSON true/false load as bool, not int
+            if type(value) is not int:
+                raise ValueError(f"config key {key!r} takes {types[key]}, got {value!r}")
         return cls(**raw)
 
 

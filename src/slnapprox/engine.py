@@ -170,7 +170,7 @@ def find_witness(
                 if count_points(wide, config):
                     smallest = probe
                     break
-            except (SearchSpaceTooLarge, BudgetExceeded):
+            except BudgetExceeded:
                 break
         raise NoWitness(eps, smallest)
     best = None

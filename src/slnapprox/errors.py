@@ -26,17 +26,17 @@ class UnsupportedDimension(SlnApproxError):
     """Operation asked for a matrix size it does not support."""
 
 
-class SearchSpaceTooLarge(SlnApproxError):
+class BudgetExceeded(SlnApproxError):
+    """A computation would exceed its configured budget."""
+
+
+class SearchSpaceTooLarge(BudgetExceeded):
     """An enumeration would exceed its configured cell or row budget."""
 
     def __init__(self, needed, budget, what="cells"):
         self.needed = needed
         self.budget = budget
         super().__init__(f"search needs {needed} {what}, budget is {budget}")
-
-
-class BudgetExceeded(SlnApproxError):
-    """A non-enumeration computation would exceed its configured budget."""
 
 
 class ZeroValue(SlnApproxError):

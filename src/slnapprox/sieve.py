@@ -11,12 +11,15 @@ combinatorial lower bound
 
 with W(z) the product of (1 - rho(p)/p) over sieving primes p <= z.  The
 paper leaves the absolute constants C1 and C2 unspecified; the bound is
-evaluated with C1 = C2 = 1.
+evaluated with C1 = C2 = 1.  ``sieve_densities`` alone decides which
+densities rho(q) a sieve reads, and every sieve path checks n >= 1 and
+delta >= 1 before it scans anything.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -25,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import densities
 from .config import DEFAULT_CONFIG, Config
 from .core import (
     PointRows,
@@ -39,8 +43,19 @@ from .enumeration import EnumerationResult
 from .errors import ZeroValue
 
 
+def _check_n_delta(n: int, delta: int = 1) -> None:
+    """ValueError unless the denominator n and the obstruction delta are
+    both at least 1."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+    if delta < 1:
+        raise ValueError(f"delta must be at least 1, got {delta}")
+
+
 def sieving_primes(z: float, n: int, delta: int = 1) -> tuple[int, ...]:
-    """Primes p <= z that are coprime to delta * n."""
+    """Primes p <= z that are coprime to delta * n (ValueError unless
+    n >= 1 and delta >= 1)."""
+    _check_n_delta(n, delta)
     if z < 2:
         return ()
     excluded = delta * n
@@ -142,8 +157,8 @@ def almost_prime_count(
     Sieving primes are those coprime to delta * n.  Points where the value
     vanishes are excluded.  The count is read off the value histogram.
     """
-    a = value_histogram(points, family, n)
-    return _avoiding_count(a.items(), sieving_primes(z, n, delta))
+    primes = sieving_primes(z, n, delta)
+    return _avoiding_count(value_histogram(points, family, n).items(), primes)
 
 
 def _avoiding_count(a_k, primes: Sequence[int]) -> int:
@@ -184,19 +199,6 @@ def _point_rows(points, n_dim: int) -> PointRows:
     return PointRows.from_points(points, n_dim)
 
 
-def _n_coprime_parts(w: np.ndarray, n: int) -> np.ndarray:
-    """``n_coprime_part`` of every entry of w, with the same gcd loop run on
-    the lanes that still share a prime with n; a zero stays 0."""
-    m = abs(w)
-    g = np.gcd(m, n)
-    live = np.flatnonzero((g > 1) & (m != 0))
-    while live.size:
-        m[live] //= g[live]
-        g[live] = np.gcd(m[live], g[live])
-        live = live[g[live] > 1]
-    return m
-
-
 def value_histogram(
     points, family: PolynomialFamily, n: int
 ) -> Counter:
@@ -205,28 +207,31 @@ def value_histogram(
     Every family member is evaluated by ``Polynomial.eval_flat`` on the
     columns of the point rows at once.  The columns are int64 while
     prod_i (sum |c| * B**deg f_i) < 2**63 for B = max |entry, v|, which
-    bounds the product of the values, and Python ints beyond.
+    bounds the product of the values, and Python ints beyond.  The primes
+    of n (n >= 1) are stripped by ``n_coprime_part`` once per distinct value.
     """
     rows = _point_rows(points, family.n_dim)
     if not len(rows):
         return Counter()
     if rows.n_dim != family.n_dim:
         raise ValueError(f"point of n_dim {rows.n_dim}, family of n_dim {family.n_dim}")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
     arr = rows.rows
     b = max(-int(arr.min()), int(arr.max()))
     bound = math.prod(
         sum(abs(c) for _, c in p.monomials) * b**p.degree for p in family.polys
     )
-    cols = arr.T if arr.dtype != object and max(bound, n) < 2**63 else arr.T.astype(object)
+    cols = arr.T if arr.dtype != object and bound < 2**63 else arr.T.astype(object)
     v = cols[-1]
-    off = np.flatnonzero(_n_coprime_parts(v, n) != 1)
+    dens, row_den = np.unique(v, return_inverse=True)
+    units = np.array([n_coprime_part(d, n) == 1 for d in dens.tolist()])
+    off = np.flatnonzero(~units[row_den])
     if off.size:
         raise ValueError(f"denominator {v[off[0]]} is not a unit of Z[1/{n}]")
     values = math.prod(p.eval_flat(cols, v) for p in family.polys)
-    keys, counts = np.unique(_n_coprime_parts(values, n), return_counts=True)
-    return Counter(dict(zip(keys.tolist(), counts.tolist())))
+    a = Counter()
+    for w, count in zip(*(x.tolist() for x in np.unique(values, return_counts=True))):
+        a[n_coprime_part(w, n) if w else 0] += count
+    return Counter(dict(sorted(a.items())))
 
 
 @dataclass(frozen=True)
@@ -270,16 +275,19 @@ def axiom_report(
     computed from the value histogram.  The summary reports the fitted
     exponent zeta with sum |R_q| = T^(1 - zeta), and the partial-sum
     deviations sum_{w <= p < z} rho(p) log p / p - t log(z/w) bracketed as
-    [-l, c3].  ``rho`` must be the density table of ``family``
-    (ValueError otherwise).
+    [-l, c3].  Each rho(p) is read once, and each tail of the prime sum is
+    added up once, left to right.  ``rho`` must be the density table of
+    ``family``, n >= 1 and delta >= 1 (ValueError otherwise).
     """
     if rho.family != family:
         raise ValueError("the density table is of another polynomial family")
+    if z is None:
+        z = float(q_max)
+    # the sieving primes check n and delta before the cell is evaluated
+    primes = [p for p in sieving_primes(z, n, delta) if p < z]
     cell = _point_rows(points, family.n_dim)
     T = len(cell)
     t = family.t
-    if z is None:
-        z = float(q_max)
     a = value_histogram(cell, family, n)
     zeros = a.get(0, 0)
     moduli = squarefree_moduli(q_max, delta * n)
@@ -293,18 +301,14 @@ def axiom_report(
         zeta = 1.0 - math.log(float(sum_abs)) / math.log(T)
     else:
         zeta = None
-    # deviations of the prime sum from t*log(z/w), over starting points w
-    primes = [p for p in sieving_primes(z, n, delta) if p < z]
-    for p in primes:
-        rho.value(p)  # raises MissingDensities early if absent
-    rows = []
-    for w in range(2, max(2, int(z)) + 1):
-        if w > z:
-            break
-        partial = sum(
-            float(rho.value(p)) * math.log(p) / p for p in primes if p >= w
-        )
-        rows.append((w, partial - t * math.log(z / w)))
+    # deviations of the prime sum from t*log(z/w), over starting points w:
+    # the sum over p >= w is the tail of the terms from the first such prime
+    terms = [float(rho.value(p)) * math.log(p) / p for p in primes]
+    tails = [sum(terms[k:]) for k in range(len(terms) + 1)]
+    rows = [
+        (w, tails[bisect_left(primes, w)] - t * math.log(z / w))
+        for w in range(2, int(z) + 1)
+    ]
     devs = [d for _, d in rows]
     a2_l = max(0.0, -min(devs)) if devs else 0.0
     a2_c3 = max(0.0, max(devs)) if devs else 0.0
@@ -342,14 +346,13 @@ def sieve_level(
     t: int,
     tau: float,
     s: float,
-    delta: int = 1,
     q_max: int | None = None,
 ) -> tuple[float, int]:
     """The sieve level z = T^(tau/s) and the largest remainder modulus.
 
     z is 1 on an empty cell; q_max defaults to max(1, floor(z)).  Raises
-    ValueError unless T >= 0, 0 < tau < inf, s > 9t, delta >= 1 and
-    q_max >= 1, or when z overflows.
+    ValueError unless T >= 0, 0 < tau < inf, s > 9t and q_max >= 1, or
+    when z overflows.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -357,8 +360,6 @@ def sieve_level(
         raise ValueError(f"tau must be positive and finite, got {tau}")
     if not s > 9 * t:
         raise ValueError(f"need s > 9t, got s={s}, t={t}")
-    if delta < 1:
-        raise ValueError(f"delta must be at least 1, got {delta}")
     if q_max is not None and q_max < 1:
         raise ValueError(f"q_max must be at least 1, got {q_max}")
     try:
@@ -383,13 +384,14 @@ def beta_sieve_lower_bound(
     """Evaluate the combinatorial lower bound at level z = T^(tau/s).
 
     The constants are C1 = C2 = 1.  Without z the level comes from
-    ``sieve_level``, which checks the arguments (s > 9t among them).  W(z) is computed exactly from the
-    density handle; the result may be negative, in which case it is
+    ``sieve_level``, which checks the arguments (s > 9t among them), and
+    ``sieving_primes`` checks n and delta.  W(z) is computed exactly from
+    the density handle; the result may be negative, in which case it is
     flagged vacuous.  T <= 1 degenerates to T * W (the log-power
     correction needs log T > 0).
     """
     if z is None:
-        z, _ = sieve_level(T, t, tau, s, delta)
+        z, _ = sieve_level(T, t, tau, s)
     primes = sieving_primes(z, n, delta)
     W = Fraction(1)
     for p in primes:
@@ -414,23 +416,58 @@ def beta_sieve_lower_bound(
 
 @dataclass(frozen=True)
 class SieveReport:
-    """Everything the sieve pipeline produced on one cell."""
+    """Everything the sieve pipeline produced on one cell.
 
-    T: int
-    t: int
-    n: int
-    delta: int
+    The cell, its level and its remainders are read from ``axioms``, W(z)
+    and the bound from ``bound``; each is held once.
+    """
+
     tau: float
     s: float
-    z: float
-    remainders: tuple[tuple[int, Fraction], ...]
-    W_z: Fraction
-    lower_bound: float
-    direct_count: int
-    vacuous: bool
     axioms: AxiomReport
     bound: SieveBound
-    consistent: bool
+    direct_count: int
+
+    @property
+    def lower_bound(self) -> float:
+        return self.bound.value
+
+    @property
+    def vacuous(self) -> bool:
+        return self.bound.vacuous
+
+    @property
+    def consistent(self) -> bool:
+        """The bound is vacuous or at most the direct count."""
+        return self.vacuous or self.lower_bound <= self.direct_count
+
+
+def sieve_densities(
+    family: PolynomialFamily,
+    n: int,
+    delta: int,
+    z: float,
+    q_max: int,
+    config: Config = DEFAULT_CONFIG,
+) -> densities.DensityFunction:
+    """The density table a sieve at level z with remainders up to q_max reads.
+
+    Those are rho(q) for the square-free q <= q_max prime to delta * n and
+    for the sieving primes p <= z.  After n and delta are checked, the
+    group scans mod every prime up to max(q_max, z) prime to delta * n are
+    held to ``config.density_order_budget`` (BudgetExceeded) by reading a
+    lazy prime range, before any modulus is built or factored.
+    """
+    _check_n_delta(n, delta)
+    excluded = delta * n
+    densities.check_density_budget(
+        (p for p in primes_below(max(q_max, int(z)) + 1) if excluded % p),
+        family.n_dim,
+        config,
+    )
+    needed = set(squarefree_moduli(q_max, excluded))
+    needed.update(sieving_primes(z, n, delta))
+    return densities.density_table(family, sorted(needed), config=config)
 
 
 def run_sieve(
@@ -447,54 +484,37 @@ def run_sieve(
 
     The direct count is read off the axiom report's value histogram, over
     the lower bound's sieving primes, so every point is evaluated once.
+    ``sieve_densities`` builds a ``rho`` that holds every density read.
     """
     cell = _point_rows(points, family.n_dim)
     T = len(cell)
-    t = family.t
-    z, q_max = sieve_level(T, t, tau, s, delta, q_max)
+    z, q_max = sieve_level(T, family.t, tau, s, q_max)
     axioms = axiom_report(cell, family, q_max, rho, n, delta=delta, z=z)
     bound = beta_sieve_lower_bound(
-        T, rho, t, tau, s, axioms.a2_l, z=z, n=n, delta=delta
+        T, rho, family.t, tau, s, axioms.a2_l, z=z, n=n, delta=delta
     )
     direct = _avoiding_count(axioms.a_k, bound.primes_used)
-    consistent = bound.vacuous or bound.value <= direct
-    return SieveReport(
-        T=T,
-        t=t,
-        n=n,
-        delta=delta,
-        tau=tau,
-        s=s,
-        z=z,
-        remainders=axioms.remainders,
-        W_z=bound.W_z,
-        lower_bound=bound.value,
-        direct_count=direct,
-        vacuous=bound.vacuous,
-        axioms=axioms,
-        bound=bound,
-        consistent=consistent,
-    )
+    return SieveReport(tau=tau, s=s, axioms=axioms, bound=bound, direct_count=direct)
 
 
 def sieve_report_to_json_dict(report: SieveReport) -> dict:
     """JSON form with every exact rational as {num, den} decimal strings."""
     ax = report.axioms
     return {
-        "T": report.T,
-        "t": report.t,
-        "n": report.n,
-        "delta": report.delta,
+        "T": ax.T,
+        "t": ax.t,
+        "n": ax.n,
+        "delta": ax.delta,
         "tau": report.tau,
         "s": report.s,
-        "z": report.z,
-        "W_z": frac_json(report.W_z),
+        "z": ax.z,
+        "W_z": frac_json(report.bound.W_z),
         "lower_bound": report.lower_bound,
         "direct_count": report.direct_count,
         "vacuous": report.vacuous,
         "consistent": report.consistent,
         "remainders": [
-            {"q": q, "R": frac_json(r)} for q, r in report.remainders
+            {"q": q, "R": frac_json(r)} for q, r in ax.remainders
         ],
         "axioms": {
             "a_k": [{"k": str(k), "count": c} for k, c in ax.a_k],

@@ -207,13 +207,40 @@ class TestSieve:
         assert r5[0]["R"] == {"num": "-4", "den": "3"}
 
     def test_report_bytes_are_pinned(self, capsys, tmp_path):
+        pinned = [
+            (24, ["--tau", "3.0", "--s", "9.5"],
+             "101491660db6199f150cc0e957e25ac579fb4fe29d622ee2a7938922dfb40842"),
+            # 29 moduli and 44 deviation rows
+            (53, ["--poly", "sum-entries", "--tau", "5", "--s", "9.5"],
+             "a69cb39bb0fe1e9a4b98c0165dd571b3104bfd708899f086d18a2b4d06a0f990"),
+            (24, ["--tau", "3.0", "--s", "9.5", "--delta", "3"],
+             "f51ad765c6b8cdfe9ab514722a200b7489d5971b48227bbcc3f35ee67d083d25"),
+            (53, ["--poly", "trace-minus-2", "--tau", "3.0", "--s", "9.5"],
+             "86dd0819bd694328034ce4ba5b18b0ad4bbdd67b8176ec164a23650a7b080fa5"),
+        ]
+        for n in (24, 53):
+            cell = tmp_path / f"cell{n}.jsonl"
+            argv = ["enumerate", "--radius", "1/2", "-n", str(n), "--out", str(cell)]
+            assert run(capsys, *argv)[0] == 0
+        for n, flags, digest in pinned:
+            code, out, _ = run(capsys, "sieve", "--points", str(tmp_path / f"cell{n}.jsonl"), *flags)
+            assert code == EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (n, flags)
+
+    @pytest.mark.parametrize("flags", [
+        # delta * n = 0 once excluded every prime, so the budget scan walked
+        # all primes below q_max; n = -24 reached the budget, exit 2
+        ["-n", "0", "--delta", "1", "--q-max", "1000000000000"],
+        ["-n", "-24", "--delta", "1", "--q-max", "100000"],
+    ])
+    def test_n_and_delta_checked_before_any_scan(self, capsys, tmp_path, flags):
         cell = tmp_path / "cell.jsonl"
-        assert run(capsys, "enumerate", "--radius", "1/2", "-n", "24", "--out", str(cell))[0] == 0
-        code, out, _ = run(capsys, "sieve", "--points", str(cell), "--tau", "3.0", "--s", "9.5")
-        assert code == EXIT_OK
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "101491660db6199f150cc0e957e25ac579fb4fe29d622ee2a7938922dfb40842"
-        )
+        argv = ["enumerate", "--radius", "1/2", "-n", "24", "--out", str(cell)]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        code, _, err = run_process("sieve", "--points", str(cell), *flags)
+        assert code == EXIT_INVALID
+        assert "Traceback" not in err
+        assert "n must be a positive integer" in err
 
     def test_summary_only_file(self, capsys, tmp_path):
         cell = tmp_path / "cell.jsonl"
@@ -295,6 +322,7 @@ REMOVED_SETTING_CAUSES = {
     "config-dyadic-bits": "unknown config keys",
     "config-c1": "unknown config keys",
     "config-c2": "unknown config keys",
+    "config-iota": "unknown config keys",
     "spectral-reps": "unrecognized arguments",
 }
 
@@ -336,6 +364,7 @@ REMOVED_SETTING_CAUSES = {
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"dyadic_bits": 53}'),
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"c1": 1.0}'),
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"c2": 1.0}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"iota": 2}'),
         (["spectral", "--p", "2", "--q", "5", "--reps", "hermite"], None),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
@@ -349,7 +378,7 @@ REMOVED_SETTING_CAUSES = {
          "sieve-negative-q-max", "sieve-zero-n", "sieve-negative-n",
          "negative-budget", "density-p-range-0", "density-p-range-negative",
          "density-p-range-1", "config-gcd-window", "config-dyadic-bits",
-         "config-c1", "config-c2", "spectral-reps"],
+         "config-c1", "config-c2", "config-iota", "spectral-reps"],
 )
 def test_malformed_input_exits_invalid(request, tmp_path, argv, file_text):
     path = tmp_path / "input.json"

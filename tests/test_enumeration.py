@@ -45,6 +45,7 @@ from slnapprox.enumeration import (
 )
 from slnapprox.errors import (
     EXIT_INVALID,
+    BudgetExceeded,
     NotUnimodular,
     SearchSpaceTooLarge,
     UnsupportedDimension,
@@ -293,6 +294,8 @@ class TestResultContract:
                 count()
             assert info.value.budget == 10
             assert info.value.needed > 10
+            # one budget family: a caller catching BudgetExceeded catches it
+            assert isinstance(info.value, BudgetExceeded)
 
 
 class TestCountPoints:

@@ -28,7 +28,7 @@ from slnapprox.core import (
     prime_factorization,
     reduce,
 )
-from slnapprox.densities import density_table
+from slnapprox.densities import DensityFunction, density_table
 from slnapprox.engine import BOUNDED_CENTERS
 from slnapprox.enumeration import enumerate_points, read_jsonl_points, write_jsonl
 from slnapprox.errors import MissingDensities, ZeroValue
@@ -42,6 +42,7 @@ from slnapprox.sieve import (
     factorize_full,
     is_r_prime,
     run_sieve,
+    sieve_densities,
     sieve_level,
     sieve_report_to_json_dict,
     sieving_primes,
@@ -299,6 +300,23 @@ class TestSievingPrimes:
     def test_below_two_is_empty(self):
         assert sieving_primes(1, 2) == ()
 
+    def test_n_and_delta_below_one_rejected(self, rho_small):
+        # delta * n = 0 would exclude every prime, so the sieve would use none
+        cell24 = enumerate_points(BallSpec.make(IDENTITY, F(1, 2), 24))
+        assert almost_prime_count(cell24, ENTRY11, 24, 7, delta=1) == 532
+        with pytest.raises(ValueError, match="delta must be at least 1, got 0"):
+            almost_prime_count(cell24, ENTRY11, 24, 7, delta=0)
+        with pytest.raises(ValueError, match="delta must be at least 1, got 0"):
+            axiom_report(cell24, ENTRY11, 5, rho_small, 24, delta=0)
+        with pytest.raises(ValueError, match="delta must be at least 1, got 0"):
+            beta_sieve_lower_bound(
+                cell24.count, rho_small, 1, tau=0.5, s=10.0, l=0.0, z=7.0, n=24, delta=0
+            )
+        with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+            sieving_primes(10, 0)
+        with pytest.raises(ValueError, match="n must be a positive integer, got -24"):
+            sieve_densities(ENTRY11, -24, 1, 10.0, 10**12)
+
     def test_squarefree_moduli(self):
         assert squarefree_moduli(10, 2) == [1, 3, 5, 7]
         assert squarefree_moduli(10, 1) == [1, 2, 3, 5, 6, 7, 10]
@@ -436,6 +454,28 @@ class TestAxiomReport:
         with pytest.raises(MissingDensities):
             axiom_report(cell8, ENTRY11, 5, sparse, 2)
 
+    def test_each_density_read_once(self, cell8):
+        # rho(p) = p/(p+1) for entry11; the deviation rows at z = 500 read
+        # each sieving prime's density once, not once per starting point w
+        reads = []
+
+        class CountingDensities(DensityFunction):
+            def value(self, q):
+                reads.append(q)
+                return super().value(q)
+
+        primes = sieving_primes(500, 2)
+        rho = CountingDensities(ENTRY11, {p: F(p, p + 1) for p in primes}, {})
+        rep = axiom_report(cell8, ENTRY11, 1, rho, 2, z=500.0)
+        assert len(reads) <= 2 * len(sieving_primes(500, 1))
+        # the rows match one left-to-right sum per starting point
+        expected = [
+            (w, sum(float(rho.value(p)) * math.log(p) / p for p in primes if p >= w)
+             - math.log(500.0 / w))
+            for w in range(2, 501)
+        ]
+        assert list(rep.a2_rows) == expected
+
 
 class TestLowerBound:
     def test_requires_wide_s(self, rho_small):
@@ -491,10 +531,10 @@ class TestRunSieve:
         if preset == "trace-minus-2":
             assert any(math.prod(family.values(z)) == 0 for z in pts)
         z, q_max = sieve_level(len(pts), family.t, 3.0, 9.5)
-        needed = set(squarefree_moduli(q_max, n)) | set(sieving_primes(z, n))
-        rho = density_table(family, sorted(needed))
+        rho = sieve_densities(family, n, 1, z, q_max)
         rep = run_sieve(pts, family, n, rho, tau=3.0, s=9.5)
-        assert rep.direct_count == almost_prime_count_direct(pts, family, n, rep.z)
+        assert rep.bound.z == z
+        assert rep.direct_count == almost_prime_count_direct(pts, family, n, z)
         for zz in (1, 2, 3, 5, 7, 11, 13):
             for delta in (1, 7):
                 assert almost_prime_count(
@@ -508,7 +548,7 @@ class TestRunSieve:
 
     def test_consistent_on_cell(self, cell8, rho_small):
         rep = run_sieve(cell8, ENTRY11, 2, rho_small, tau=0.5, s=10.0)
-        assert rep.T == 8
+        assert rep.axioms.T == 8
         assert rep.consistent
         if not rep.vacuous:
             assert rep.lower_bound <= rep.direct_count
