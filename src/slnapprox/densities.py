@@ -4,13 +4,18 @@ The density at a square-free modulus q is
 
     rho(q) = q * #[zeros of f in the matrix group mod q] / #[group mod q]
 
-and it is multiplicative in q.  ``density_table`` scans the group mod p
+and it is multiplicative in q.  ``density_table`` finds the zero count
 once for each distinct prime p of its moduli and multiplies; the direct
 scan of the group mod a composite q stays available as the oracle of that
-product rule.  A scan generates the group mod q in int64 blocks of
-columns (the 2x2 determinant equation is solved for d on whole arrays)
-and evaluates the family on each block with reductions mod q.  The gcd
-obstruction ``delta_n`` is exact, decided by such scans mod prime powers.
+product rule.  For a one-member 2x2 family of degree at most 1 the count
+at an odd p is a closed form in the coefficients mod p (a Legendre symbol
+at most); every other family, and p = 2, is counted by a scan of the
+group, which stays the oracle of the closed form.  The density budget
+charges each prime its group order p**3 - p either way.  A scan
+generates the group mod q in int64 blocks of columns (the 2x2
+determinant equation is solved for d on whole arrays) and evaluates the
+family on each block with reductions mod q.  The gcd obstruction
+``delta_n`` is exact, decided by such scans mod prime powers.
 """
 
 from __future__ import annotations
@@ -194,8 +199,38 @@ def check_density_budget(
             )
 
 
+def _affine_form(family: PolynomialFamily) -> tuple[int, int, int, int, int] | None:
+    """(alpha, beta, gamma, delta, c0) of a one-member 2x2 family of degree
+    at most 1, f = alpha*a + beta*b + gamma*c + delta*d + c0 on [[a, b], [c, d]];
+    None for any other family."""
+    if family.n_dim != 2 or family.t != 1 or family.polys[0].degree > 1:
+        return None
+    coeffs = [0] * 5  # the entries in row-major order, then the constant
+    for exps, c in family.polys[0].monomials:
+        coeffs[exps.index(1) if 1 in exps else 4] = c
+    return tuple(coeffs)
+
+
+def _affine_zero_count(form: tuple[int, int, int, int, int], p: int) -> int:
+    """Zeros on SL2(F_p), p an odd prime, of f = tr(M g) + c0 with
+    M = [[alpha, gamma], [beta, delta]].  M == 0: every element or none; rank
+    1: g -> M g sweeps each nonzero column image p times, p(p - 1) zeros if
+    p | c0, else p**2; rank 2: M g runs over the matrices of determinant
+    D = det M, and those of trace -c0 number p**2 + p * chi(c0**2 - 4*D),
+    chi the Legendre symbol with chi(0) = 0."""
+    alpha, beta, gamma, delta, c0 = (x % p for x in form)
+    det = (alpha * delta - beta * gamma) % p
+    if not (alpha or beta or gamma or delta):
+        return p**3 - p if c0 == 0 else 0
+    if det == 0:
+        return p * (p - 1) if c0 == 0 else p * p
+    chi = pow(c0 * c0 - 4 * det, (p - 1) // 2, p)
+    return p * p + p * (chi - p if chi > 1 else chi)
+
+
 def _zero_count(family: PolynomialFamily, q: int) -> int:
-    """Number of group elements mod q at which the product of the family is 0."""
+    """Number of group elements mod q at which the product of the family is 0,
+    by a scan of the group."""
     count = 0
     for block in iterate_group_mod(q, family.n_dim):
         prod = family.polys[0].eval_mod(block, q)
@@ -258,10 +293,11 @@ def density_table(
 ) -> DensityFunction:
     """rho(q) for each square-free q in ``moduli``.
 
-    Each distinct prime of the moduli is scanned once and rho(q) is the
-    product of its primes' values.  The total number of group elements
-    those scans visit is checked against ``config.density_order_budget``
-    before any scan starts, by ``check_density_budget`` reading the new
+    Each distinct prime of the moduli is counted once (``_affine_zero_count``
+    where it applies, else a scan) and rho(q) is the product of its primes'
+    values.  The total group order of those primes, what scans of them
+    would visit, is checked against ``config.density_order_budget``
+    before any count starts, by ``check_density_budget`` reading the new
     primes of each modulus in turn: ``moduli`` is read, and each modulus
     checked and factored, only while the total is within budget, so a lazy
     run of moduli of any length fails at the first one past it.
@@ -278,7 +314,11 @@ def density_table(
                     yield p
 
     check_density_budget(new_primes(), family.n_dim, config)
-    rho = {p: Fraction(p * _zero_count(family, p), orders[p]) for p in orders}
+    form = _affine_form(family)
+    rho = {}
+    for p in orders:
+        zeros = _zero_count(family, p) if form is None or p == 2 else _affine_zero_count(form, p)
+        rho[p] = Fraction(p * zeros, orders[p])
     return DensityFunction(
         family=family,
         values={

@@ -136,20 +136,31 @@ class _Rows:
 def _egcd_arrays(a: np.ndarray, b: np.ndarray):
     """Extended Euclid on arrays: (g, s, t) with a*s + b*t == g == gcd(a, b) >= 0.
 
-    Each lane runs the scalar recurrence until its remainder vanishes.
+    Each lane runs the scalar recurrence of (r, s) until its remainder
+    vanishes; t is then read off a*s + b*t == g, and is 0 where b == 0.
     """
     old_r, r = a.copy(), b.copy()
     old_s, s = np.ones_like(a), np.zeros_like(a)
-    old_t, t = np.zeros_like(a), np.ones_like(a)
     live = np.flatnonzero(r)
     while live.size:
-        q = old_r[live] // r[live]
-        old_r[live], r[live] = r[live], old_r[live] - q * r[live]
-        old_s[live], s[live] = s[live], old_s[live] - q * s[live]
-        old_t[live], t[live] = t[live], old_t[live] - q * t[live]
-        live = live[r[live] != 0]
+        r_live, old_r_live = r[live], old_r[live]
+        q = old_r_live // r_live
+        old_r[live] = r_live
+        r[live] = r_live = old_r_live - q * r_live
+        s_live = s[live]
+        old_s[live], s[live] = s_live, old_s[live] - q * s_live
+        live = live[r_live != 0]
     sign = np.where(old_r < 0, -1, 1)
-    return old_r * sign, old_s * sign, old_t * sign
+    g, s = old_r * sign, old_s * sign
+    # where b == 0, a*s == g and t == 0; a*s is taken in Python ints where
+    # it could pass int64
+    wide = a.dtype != object and (
+        int(np.abs(a).max(initial=0)) * int(np.abs(s).max(initial=0)) + int(g.max(initial=0))
+        >= 2**63
+    )
+    a_s = a.astype(object) * s if wide else a * s
+    t = ((g - a_s) // np.where(b == 0, 1, b)).astype(a.dtype, copy=False)
+    return g, s, t
 
 
 def _step_bounds(x0, step, lo, hi):

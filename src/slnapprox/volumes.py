@@ -16,8 +16,9 @@ against a brute-force average over residues mod p**(2*ell).
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,9 +120,46 @@ def finite_volume(n: int, *, config: Config = DEFAULT_CONFIG) -> int:
 # growth of finite volumes
 
 
+class VolumeSamples(Sequence):
+    """The samples (n, finite_volume(n)), n = 1, 2, ..., read off one
+    read-only int64 array of the volumes; a pair of Python ints is built
+    only when it is asked for.  Equal to another such sequence, or to the
+    tuple of the same pairs."""
+
+    __slots__ = ("volumes",)
+
+    def __init__(self, volumes: np.ndarray):
+        volumes = volumes.view()
+        volumes.flags.writeable = False
+        self.volumes = volumes
+
+    def __len__(self) -> int:
+        return len(self.volumes)
+
+    def __getitem__(self, i):
+        ns = range(1, len(self.volumes) + 1)[i]
+        if isinstance(i, slice):
+            return list(zip(ns, self.volumes[i].tolist()))
+        return ns, int(self.volumes[ns - 1])
+
+    def __iter__(self):
+        return zip(itertools.count(1), self.volumes.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, VolumeSamples):
+            return np.array_equal(self.volumes, other.volumes)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # equal to the tuple of its pairs, so hashed as that tuple
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class GrowthEstimate:
-    samples: tuple[tuple[int, int], ...]  # (n, volume)
+    samples: VolumeSamples
     fitted_exponent: float | None
     window: tuple[int, int]
     degenerate: bool
@@ -132,10 +170,14 @@ def growth_exponent(n_max: int) -> GrowthEstimate:
 
     The volumes come from a prime sieve on an int64 array: finite_volume(n)
     is n * psi(n) = n**2 * prod over p | n of (1 + 1/p), with psi the
-    Dedekind psi function, so each prime p updates its multiples once.
-    The n = 1 sample is recorded but excluded from the fit, and fewer than
-    two usable samples yields a degenerate estimate with no fitted slope.
-    An n_max whose volumes could pass 2**62 raises ValueError.
+    Dedekind psi function.  Each prime p <= sqrt(n_max) updates its
+    multiples in one strided pass.  An n <= n_max has at most one prime
+    factor p above sqrt(n_max), and then n = k*p with k < sqrt(n_max), so
+    those primes are applied in one indexed update per multiplier k.  The
+    samples are a ``VolumeSamples`` over that array.  The n = 1 sample is
+    recorded but excluded from the fit, and fewer than two usable samples
+    yields a degenerate estimate with no fitted slope.  An n_max whose
+    volumes could pass 2**62 raises ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -145,20 +187,26 @@ def growth_exponent(n_max: int) -> GrowthEstimate:
         raise ValueError(f"n_max = {n_max} is too large for int64 volumes")
     n = np.arange(n_max + 1, dtype=np.int64)
     vol = n * n
-    for p in primes_below(n_max + 1):
+    root = math.isqrt(n_max)
+    primes = np.fromiter(primes_below(n_max + 1), dtype=np.int64)
+    split = np.searchsorted(primes, root, side="right")
+    for p in primes[:split].tolist():
         vol[p::p] = vol[p::p] // p * (p + 1)
-    ns = np.arange(1, n_max + 1)
-    samples = tuple(zip(ns.tolist(), vol[ns].tolist()))
-    fit = ns[ns >= 2]
-    if len(fit) < 2:
+    large = primes[split:]
+    for k in range(1, root + 1):
+        p = large[: np.searchsorted(large, n_max // k, side="right")]
+        multiples = k * p
+        vol[multiples] = vol[multiples] // p * (p + 1)
+    samples = VolumeSamples(vol[1:])
+    if n_max < 3:
         return GrowthEstimate(
             samples=samples,
             fitted_exponent=None,
             window=(1, n_max),
             degenerate=True,
         )
-    x = np.log(fit)
-    y = np.log(vol[fit])
+    x = np.log(n[2:])
+    y = np.log(vol[2:])
     x -= x.mean()
     return GrowthEstimate(
         samples=samples,

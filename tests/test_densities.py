@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slnapprox import densities, sieve
@@ -209,6 +209,74 @@ class TestArrayZeroCount:
         assert direct == density_table(family, [q]).value(q)
 
 
+ODD_PRIMES_TO_50 = list(sympy.primerange(3, 50))
+
+
+@st.composite
+def _affine_forms(draw):
+    """(p, (alpha, beta, gamma, delta, c0)) with M = [[alpha, gamma], [beta,
+    delta]] zero, of rank 1 or of rank 2 mod p, c0 divisible by p or not,
+    and each coefficient shifted by a multiple of p."""
+    p = draw(st.sampled_from(ODD_PRIMES_TO_50))
+    residue = st.integers(0, p - 1)
+    rank = draw(st.sampled_from([0, 1, 2]))
+    if rank == 0:
+        m = [0, 0, 0, 0]
+    elif rank == 1:
+        # the outer product u v^T of nonzero columns u, v
+        u = draw(st.tuples(residue, residue).filter(any))
+        v = draw(st.tuples(residue, residue).filter(any))
+        m = [u[0] * v[0], u[1] * v[0], u[0] * v[1], u[1] * v[1]]
+    else:
+        m = draw(st.lists(residue, min_size=4, max_size=4).filter(
+            lambda x: (x[0] * x[3] - x[1] * x[2]) % p))
+    c0 = draw(st.just(0) | residue)
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    return p, tuple(x + k * p for x, k in zip([*m, c0], shifts))
+
+
+def _affine_family(form):
+    mono = {(0, 0, 0, 0): form[4]}
+    for i, c in enumerate(form[:4]):
+        mono[tuple(int(i == j) for j in range(4))] = c
+    return _family(mono)
+
+
+class TestAffineClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(_affine_forms())
+    def test_matches_the_scan(self, case):
+        p, form = case
+        assume(any(form))
+        family = _affine_family(form)
+        assert densities._affine_form(family) == form
+        assert densities._affine_zero_count(form, p) == densities._zero_count(family, p)
+
+    def test_other_families_have_no_closed_form(self):
+        assert densities._affine_form(ABCD) is None
+        assert densities._affine_form(A_CUBIC) is None
+        sl3 = family_from_preset("entry11", 3)
+        assert densities._affine_form(sl3) is None
+
+    @pytest.mark.parametrize("name", ["entry11", "trace-minus-2", "sum-entries"])
+    def test_table_scans_no_odd_prime(self, name, monkeypatch):
+        scan = densities._zero_count
+
+        def scan_at_two(family, q):
+            if q % 2:
+                raise AssertionError(f"a group scan ran at the odd prime {q}")
+            return scan(family, q)
+
+        monkeypatch.setattr(densities, "_zero_count", scan_at_two)
+        primes = list(sympy.primerange(2, 212))
+        dens = density_table(family_from_preset(name), primes)
+        # trace 2: p**2 zeros; the corner entry and the entry sum (rank 1,
+        # c0 = 0): p(p - 1)
+        for p in primes:
+            zeros = p * p if name == "trace-minus-2" else p * (p - 1)
+            assert dens.value(p) == F(p * zeros, p**3 - p)
+
+
 class TestLocalDensity:
     def test_corner_entry_frozen_values(self):
         assert local_density(ENTRY11, 5) == F(5, 6)
@@ -320,11 +388,21 @@ class TestDensityFunction:
         moduli = sorted(
             set(sieve.squarefree_moduli(42, 1)) | set(sieve.sieving_primes(30, 1))
         )
+        # the corner entry has a closed form at odd p: only p = 2 is scanned
         dens = density_table(ENTRY11, moduli)
-        assert scanned == list(sympy.primerange(2, 42))
+        assert scanned == [2]
         for q in moduli:
             assert dens.value(q) == math.prod(
                 (F(p, p + 1) for p in sympy.primefactors(q)), start=F(1)
+            )
+        # a*d has degree 2: every prime is scanned once; its zeros number
+        # 2p(p - 1) - (p - 1) by inclusion-exclusion
+        scanned.clear()
+        dens = density_table(_family({(1, 0, 0, 1): 1}), moduli)
+        assert scanned == list(sympy.primerange(2, 42))
+        for q in moduli:
+            assert dens.value(q) == math.prod(
+                (F(2 * p - 1, p + 1) for p in sympy.primefactors(q)), start=F(1)
             )
 
     def test_budget_bounds_the_whole_table(self, monkeypatch):

@@ -416,6 +416,41 @@ class TestArrayRowSolver:
         assert len(scan) == points
 
 
+def _lanes(bound):
+    # zero and negative lanes are common, and both signs reach the bound
+    return st.lists(
+        st.tuples(
+            st.sampled_from([0, 1, -1]) | st.integers(-bound, bound),
+            st.sampled_from([0, 1, -1]) | st.integers(-bound, bound),
+        ),
+        max_size=40,
+    )
+
+
+class TestEgcdArrays:
+    """``_egcd_arrays`` returns the scalar recurrence's (g, s, t) lane by lane."""
+
+    def _check(self, lanes, dtype):
+        a = np.array([x for x, _ in lanes], dtype=dtype)
+        b = np.array([y for _, y in lanes], dtype=dtype)
+        g, s, t = enumeration._egcd_arrays(a, b)
+        assert g.dtype == s.dtype == t.dtype == a.dtype
+        got = list(zip(g.tolist(), s.tolist(), t.tolist()))
+        assert got == [_egcd(x, y) for x, y in lanes]
+        assert a.tolist() == [x for x, _ in lanes]  # the inputs are not changed
+
+    @settings(max_examples=150, deadline=None)
+    @given(lanes=_lanes(2**62))
+    def test_int64_lanes(self, lanes):
+        # past 2**31 the product a*s leaves int64 and is taken in Python ints
+        self._check(lanes, np.int64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lanes=_lanes(2**100))
+    def test_python_int_lanes(self, lanes):
+        self._check(lanes, object)
+
+
 class TestEntryBounds:
     def test_exact_closed_intervals(self):
         ball = BallSpec.make(IDENTITY, F(1, 2), 2)

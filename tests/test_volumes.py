@@ -211,7 +211,8 @@ class TestGrowthExponent:
             growth_exponent(64, {2})
 
     @pytest.mark.parametrize(
-        "n_max", [1, 2, 3, 100, 1000, 2000], ids="{}-None".format
+        "n_max", [1, 2, 3, 48, 49, 50, 100, 120, 121, 1000, 2000, 10201],
+        ids="{}-None".format,
     )
     def test_matches_loop_oracle(self, n_max):
         samples, slope = growth_loop_oracle(n_max)
@@ -221,6 +222,23 @@ class TestGrowthExponent:
             assert est.degenerate and est.fitted_exponent is None
         else:
             assert abs(est.fitted_exponent - slope) <= 1e-12
+
+    def test_samples_are_lazy_pairs(self):
+        samples, _ = growth_loop_oracle(121)
+        est = growth_exponent(121)
+        assert len(est.samples) == 121
+        assert est.samples[-1] == samples[-1] == (121, finite_volume(121))
+        assert est.samples[-121] == (1, 1)
+        assert est.samples[10:13] == list(samples[10:13])
+        with pytest.raises(IndexError):
+            est.samples[121]
+        assert tuple(iter(est.samples)) == samples
+        assert all(type(n) is int and type(vol) is int for n, vol in est.samples)
+        assert est.samples == growth_exponent(121).samples
+        assert est == growth_exponent(121)
+        assert hash(est.samples) == hash(samples)
+        with pytest.raises(ValueError):
+            est.samples.volumes[0] = 0
 
     def test_int64_guard_allocates_nothing(self, monkeypatch):
         class NoNumpy:
