@@ -11,11 +11,12 @@ product rule.  For a one-member 2x2 family of degree at most 1 the count
 at an odd p is a closed form in the coefficients mod p (a Legendre symbol
 at most); every other family, and p = 2, is counted by a scan of the
 group, which stays the oracle of the closed form.  The density budget
-charges each prime its group order p**3 - p either way.  A scan
-generates the group mod q in int64 blocks of columns (the 2x2
-determinant equation is solved for d on whole arrays) and evaluates the
-family on each block with reductions mod q.  The gcd obstruction
-``delta_n`` is exact, decided by such scans mod prime powers.
+charges each prime its group order either way.  A scan generates the
+2x2 or 3x3 group mod q in int64 blocks of columns, one way for both: the
+determinant is linear in the last row, so its last entry is solved from
+det = 1 on whole arrays of the other entries; the family is evaluated
+on each block with reductions mod q.  The gcd obstruction ``delta_n`` is
+exact, decided by such scans mod prime powers.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     FracMatrix,
     PolynomialFamily,
     check_int64_modulus,
+    mat_det,
     mat_mul,
     n_coprime_part,
     prime_factorization,
@@ -46,14 +48,12 @@ _BLOCK_ELEMENTS = 1 << 20
 
 
 def _prime_power_order(p: int, a: int, n_dim: int) -> int:
-    """Order of the determinant-1 matrix group mod p**a, p prime, a >= 1."""
-    if n_dim == 2:
-        base = p * (p * p - 1)
-    elif n_dim == 3:
-        base = p**3 * (p * p - 1) * (p**3 - 1)
-    else:
+    """Order of the determinant-1 matrix group mod p**a, p prime, a >= 1:
+    p**((n*n - 1)*(a - 1)) * p**(n*(n - 1)/2) * prod_{k=2..n} (p**k - 1)."""
+    if n_dim not in (2, 3):
         raise UnsupportedDimension(f"n_dim={n_dim}")
-    return base * p ** ((n_dim * n_dim - 1) * (a - 1))
+    order = p ** ((n_dim * n_dim - 1) * (a - 1) + n_dim * (n_dim - 1) // 2)
+    return order * math.prod(p**k - 1 for k in range(2, n_dim + 1))
 
 
 def group_order_mod(q: int, n_dim: int = 2) -> int:
@@ -68,71 +68,55 @@ def iterate_group_mod(q: int, n_dim: int = 2):
 
     Each block is an int64 array of shape (n_dim**2, m) whose row i holds
     entry i (row major) of m group elements, with m at most about
-    ``_BLOCK_ELEMENTS``.  For 2x2 the equation a*d == 1 + b*c (mod q) is
-    solved for d on whole arrays of (b, c), through gcd(a, q) when q is
-    composite; for 3x3 the entries below each first row are filtered by
-    det == 1 (mod q).  q must be below 2**31 (ValueError otherwise).
+    ``_BLOCK_ELEMENTS``.  The determinant is w . x, x the last row and w the
+    cofactors of the rows above, so for each choice of the rows above and
+    of x but its last entry, w_n * x_n == 1 - (the rest of w . x) (mod q) is
+    solved for x_n on whole arrays, through g = gcd(w_n, q).  q must be
+    below 2**31, and for 3x3 its q**6 choices of the rows above must index
+    in int64 (ValueError otherwise).
     """
     check_int64_modulus(q)
-    if n_dim == 2:
-        yield from _sl2_blocks(q)
-    elif n_dim == 3:
-        yield from _sl3_blocks(q)
-    else:
+    if n_dim not in (2, 3):
         raise UnsupportedDimension(f"n_dim={n_dim}")
-
-
-def _sl2_blocks(q: int):
-    # a*d == r (mod q) with r = 1 + b*c is solvable iff g = gcd(a, q) divides
-    # r, and then d runs over d0 + k*(q/g), k < g, with d0 = (r/g)*(a/g)^-1
-    a_all = np.arange(q, dtype=np.int64)
-    g_all = np.gcd(a_all, q)
+    above = n_dim * (n_dim - 1)
+    if q**above >= 2**63:
+        raise ValueError(f"modulus {q}: the {q}**{above} upper rows overflow int64")
+    # w_n * x_n == r (mod q) is solvable iff g = gcd(w_n, q) divides r, and
+    # then x_n runs over x0 + k*(q/g), k < g, with x0 = (r/g)*(w_n/g)^-1
+    g_all = np.gcd(np.arange(q, dtype=np.int64), q)
     step_all = q // g_all
     inv_all = np.array(
-        [pow(a // g, -1, q // g) for a, g in zip(range(q), g_all.tolist())],
+        [pow(w // g, -1, q // g) for w, g in zip(range(q), g_all.tolist())],
         dtype=np.int64,
     )
-    c = np.arange(q, dtype=np.int64)
-    # each (a, b) row has at most q solutions (c, d): q/g values of c, g of d
-    rows = max(1, _BLOCK_ELEMENTS // q)
-    for start in range(0, q * q, rows):
-        a, b = np.divmod(np.arange(start, min(start + rows, q * q), dtype=np.int64), q)
-        r = (1 + b[:, None] * c) % q
-        hit_row, hit_c = np.nonzero(r % g_all[a][:, None] == 0)
+    heads = np.array(np.unravel_index(np.arange(q ** (n_dim - 1)), (q,) * (n_dim - 1)))
+    # the rows above admit at most q**(n_dim - 1) last rows each
+    chunk = max(1, _BLOCK_ELEMENTS // q ** (n_dim - 1))
+    for start in range(0, q**above, chunk):
+        upper = np.array(
+            np.unravel_index(np.arange(start, min(start + chunk, q**above)), (q,) * above)
+        )
+        rows = upper.reshape(n_dim - 1, n_dim, -1)
+        w = [(-1) ** (n_dim - 1 + j) * mat_det(np.delete(rows, j, axis=1)) % q
+             for j in range(n_dim)]
+        r = 1
+        for j in range(n_dim - 1):
+            r = (r - w[j][:, None] * heads[j]) % q
+        hit_row, hit_head = np.nonzero(r % g_all[w[-1]][:, None] == 0)
         if not len(hit_row):
             continue
-        a_hit = a[hit_row]
-        g = g_all[a_hit]
-        d0 = (r[hit_row, hit_c] // g * inv_all[a_hit]) % step_all[a_hit]
-        # expand each solution (a, b, c, d0) into its g values of d
+        w_hit = w[-1][hit_row]
+        g = g_all[w_hit]
+        x0 = (r[hit_row, hit_head] // g * inv_all[w_hit]) % step_all[w_hit]
+        # expand each solution into its g values of x_n
         pick = np.repeat(np.arange(len(g)), g)
         k = np.arange(len(pick)) - np.repeat(np.cumsum(g) - g, g)
-        yield np.stack(
-            (a_hit[pick], b[hit_row][pick], hit_c[pick], d0[pick] + step_all[a_hit][pick] * k)
-        )
-
-
-def _sl3_blocks(q: int):
-    # det = r1 . (r2 x r3): the cofactors of (r2, r3) pairs are computed once
-    # per chunk of second rows and reused for every first row
-    one = 1 % q
-    rows = np.indices((q, q, q), dtype=np.int64).reshape(3, -1)
-    chunk = max(1, _BLOCK_ELEMENTS // q**3)
-    for start in range(0, q**3, chunk):
-        r2 = np.repeat(rows[:, start:start + chunk], q**3, axis=1)
-        r3 = np.tile(rows, min(chunk, q**3 - start))
-        cof = (
-            (r2[1] * r3[2] - r2[2] * r3[1]) % q,
-            (r2[2] * r3[0] - r2[0] * r3[2]) % q,
-            (r2[0] * r3[1] - r2[1] * r3[0]) % q,
-        )
-        lower = np.concatenate((r2, r3))
-        for r1 in rows.T.tolist():
-            det = ((r1[0] * cof[0] + r1[1] * cof[1]) % q + r1[2] * cof[2]) % q
-            hit = np.flatnonzero(det == one)
-            if len(hit):
-                first = np.repeat(np.array(r1, dtype=np.int64)[:, None], len(hit), axis=1)
-                yield np.concatenate((first, lower[:, hit]))
+        hit_row, hit_head = hit_row[pick], hit_head[pick]
+        yield np.stack((
+            *(entry[hit_row] for entry in upper),
+            *(entry[hit_head] for entry in heads),
+            x0[pick] + step_all[w_hit][pick] * k,
+        ))
 
 
 def _trial_limit(config: Config) -> int:
@@ -177,26 +161,6 @@ def _check_scan_budget(elements: int, what: str, config: Config) -> None:
         raise BudgetExceeded(
             f"{what} has {elements} elements, budget {config.density_order_budget}"
         )
-
-
-def check_density_budget(
-    primes: Iterable[int], n_dim: int = 2, config: Config = DEFAULT_CONFIG
-) -> None:
-    """BudgetExceeded when the group scans mod ``primes`` pass the budget.
-
-    The scans visit the sum of the group orders mod each prime, checked
-    against ``config.density_order_budget``.  The primes are read only
-    until that sum passes the budget, so a lazy range of any length costs
-    no more than the primes within budget, and nothing is factored.
-    """
-    total = 0
-    for count, p in enumerate(primes, 1):
-        total += _prime_power_order(p, 1, n_dim)
-        if total > config.density_order_budget:
-            raise BudgetExceeded(
-                f"the density scan over {count} primes up to {p} already has "
-                f"{total} elements, budget {config.density_order_budget}"
-            )
 
 
 def _affine_form(family: PolynomialFamily) -> tuple[int, int, int, int, int] | None:
@@ -253,14 +217,14 @@ def local_density(
     ``density_table`` computes them) or "direct" (one scan of the full
     group mod q), its oracle.
     """
-    _squarefree_primes(q, config)
+    primes = _squarefree_primes(q, config)
     if q == 1:
         return Fraction(1)
     if method == "product":
         return density_table(family, [q], config=config).values[q]
     if method != "direct":
         raise ValueError(f"unknown method {method!r}")
-    order = group_order_mod(q, family.n_dim)
+    order = math.prod(_prime_power_order(p, 1, family.n_dim) for p in primes)
     _check_scan_budget(order, f"group mod {q}", config)
     return Fraction(q * _zero_count(family, q), order)
 
@@ -295,25 +259,28 @@ def density_table(
 
     Each distinct prime of the moduli is counted once (``_affine_zero_count``
     where it applies, else a scan) and rho(q) is the product of its primes'
-    values.  The total group order of those primes, what scans of them
-    would visit, is checked against ``config.density_order_budget``
-    before any count starts, by ``check_density_budget`` reading the new
-    primes of each modulus in turn: ``moduli`` is read, and each modulus
-    checked and factored, only while the total is within budget, so a lazy
-    run of moduli of any length fails at the first one past it.
+    values.  Before any count starts, the total group order of those
+    primes, what scans of them would visit, is held to
+    ``config.density_order_budget`` (BudgetExceeded) as each new prime is
+    met: ``moduli`` is read, and each modulus checked and factored, only
+    while the total is within budget, so a lazy run of moduli of any
+    length fails at the first one past it.
     """
     primes_of: dict[int, list[int]] = {}
     orders: dict[int, int] = {}
-
-    def new_primes():
-        for q in moduli:
-            primes_of[q] = _squarefree_primes(q, config)
-            for p in primes_of[q]:
-                if p not in orders:
-                    orders[p] = _prime_power_order(p, 1, family.n_dim)
-                    yield p
-
-    check_density_budget(new_primes(), family.n_dim, config)
+    total = 0
+    for q in moduli:
+        primes_of[q] = _squarefree_primes(q, config)
+        for p in primes_of[q]:
+            if p in orders:
+                continue
+            orders[p] = _prime_power_order(p, 1, family.n_dim)
+            total += orders[p]
+            if total > config.density_order_budget:
+                raise BudgetExceeded(
+                    f"the density scan over {len(orders)} primes up to {p} already "
+                    f"has {total} elements, budget {config.density_order_budget}"
+                )
     form = _affine_form(family)
     rho = {}
     for p in orders:

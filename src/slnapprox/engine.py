@@ -153,7 +153,10 @@ def find_witness(
     if not alpha > 0:  # also rejects nan
         raise ValueError(f"alpha must be positive, got {alpha}")
     t0 = time.monotonic()
-    eps = Fraction(float(n) ** (-float(alpha)))
+    try:
+        eps = Fraction(float(n) ** (-float(alpha)))
+    except OverflowError:  # n past the float range
+        eps = Fraction(2.0 ** (-float(alpha) * math.log2(n)))
     if eps == 0:  # a radius that underflowed could never be doubled
         raise ValueError(f"radius {n}^(-{alpha}) underflows to 0")
     ball = BallSpec.make(x, eps, n)

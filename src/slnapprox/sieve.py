@@ -454,20 +454,19 @@ def sieve_densities(
 
     Those are rho(q) for the square-free q <= q_max prime to delta * n and
     for the sieving primes p <= z.  After n and delta are checked, the
-    group scans mod every prime up to max(q_max, z) prime to delta * n are
-    held to ``config.density_order_budget`` (BudgetExceeded) by reading a
-    lazy prime range, before any modulus is built or factored.
+    table reads the primes up to max(q_max, z) prime to delta * n first,
+    from a lazy range, and the square-free moduli after them: so the
+    density budget (BudgetExceeded) is met before any composite modulus is
+    built.
     """
     _check_n_delta(n, delta)
     excluded = delta * n
-    densities.check_density_budget(
-        (p for p in primes_below(max(q_max, int(z)) + 1) if excluded % p),
-        family.n_dim,
-        config,
-    )
-    needed = set(squarefree_moduli(q_max, excluded))
-    needed.update(sieving_primes(z, n, delta))
-    return densities.density_table(family, sorted(needed), config=config)
+
+    def moduli():
+        yield from (p for p in primes_below(max(q_max, int(z)) + 1) if excluded % p)
+        yield from squarefree_moduli(q_max, excluded)
+
+    return densities.density_table(family, moduli(), config=config)
 
 
 def run_sieve(

@@ -450,8 +450,9 @@ SEMIPRIME = (
         ["spectral", "--p", "2", "--q", HUGE, "--lmax", "1"],
         ["enumerate", "--radius", "1/2", "-n", HUGE],
         ["witness", "-n", HUGE, "--alpha", "0.16"],
+        ["witness", "-n", str(2**1024), "--alpha", "0.16"],
     ],
-    ids=["density", "spectral", "enumerate", "witness"],
+    ids=["density", "spectral", "enumerate", "witness", "witness-past-float"],
 )
 def test_huge_modulus_exits_on_budget_unfactored(capsys, monkeypatch, argv):
     # trial division of 10**18 + 3 to its square root would take minutes;
@@ -712,6 +713,12 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "-n", "2", "--alpha", "2.0")
         assert code == EXIT_NO_WITNESS
         assert "no witness" in err
+
+    def test_radius_past_the_float_range_underflows(self, capsys):
+        # float(2**1024) overflows; the radius 2**-1536 is then read as 0
+        code, _, err = run(capsys, "witness", "-n", str(2**1024), "--alpha", "1.5")
+        assert code == EXIT_INVALID
+        assert "underflows" in err
 
 
 class TestVerifyCount:

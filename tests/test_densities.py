@@ -22,7 +22,6 @@ from slnapprox.core import (
 from slnapprox.config import DEFAULT_CONFIG, Config
 from slnapprox.densities import (
     delta_n,
-    check_density_budget,
     density_table,
     group_order_mod,
     group_words,
@@ -124,8 +123,8 @@ class TestGroupEnumeration:
 
     def test_three_by_three_order(self):
         assert group_order_mod(2, n_dim=3) == 168
-        count = sum(b.shape[1] for b in iterate_group_mod(2, n_dim=3))
-        assert count == 168
+        for q in (1, 2, 3, 4, 6):
+            assert sum(b.shape[1] for b in iterate_group_mod(q, 3)) == group_order_mod(q, 3)
 
     def test_unsupported_dimension(self):
         with pytest.raises(UnsupportedDimension):
@@ -133,7 +132,12 @@ class TestGroupEnumeration:
         with pytest.raises(UnsupportedDimension):
             next(iterate_group_mod(2, n_dim=4))
 
-    @pytest.mark.parametrize("q,n_dim", [(2, 2), (7, 2), (12, 2), (30, 2), (2, 3), (3, 3)])
+    # 8, 9, 25 and 4 are prime powers that delta_n scans: a noninvertible
+    # last cofactor, g = gcd(w_n, q) > 1, has several solutions or none
+    @pytest.mark.parametrize("q,n_dim", [
+        (2, 2), (7, 2), (12, 2), (30, 2), (2, 3), (3, 3),
+        (8, 2), (9, 2), (25, 2), (4, 3),
+    ])
     def test_blocks_match_tuple_oracle(self, q, n_dim):
         assert joined(iterate_group_mod(q, n_dim)) == list(tuple_group_mod(q, n_dim))
 
@@ -148,7 +152,7 @@ class TestGroupEnumeration:
         got = np.sort(np.concatenate(list(iterate_group_mod(6, 3)), axis=1).T @ weights)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("q,n_dim", [(7, 2), (12, 2), (3, 3)])
+    @pytest.mark.parametrize("q,n_dim", [(7, 2), (12, 2), (3, 3), (4, 3)])
     def test_small_blocks(self, monkeypatch, q, n_dim):
         # shrink the block bound so every chunking path runs
         limit = 30
@@ -163,6 +167,12 @@ class TestGroupEnumeration:
         for q in (0, 2**31, 2**40):
             with pytest.raises(ValueError):
                 next(iterate_group_mod(q))
+        # the q**6 upper rows of a 3x3 matrix index in int64 up to q = 1448
+        for q in (1449, 2**20):
+            with pytest.raises(ValueError, match="overflow int64"):
+                next(iterate_group_mod(q, 3))
+        with pytest.raises(AssertionError, match="before the guard"):
+            next(iterate_group_mod(1448, 3))
 
 
 def _family_strategy(n_dim):
@@ -417,19 +427,23 @@ class TestDensityFunction:
         with pytest.raises(BudgetExceeded):
             local_density(ENTRY11, 30, config=cfg)
 
-    def test_budget_reads_primes_lazily(self):
-        # an unbounded run of primes stops as soon as the budget is passed
-        read = []
+    def test_budget_reads_primes_lazily(self, monkeypatch):
+        # an unbounded run of primes stops as soon as the budget is passed,
+        # before any prime is counted
+        read, scanned = [], []
 
         def primes():
             for p in sympy.primerange(2, 10**9):
                 read.append(p)
                 yield p
 
+        monkeypatch.setattr(densities, "_zero_count", lambda family, q: scanned.append(q) or 0)
         with pytest.raises(BudgetExceeded, match="density scan over 5 primes up to 11"):
-            check_density_budget(primes(), 2, Config(density_order_budget=1500))
+            density_table(ENTRY11, primes(), config=Config(density_order_budget=1500))
         assert read == [2, 3, 5, 7, 11]
-        check_density_budget([2, 3, 5], 2, Config(density_order_budget=150))
+        assert scanned == []
+        density_table(ENTRY11, [2, 3, 5], config=Config(density_order_budget=150))
+        assert scanned == [2]
 
     def test_table_reads_moduli_lazily(self, monkeypatch):
         # the moduli are read, checked and factored only up to the one whose
