@@ -9,6 +9,7 @@ override them (see ``Config.from_json``).  The schema is flat:
       "optimized_row_budget": 10000000,
       "density_order_budget": 100000000,
       "spectral_vertex_budget": 20000,
+      "spectral_shell_budget": 10000000,
       "volume_crosscheck_limit": 200000,
       "factor_trial_limit": 1000000,
       "factor_bit_budget": 256,
@@ -36,6 +37,8 @@ class Config:
     optimized_row_budget: int = 10**7
     density_order_budget: int = 10**8
     spectral_vertex_budget: int = 20000
+    # spectral_shell_budget bounds the generators a Hecke shell streams
+    spectral_shell_budget: int = 10**7
     volume_crosscheck_limit: int = 2 * 10**5
     factor_trial_limit: int = 10**6
     factor_bit_budget: int = 256

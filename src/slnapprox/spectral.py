@@ -31,12 +31,15 @@ A level has n = |GL_2(Z/q)| / phi(q) = |SL_2(Z/q)| vertices, the order
 A table indexed by the integer code of a matrix mod q gives the vertex of
 its scalar class, left multiplication by each distinct generator image is
 stored as the vertex permutation it induces, and the gap comes from a
-Lanczos eigensolve (ARPACK) that applies the permutations and the
-class-mean projection to a vector.  The shell is streamed: generator
-codes are read SHELL_BLOCK at a time and tallied per vertex, so memory is
-about (images + 1) * n ints plus the q**4 code table, whatever the degree.
+Lanczos iteration on numpy arrays that applies the permutations and the
+class-mean projection to a vector and keeps at most LANCZOS_MAX_STEPS
+basis vectors.  The shell is streamed: generator codes are read
+SHELL_BLOCK at a time and tallied per vertex, so memory is about
+(images + 1) * n ints plus the q**4 code table, whatever the degree.
 Time still grows with the (p+1) * p**(2*ell-1) generators, each
-Lagrange-reduced in Python, and no budget bounds it.
+Lagrange-reduced in Python, so ``Config.spectral_shell_budget`` bounds
+their count, read off the closed form before the level table or any
+generator is built.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 # an eigenpair of the symmetrized operator must meet this max-norm residual
 _RESIDUAL_TOL = 1e-10
+# Lanczos stops once the top Ritz pair's residual bound beta * |s_last| is
+# below this
+_RITZ_TOL = 1e-12
+# the Lanczos basis holds at most this many vectors of n floats: over four
+# times the 83 steps of the slowest level measured, (p, q, ell) = (2, 25, 1)
+LANCZOS_MAX_STEPS = 400
+# basis vectors allocated at a time, so a short solve keeps a short basis
+LANCZOS_BLOCK = 32
 # a gap-decay fit passes at or below this slope: the -1/4 prediction with
 # 0.05 slack
 SLOPE_THRESHOLD = -0.20
@@ -205,6 +216,20 @@ class HeckeOperatorGraph:
     classes: np.ndarray  # int label per vertex, shape (n,), each of 0..k-1 used
 
 
+def _shell_degree(p: int, q: int, ell: int, config: Config) -> int:
+    """Generator count of the shell from its closed form, within the shell
+    budget (BudgetExceeded); p must be a prime coprime to q (ValueError)."""
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"p={p} must be coprime to the level q={q}")
+    degree = local_ball_volume(p, ell, config=config)
+    if degree > config.spectral_shell_budget:
+        raise BudgetExceeded(
+            f"{degree} generators in the radius-{ell} shell of p={p}, "
+            f"budget {config.spectral_shell_budget}"
+        )
+    return degree
+
+
 def build_hecke_graph(
     p: int,
     q: int,
@@ -217,10 +242,8 @@ def build_hecke_graph(
     Every representative is Lagrange-reduced before reduction mod q, and
     the shell is tallied per vertex SHELL_BLOCK generators at a time.
     """
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"p={p} must be coprime to the level q={q}")
-    degree = local_ball_volume(p, ell, config=config)
-    # the vertex budget applies before the first generator is built
+    degree = _shell_degree(p, q, ell, config)
+    # the vertex budget applies before the first generator is built too
     level = level_table(q, config)
     n = len(level.vertices)
     codes = (
@@ -264,10 +287,18 @@ def second_singular_value(graph: HeckeOperatorGraph) -> float:
     operator is averaged with its transpose: S f = (A f + A^T f) / 2, where
     A^T applies the inverse permutations.  The value is the largest absolute
     eigenvalue of P S P, with P subtracting the mean of each class, found
-    by Lanczos iteration (ARPACK) from a fixed start vector.  The eigenpair
-    residual against S is checked against ``_RESIDUAL_TOL``; a run that
-    misses it is repeated once, from its own eigenvector.  The class labels
-    must have shape (n,) and use every value 0..k-1 (ValueError otherwise).
+    by a Lanczos iteration from a fixed start vector, so equal graphs give
+    equal floats.  Each step orthogonalizes the new direction against the
+    whole basis (two classical Gram-Schmidt passes) and reads the Ritz
+    values off the tridiagonal matrix.  It stops once the Ritz pair of
+    largest |theta| has a residual bound beta * |s_last| below
+    ``_RITZ_TOL``; a beta of about 0 means the Krylov space has closed,
+    every eigenvalue it holds has been found, and the bound is met too.
+    The eigenpair residual against S is then checked against
+    ``_RESIDUAL_TOL``.  A miss, or a basis that would pass
+    ``LANCZOS_MAX_STEPS`` vectors, raises ConvergenceFailure.  The class
+    labels must have shape (n,) and use every value 0..k-1 (ValueError
+    otherwise).
     """
     perms = graph.operator
     n = len(graph.vertices)
@@ -288,29 +319,45 @@ def second_singular_value(graph: HeckeOperatorGraph) -> float:
     def project(x):
         return x - (np.bincount(labels, weights=x, minlength=k) / sizes)[labels]
 
-    # imported here, not at module level: scipy.sparse.linalg adds about
-    # 0.3 s to an import of about 0.55 s, and only this eigensolve needs it
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    op = LinearOperator((n, n), matvec=lambda x: project(sym(project(x))), dtype=float)
     v = project(np.random.default_rng(0).standard_normal(n))
-    # ARPACK restarts from its own random vectors when the Krylov space
-    # closes early, which the projection makes likely; now and then that
-    # run ends short of the residual bound, and a second run from its
-    # eigenvector does not
-    for _ in range(2):
-        try:
-            vals, vecs = eigsh(op, k=1, which="LM", tol=0, v0=v)
-        except ArpackNoConvergence as exc:
-            raise ConvergenceFailure(f"Lanczos eigensolve did not converge: {exc}") from exc
-        lam = float(vals[0])
-        v = vecs[:, 0]
-        residual = float(np.max(np.abs(sym(v) - lam * v)))
-        if residual <= _RESIDUAL_TOL:
-            return abs(lam)
-    raise ConvergenceFailure(
-        f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_TOL:g}"
-    )
+    # the orthonormal basis is allocated LANCZOS_BLOCK rows at a time, never
+    # past the step cap; `basis` views the rows filled so far
+    blocks: list[np.ndarray] = []
+    alphas: list[float] = []
+    betas: list[float] = []
+    beta = float(np.linalg.norm(v))
+    for steps in range(LANCZOS_MAX_STEPS):
+        if steps % LANCZOS_BLOCK == 0:
+            blocks.append(np.empty((min(LANCZOS_BLOCK, LANCZOS_MAX_STEPS - steps), n)))
+        basis = [b[: steps + 1 - i * LANCZOS_BLOCK] for i, b in enumerate(blocks)]
+        v = basis[-1][-1] = v / beta
+        u = project(sym(v))
+        alphas.append(float(v @ u))
+        for _ in range(2):
+            for b in basis:
+                u -= (b @ u) @ b
+        betas.append(beta := float(np.linalg.norm(u)))
+        thetas, vecs = np.linalg.eigh(
+            np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+        )
+        top = int(np.argmax(np.abs(thetas)))
+        if beta * abs(vecs[-1, top]) < _RITZ_TOL:
+            break
+        v = u
+    else:
+        raise ConvergenceFailure(
+            f"Lanczos eigensolve did not converge in {LANCZOS_MAX_STEPS} steps"
+        )
+    lam = float(thetas[top])
+    x = sum(vecs[i * LANCZOS_BLOCK : (i + 1) * LANCZOS_BLOCK, top] @ b
+            for i, b in enumerate(basis))
+    residual = float(np.max(np.abs(sym(x) - lam * x)))
+    if residual > _RESIDUAL_TOL:
+        raise ConvergenceFailure(
+            f"Lanczos eigenpair did not converge: residual {residual:.3e} "
+            f"exceeds {_RESIDUAL_TOL:g}"
+        )
+    return abs(lam)
 
 
 @dataclass(frozen=True)
@@ -341,6 +388,9 @@ def gap_decay_report(
     The pass flag requires the fitted slope at or below ``SLOPE_THRESHOLD``.
     Fewer than two usable rows leave the slope undefined.
     """
+    # every shell is held to its budget before the first one is built
+    for ell in ell_range:
+        _shell_degree(p, q, ell, config)
     rows = []
     for ell in ell_range:
         g = build_hecke_graph(p, q, ell, config=config)

@@ -10,13 +10,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import slnapprox
-from slnapprox import cli
+from slnapprox import cli, spectral
 from slnapprox.cli import main
 from slnapprox.core import BallSpec
 from slnapprox.engine import BOUNDED_CENTERS
@@ -300,16 +299,24 @@ class TestSpectral:
         assert code == EXIT_OK
         assert out == expected
 
-    def test_eigensolve_failure_is_budget_exit(self, capsys, monkeypatch):
-        import scipy.sparse.linalg as sla
-
-        def stalled(*args, **kwargs):
-            raise sla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-        monkeypatch.setattr(sla, "eigsh", stalled)
+    def test_eigensolve_miss_is_budget_exit(self, capsys, monkeypatch):
+        # no float eigenpair has residual 0, so a zero tolerance always misses
+        monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 0.0)
         code, _, err = run(capsys, "spectral", "--p", "2", "--q", "5", "--lmax", "1")
         assert code == EXIT_BUDGET
         assert "converge" in err
+
+    @pytest.mark.parametrize(
+        "p,lmax", [("1000003", "1"), ("1000000000000000003", "1"), ("2", "25")]
+    )
+    def test_shell_budget_before_any_generator(self, capsys, monkeypatch, p, lmax):
+        def unbuilt(p, ell):
+            raise AssertionError("generators built before the shell budget check")
+
+        monkeypatch.setattr(spectral, "hnf_representatives", unbuilt)
+        code, _, err = run(capsys, "spectral", "--p", p, "--q", "5", "--lmax", lmax)
+        assert code == EXIT_BUDGET
+        assert "generators in the radius-" in err
 
 
 # one denominator-2 point record, the first point `enumerate -n 2` prints
@@ -541,8 +548,8 @@ def test_huge_prime_volumes_not_trial_divided(capsys, monkeypatch):
 INTS = [str(i) for i in range(-3, 61)]
 ODD = ["1/2", "-2/3", "1/0", "0.25", "nan", "inf", "-inf", "", "x", "[[1,0", "3,,5"]
 VALUES = INTS + ODD
-# the shell of `spectral` is streamed, but its (p+1) p^(2l-1) generators have
-# no time budget, so p and l stay where there are at most a few thousand;
+# the shell budget of `spectral` still admits about 70 s of its (p+1) p^(2l-1)
+# generators, so p and l stay where there are at most a few thousand;
 # `volumes` runs the Hermite count for every shell, so its l stays small too
 SMALL = [str(i) for i in range(-3, 14)] + ["x", "1/2", "nan"]
 SPECTRAL_P = [str(i) for i in range(-3, 8)] + ["x", "1/2"]
@@ -773,7 +780,7 @@ class TestArgumentErrors:
 class TestStartup:
     def test_common_commands_import_neither_sympy_nor_scipy(self):
         # sympy is imported only for a cofactor that trial division left, and
-        # scipy only for an eigensolve: these command lines need neither
+        # nothing imports scipy: these command lines need neither
         argvs = [
             ["params", "--alpha", "1/20"],
             ["density", "--p-range", "43"],
@@ -781,6 +788,7 @@ class TestStartup:
             ["volumes"],
             ["witness", "-n", "120", "--alpha", "0.16"],
             ["verify-count", "--n-list", "53"],
+            ["spectral", "--p", "2", "--q", "5", "--lmax", "2"],
         ]
         code = (
             "import contextlib, io, json, sys\n"

@@ -315,6 +315,21 @@ class TestOperator:
         with pytest.raises(BudgetExceeded):
             build_hecke_graph(2, 7, 3, config=cfg)
 
+    def test_shell_budget_checked_before_the_level(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("level or generators built before the shell budget")
+
+        monkeypatch.setattr(spectral, "level_table", unbuilt)
+        monkeypatch.setattr(spectral, "hnf_representatives", unbuilt)
+        cfg = dataclasses.replace(DEFAULT_CONFIG, spectral_shell_budget=23)
+        # (2, 5, 1) has 6 generators and (2, 5, 2) has 24
+        with pytest.raises(BudgetExceeded, match="24 generators in the radius-2 shell"):
+            build_hecke_graph(2, 5, 2, config=cfg)
+        with pytest.raises(BudgetExceeded, match="radius-2"):
+            gap_decay_report(2, 5, range(1, 4), config=cfg)
+        monkeypatch.undo()
+        assert build_hecke_graph(2, 5, 1, config=cfg).degree == 6
+
     def test_shell_memory_follows_the_level(self):
         # the 6144 generators of (2, 5, 6) are tallied as they stream, so
         # the peak follows the 120-vertex level, not the degree
@@ -381,46 +396,53 @@ class TestSecondSingularValue:
         assert abs(lam - oracle_lambda2(p, q, ell)) < 1e-9
 
     def test_repeated_calls_converge(self):
-        # ARPACK's restart vectors differ from call to call; at 48 vertices
-        # about one call in seventy used to end short of the residual bound
+        # the start vector is fixed and nothing else is drawn, so every call
+        # returns the same float, and the oracle's value to 12 digits
         g = build_hecke_graph(7, 4, 1)
-        lams = {round(second_singular_value(g), 12) for _ in range(500)}
-        assert lams == {round(oracle_lambda2(7, 4, 1), 12)}
+        lams = {second_singular_value(g) for _ in range(500)}
+        assert len(lams) == 1
+        assert round(lams.pop(), 12) == round(oracle_lambda2(7, 4, 1), 12)
 
-    @pytest.mark.parametrize("misses", [1, 2])
-    def test_residual_miss_reruns_from_its_eigenvector(self, monkeypatch, misses):
-        import scipy.sparse.linalg as sla
+    @pytest.mark.parametrize("p,q,ell", [(2, 5, 1), (7, 4, 1), (3, 5, 2)])
+    def test_stops_when_the_krylov_space_closes(self, monkeypatch, p, q, ell):
+        # a Krylov space holds at most one direction per distinct eigenvalue,
+        # so the iteration takes no more steps than the spectrum has values
+        sizes = []
+        real_eigh = np.linalg.eigh
 
-        real_eigsh = sla.eigsh
-        starts, returned = [], []
+        def eigh(t):
+            sizes.append(len(t))
+            return real_eigh(t)
 
-        def eigsh(*args, v0, **kwargs):
-            starts.append(v0)
-            vals, vecs = real_eigsh(*args, v0=v0, **kwargs)
-            if len(starts) <= misses:
-                vecs = vecs + 1e-6 * np.sin(np.arange(len(vecs)))[:, None]
-            returned.append(vecs[:, 0])
-            return vals, vecs
+        g = build_hecke_graph(p, q, ell)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        second_singular_value(g)
+        monkeypatch.undo()
+        distinct = len(np.unique(np.round(np.linalg.eigvalsh(dense(g) + dense(g).T), 8)))
+        assert sizes == list(range(1, len(sizes) + 1))
+        assert len(sizes) <= distinct
 
-        monkeypatch.setattr(sla, "eigsh", eigsh)
-        g = build_hecke_graph(2, 5, 1)
-        if misses == 2:
-            with pytest.raises(ConvergenceFailure, match="residual"):
-                second_singular_value(g)
-        else:
-            assert abs(second_singular_value(g) - 0.6118462956843749) < 1e-9
-        assert len(starts) == 2
-        np.testing.assert_array_equal(starts[1], returned[0])
-
-    def test_arpack_failure_is_convergence_failure(self, monkeypatch):
-        import scipy.sparse.linalg as sla
-
-        def stalled(*args, **kwargs):
-            raise sla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-        monkeypatch.setattr(sla, "eigsh", stalled)
-        with pytest.raises(ConvergenceFailure):
+    def test_residual_miss_is_convergence_failure(self, monkeypatch):
+        # no float eigenpair has residual 0, so a zero tolerance always misses
+        monkeypatch.setattr(spectral, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(ConvergenceFailure, match="converge: residual"):
             second_singular_value(build_hecke_graph(2, 5, 1))
+
+    def test_step_cap_is_convergence_failure(self, monkeypatch):
+        # two steps are too few for this level; the basis stops at the cap
+        sizes = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(t):
+            sizes.append(len(t))
+            return real_eigh(t)
+
+        g = build_hecke_graph(2, 5, 1)
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(ConvergenceFailure, match="in 2 steps"):
+            second_singular_value(g)
+        assert sizes == [1, 2]
 
 
 class TestGapDecay:
