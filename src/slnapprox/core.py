@@ -282,10 +282,6 @@ class RationalGroupPoint:
     v: int
     n_dim: int
 
-    @property
-    def den(self) -> int:
-        return self.v
-
     def entries(self) -> FracMatrix:
         return tuple(tuple(Fraction(e, self.v) for e in row) for row in self.u)
 

@@ -237,9 +237,6 @@ class DensityFunction:
     values: dict[int, Fraction]
     group_orders: dict[int, int]
 
-    def has(self, q: int) -> bool:
-        return q in self.values or q == 1
-
     def value(self, q: int) -> Fraction:
         if q == 1:
             return Fraction(1)

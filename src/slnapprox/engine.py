@@ -222,10 +222,6 @@ class CountingReport:
     significant_cells: int
     count_threshold: int
 
-    @property
-    def not_significant(self) -> bool:
-        return self.spread is None
-
 
 # determinant-one targets with small dyadic entries, spread around the identity
 BOUNDED_CENTERS: tuple[FracMatrix, ...] = (

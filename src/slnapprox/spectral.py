@@ -239,8 +239,10 @@ def build_hecke_graph(
 ) -> HeckeOperatorGraph:
     """Averaging operator over the determinant-p^(2*ell) classes at level q.
 
-    Every representative is Lagrange-reduced before reduction mod q, and
-    the shell is tallied per vertex SHELL_BLOCK generators at a time.
+    Every representative is Lagrange-reduced before reduction mod q, the
+    shell is tallied per vertex SHELL_BLOCK generators at a time, and the
+    permutation table is filled max(1, SHELL_BLOCK // n) image rows at a
+    time, so the build holds the table plus one block of products.
     """
     degree = _shell_degree(p, q, ell, config)
     # the vertex budget applies before the first generator is built too
@@ -256,16 +258,20 @@ def build_hecke_graph(
         weights += np.bincount(level.index[block], minlength=n)
     images = np.flatnonzero(weights)
     weights = weights[images]
-    # row i of the products: image_i times every vertex, all at once
-    ga, gb, gc, gd = (col[:, None] for col in level.vertices[images].T)
+    # row i of the products: image_i times every vertex, a block of rows at a time
     va, vb, vc, vd = level.vertices.T
-    perms = level.index[
-        _encode(
+    perms = np.empty((len(images), n), dtype=level.index.dtype)
+    rows = max(1, SHELL_BLOCK // n)
+    for start in range(0, len(images), rows):
+        block = perms[start : start + rows]
+        g = level.vertices[images[start : start + rows]]
+        ga, gb, gc, gd = (col[:, None] for col in g.T)
+        codes = _encode(
             q, ga * va + gb * vc, ga * vb + gb * vd, gc * va + gd * vc, gc * vb + gd * vd
         )
-    ]
-    if perms.min() < 0 or (np.sort(perms, axis=1) != np.arange(n)).any():
-        raise AssertionError("a generator image does not permute the vertices")
+        np.take(level.index, codes, out=block)
+        if block.min() < 0 or (np.sort(block, axis=1) != np.arange(n)).any():
+            raise AssertionError("a generator image does not permute the vertices")
     if int(weights.sum()) != degree:
         raise AssertionError(f"image weights sum to {weights.sum()}, expected {degree}")
     return HeckeOperatorGraph(

@@ -26,14 +26,20 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .core import complete_factorization, factorize_full, primes_below
+from .core import complete_factorization, primes_below, trial_division
 
 
 @lru_cache(maxsize=256)
 def _require_prime(p: int) -> None:
-    # bounded trial division, then a primality test: a huge prime is never
+    # bounded trial division rejects any p with a small factor, and only a p
+    # it leaves undecided meets a primality test: p is never factored, nor
     # trial-divided to its square root; a prime is decided once per process
-    if p < 2 or factorize_full(p)[0] != {p: 1}:
+    factors, _, done = trial_division(p, DEFAULT_CONFIG.factor_trial_limit)
+    if not (factors or done):
+        import sympy
+
+        done = sympy.isprime(p)
+    if p < 2 or factors or not done:
         raise ValueError(f"p must be a prime, got {p}")
 
 

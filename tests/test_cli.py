@@ -266,6 +266,25 @@ class TestSieve:
         assert "invalid" in err
 
 
+# (2**107 - 1) * (2**89 - 1), a 196-bit product of two Mersenne primes
+SEMIPRIME_P = str((2**107 - 1) * (2**89 - 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volumes", "--p-list", SEMIPRIME_P, "--lmax", "1"],
+        ["spectral", "--p", SEMIPRIME_P, "--q", "5", "--lmax", "1"],
+    ],
+)
+def test_semiprime_p_exits_invalid_unfactored(argv):
+    # p is decided prime or not without factoring it, so each exits 4 at once
+    code, _, err = run_process(*argv)
+    assert code == EXIT_INVALID
+    assert "must be a prime" in err
+    assert "Traceback" not in err
+
+
 class TestSpectral:
     def test_csv_and_slope(self, capsys):
         code, out, _ = run(
@@ -778,6 +797,19 @@ class TestArgumentErrors:
 
 
 class TestStartup:
+    def test_package_import_loads_no_module(self):
+        # the package root re-exports nothing: each layer is imported from
+        # the module that holds it
+        src = str(Path(slnapprox.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, slnapprox\n"
+             "print([m for m in sys.modules if m.startswith('slnapprox.')])"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_common_commands_import_neither_sympy_nor_scipy(self):
         # sympy is imported only for a cofactor that trial division left, and
         # nothing imports scipy: these command lines need neither

@@ -382,8 +382,10 @@ class TestDensityFunction:
         dens = density_table(ENTRY11, [2, 5, 10])
         assert dens.value(10) == F(5, 9)
         assert dens.group_orders[10] == 720
-        assert dens.has(1) and dens.value(1) == 1
-        assert not dens.has(3)
+        assert dens.value(1) == 1
+        assert 3 not in dens.values
+        with pytest.raises(MissingDensities):
+            dens.value(3)
 
     def test_each_prime_scanned_once(self, monkeypatch):
         scanned = []

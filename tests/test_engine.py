@@ -116,7 +116,7 @@ class TestFindWitness:
         assert rec.candidates == 8
         assert rec.factor_count == 0
         assert rec.epsilon == F(1, 2)
-        assert rec.z.den == 2
+        assert rec.z.v == 2
         assert rec.distance <= rec.epsilon
 
     def test_witness_is_certified_best(self):
@@ -148,7 +148,7 @@ class TestFindWitness:
 
     def test_integral_target(self):
         rec = find_witness(IDENTITY, 1, 0.5, ENTRY11)
-        assert rec.z.den == 1
+        assert rec.z.v == 1
         assert rec.factor_count == 0
 
     def test_no_witness_reports_probe(self):
@@ -206,7 +206,6 @@ class TestCountingVerification:
         assert rep.rows[0].T == 8
         assert not rep.rows[0].significant
         assert rep.spread is None
-        assert rep.not_significant
 
     def test_budget_skip_marked(self):
         tight = dataclasses.replace(DEFAULT_CONFIG, optimized_row_budget=100)

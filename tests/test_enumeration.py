@@ -265,7 +265,7 @@ class TestResultContract:
             res = enumerate_points(ball)
             for z in res.points:
                 z.validate()
-                assert z.den == n
+                assert z.v == n
                 assert ball_membership(z, ball)
 
     def test_canonical_order_no_duplicates(self):

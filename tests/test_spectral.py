@@ -343,6 +343,26 @@ class TestOperator:
         assert g.degree == 6144
         assert peak < 1_000_000
 
+    def test_product_table_is_filled_in_blocks(self):
+        # (7, 13, 2) has 1006 images of the 2184 vertices, a 17.6 MB table;
+        # one broadcast of all its products peaked at about six times that
+        build_hecke_graph(7, 13, 1)  # the level table, cached
+        tracemalloc.start()
+        try:
+            g = build_hecke_graph(7, 13, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.operator.shape == (1006, 2184)
+        assert peak < 2 * g.operator.nbytes
+
+    def test_blocks_of_one_image_row_build_the_same_table(self, monkeypatch):
+        whole = build_hecke_graph(2, 5, 3)
+        monkeypatch.setattr(spectral, "SHELL_BLOCK", 1)
+        rowwise = build_hecke_graph(2, 5, 3)
+        assert (rowwise.operator == whole.operator).all()
+        assert (rowwise.weights == whole.weights).all()
+
 
 class TestSecondSingularValue:
     def test_frozen_value(self):

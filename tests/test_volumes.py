@@ -105,13 +105,20 @@ class TestLocalVolumes:
 
     def test_huge_p_not_trial_divided(self, monkeypatch):
         def factor(*args, **kwargs):
-            raise AssertionError("p was trial-divided to its square root")
+            raise AssertionError("p was factored or trial-divided to its square root")
 
         monkeypatch.setattr(core, "prime_factorization", factor)
+        monkeypatch.setattr(sympy, "factorint", factor)
         p = 10**18 + 3  # prime
         assert local_ball_volume(p, 1) == (p + 1) * p
-        # no factor below the trial limit; one past it; one with a small factor
-        for composite in (1000003 * 1000033, (10**9 + 7) * (10**9 + 9), 10**18 + 1):
+        # no factor below the trial limit; one past it; one with a small
+        # factor; a 196-bit product of two Mersenne primes
+        for composite in (
+            1000003 * 1000033,
+            (10**9 + 7) * (10**9 + 9),
+            10**18 + 1,
+            (2**107 - 1) * (2**89 - 1),
+        ):
             with pytest.raises(ValueError, match="prime"):
                 local_ball_volume(composite, 1)
 
