@@ -20,7 +20,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -274,7 +274,7 @@ def _json_int(x) -> int:
     raise ValueError(f"found {x!r} where a JSON integer or decimal string belongs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalGroupPoint:
     """A matrix with rational entries, det 1, in normalized u/v form."""
 
@@ -286,6 +286,9 @@ class RationalGroupPoint:
         return tuple(tuple(Fraction(e, self.v) for e in row) for row in self.u)
 
     def flat_numerator(self) -> tuple[int, ...]:
+        if self.n_dim == 2:  # the common case, unpacked without chaining
+            (a, b), (c, d) = self.u
+            return (a, b, c, d)
         return tuple(chain.from_iterable(self.u))
 
     def validate(self) -> None:
@@ -352,6 +355,28 @@ class RationalGroupPoint:
         return cls.from_json_dict(json.loads(s))
 
 
+_new_object = object.__new__
+_set_u = RationalGroupPoint.u.__set__
+_set_v = RationalGroupPoint.v.__set__
+_set_n_dim = RationalGroupPoint.n_dim.__set__
+
+
+def _row_point(n: int, row: list) -> RationalGroupPoint:
+    """The point of one n_dim-n row (numerator row-major, then v), its slots
+    written directly: the frozen ``__init__`` would make three
+    ``object.__setattr__`` calls, and validates nothing more."""
+    z = _new_object(RationalGroupPoint)
+    if n == 2:  # the common case, unpacked without slicing
+        a, b, c, d, v = row
+        _set_u(z, ((a, b), (c, d)))
+    else:
+        *flat, v = row
+        _set_u(z, tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
+    _set_v(z, v)
+    _set_n_dim(z, n)
+    return z
+
+
 def point_row_array(rows: Sequence[Sequence], n_dim: int) -> np.ndarray:
     """The (len(rows), n_dim**2 + 1) array of point rows, given with int or
     decimal-string entries or as an array: int64 while n_dim! * B**n_dim <
@@ -402,21 +427,14 @@ class PointRows(Sequence):
     def __hash__(self) -> int:
         return hash((self.n_dim, self.rows.shape))
 
-    def _point(self, row: list) -> RationalGroupPoint:
-        n = self.n_dim
-        if n == 2:  # the common case, unpacked without slicing
-            a, b, c, d, v = row
-            return RationalGroupPoint(((a, b), (c, d)), v, 2)
-        *flat, v = row
-        u = tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n))
-        return RationalGroupPoint(u=u, v=v, n_dim=n)
-
     def __getitem__(self, i):
         rows = self.rows[i].tolist()
-        return list(map(self._point, rows)) if isinstance(i, slice) else self._point(rows)
+        if isinstance(i, slice):
+            return list(map(_row_point, repeat(self.n_dim), rows))
+        return _row_point(self.n_dim, rows)
 
     def __iter__(self):
-        return map(self._point, self.rows.tolist())
+        return map(_row_point, repeat(self.n_dim), self.rows.tolist())
 
 
 def reduce(raw: Sequence[Sequence]) -> RationalGroupPoint:
@@ -582,21 +600,24 @@ class Polynomial:
 
     @cached_property
     def _terms(self) -> tuple:
-        # (coefficient, degree deficit, sparse (index, exponent) pairs)
+        # (coefficient, degree deficit, the flat index of each variable
+        # repeated as often as its exponent)
         deg = self.degree
         return tuple(
-            (c, deg - sum(exps), tuple((i, e) for i, e in enumerate(exps) if e))
+            (c, deg - sum(exps), tuple(i for i, e in enumerate(exps) for _ in range(e)))
             for exps, c in self.monomials
         )
 
     def eval_flat(self, values: Sequence, v: int = 1):
         """Homogenized value v**degree * f(values / v): the integer F(u, v) on
-        the numerator of a point u/v, and plain f(values) for v = 1."""
+        the numerator of a point u/v, and plain f(values) for v = 1.  The
+        values may be ints, Fractions or the columns of a point array."""
         total = 0
-        for c, deficit, powers in self._terms:
-            term = c * v**deficit
-            for i, e in powers:
-                term = term * values[i] ** e
+        for c, deficit, indices in self._terms:
+            # v**0 is skipped unless it alone gives a constant member its type
+            term = c * v**deficit if deficit or not indices else c
+            for i in indices:
+                term = term * values[i]
             total = total + term
         return total
 
@@ -610,12 +631,11 @@ class Polynomial:
         """
         check_int64_modulus(q)
         total = np.zeros(columns.shape[1], dtype=np.int64)
-        for c, _, powers in self._terms:
+        for c, _, indices in self._terms:
             term = np.full(columns.shape[1], c % q, dtype=np.int64)
-            for i, e in powers:
-                for _ in range(e):
-                    np.multiply(term, columns[i], out=term)
-                    np.remainder(term, q, out=term)
+            for i in indices:
+                np.multiply(term, columns[i], out=term)
+                np.remainder(term, q, out=term)
             np.add(total, term, out=total)
             np.remainder(total, q, out=total)
         return total
@@ -651,7 +671,8 @@ class PolynomialFamily:
         """The integers v**deg(f_i) * f_i(z) on the numerator of z = u/v; each
         is f_i(z) times a unit of Z[1/v], so it has the same coprime part."""
         flat = z.flat_numerator()
-        return tuple(p.eval_flat(flat, z.v) for p in self.polys)
+        v = z.v
+        return tuple([p.eval_flat(flat, v) for p in self.polys])
 
 
 FAMILY_PRESETS = {

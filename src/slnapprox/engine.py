@@ -179,12 +179,15 @@ def find_witness(
     best = None
     best_count = None
     zeros = 0
+    # looked up once per call: a wrapper installed before the call still
+    # sees every candidate
+    values, product, sieved = family.values, math.prod, coprime_part
     for z in result.points:
-        prod = math.prod(family.values(z))
+        prod = product(values(z))
         if prod == 0:
             zeros += 1
             continue
-        fc = coprime_part(prod, n, config).factor_count
+        fc = sieved(prod, n, config).factor_count
         if best_count is None or fc < best_count:
             best, best_count = z, fc
     if best is None:

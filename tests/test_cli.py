@@ -735,6 +735,26 @@ class TestWitness:
         assert blob["z"] == {"n_dim": 2, "u": [["1", "-1"], ["1", "3"]], "v": "2"}
         assert blob["distance"] == {"num": "1", "den": "2"}
 
+    def test_records_are_pinned(self, capsys):
+        # every BOUNDED_CENTERS entry, preset and n at alpha = 1/6, with the
+        # time of each search removed
+        records = []
+        for center in BOUNDED_CENTERS:
+            text = json.dumps([[str(e) for e in row] for row in center])
+            for preset in ("entry11", "trace-minus-2", "sum-entries"):
+                for n in (50, 110, 200):
+                    code, out, _ = run(
+                        capsys, "witness", "--center", text, "-n", str(n),
+                        "--alpha", str(1 / 6), "--poly", preset,
+                    )
+                    assert code == EXIT_OK
+                    record = json.loads(out)
+                    del record["elapsed_s"]
+                    records.append(json.dumps(record, indent=2))
+        assert hashlib.sha256("\n".join(records).encode()).hexdigest() == (
+            "173e39b34ccb7b87fb430743994996607c9e8ea7a97bdd5108ac8ea120554635"
+        )
+
     def test_no_witness_exit(self, capsys):
         code, _, err = run(capsys, "witness", "-n", "2", "--alpha", "2.0")
         assert code == EXIT_NO_WITNESS

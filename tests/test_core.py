@@ -1,10 +1,13 @@
 """Exact arithmetic layer: reduction, norms, ball membership, polynomials."""
 
 import bisect
+import copy
+import dataclasses
 import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slnapprox
@@ -23,6 +26,7 @@ from slnapprox import core
 from slnapprox.core import (
     PRIME_SEGMENT,
     BallSpec,
+    PointRows,
     Polynomial,
     PolynomialFamily,
     RationalGroupPoint,
@@ -31,6 +35,7 @@ from slnapprox.core import (
     FAMILY_PRESETS,
     family_from_file,
     family_from_preset,
+    identity_matrix,
     mat_det,
     n_coprime_part,
     padic_norm,
@@ -41,6 +46,8 @@ from slnapprox.core import (
 )
 from slnapprox.enumeration import enumerate_points
 from slnapprox.errors import BudgetExceeded, NotUnimodular
+
+from monomial_oracle import monomial_value
 
 F = Fraction
 
@@ -241,6 +248,15 @@ class TestBallMembership:
             BallSpec.make(IDENTITY, F(1, 2), 0)
 
 
+# polynomials in the entries of a 2x2 matrix: exponents up to 3, negative
+# coefficients, and a constant member when the all-zero exponent is drawn alone
+MONOMIALS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.integers(-(10**6), 10**6).filter(bool),
+    min_size=1, max_size=5,
+)
+
+
 class TestPolynomials:
     def test_entry_family_on_identity(self):
         fam = family_from_preset("entry11")
@@ -314,6 +330,53 @@ class TestPolynomials:
         ))
         got = poly.eval_mod(np.array(rows, dtype=np.int64).T, q)
         assert got.tolist() == [poly.eval_flat(row) % q for row in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mono=MONOMIALS,
+        values=st.lists(st.integers(-(2**80), 2**80), min_size=4, max_size=4),
+        v=st.integers(2, 2**70),
+        den=st.integers(1, 50),
+        q=st.sampled_from([2, 6, 31, 2**31 - 1]),
+    )
+    @example(mono={(0, 0, 0, 0): -7}, values=[2**64 + 1, 0, 1, -1], v=3, den=2, q=31)
+    @example(
+        mono={(3, 0, 0, 2): -2, (0, 0, 0, 0): 5}, values=[2**65, 3, 4, -(2**64)],
+        v=2**64 + 1, den=7, q=2**31 - 1,
+    )
+    def test_evaluators_match_monomial_sums(self, mono, values, v, den, q):
+        # eval_flat on Python ints with v > 1 and on Fractions with v = 1,
+        # and eval_mod on the entries reduced mod q
+        poly = Polynomial.from_monomials(mono, 2)
+        got = poly.eval_flat(values, v)
+        assert type(got) is int and got == monomial_value(poly, values, v)
+        fracs = [F(x, den) for x in values]
+        assert poly.eval_flat(fracs) == monomial_value(poly, fracs)
+        column = np.array([[x % q] for x in values], dtype=np.int64)
+        assert poly.eval_mod(column, q).tolist() == [monomial_value(poly, values) % q]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mono=MONOMIALS,
+        rows=st.lists(
+            st.lists(st.integers(-(2**80), 2**80), min_size=5, max_size=5),
+            min_size=1, max_size=10,
+        ),
+    )
+    @example(mono={(0, 0, 0, 0): 5}, rows=[[2**64, -(2**64) - 1, 3, 0, 2**65]])
+    @example(mono={(2, 0, 1, 0): -3, (0, 0, 0, 0): 1}, rows=[[1, 2, 3, 4, 5], [-8, 8, -8, 8, 8]])
+    def test_eval_flat_on_columns_matches_monomial_sums(self, dtype, mono, rows):
+        # the columns of sieve.value_histogram: numerator entries, then v
+        if dtype is np.int64:  # |entry| <= 8: 5 * 10**6 * 8**12 < 2**63
+            rows = [[x % 17 - 8 for x in row[:4]] + [row[4] % 8 + 1] for row in rows]
+        else:
+            rows = [row[:4] + [abs(row[4]) + 1] for row in rows]
+        poly = Polynomial.from_monomials(mono, 2)
+        cols = np.array(rows, dtype=dtype).T
+        got = poly.eval_flat(cols, cols[-1])
+        assert isinstance(got, np.ndarray) and got.dtype == cols.dtype
+        assert got.tolist() == [monomial_value(poly, row[:4], row[4]) for row in rows]
 
     def test_eval_mod_guard_allocates_nothing(self, monkeypatch):
         class NoNumpy:
@@ -445,6 +508,43 @@ class TestJsonRoundTrip:
         bad = json.dumps({"n_dim": 2, "u": [["1", "0"], ["0", "2"]], "v": "1"})
         with pytest.raises(NotUnimodular):
             RationalGroupPoint.from_json(bad)
+
+
+class TestPointRowsItems:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("n_dim, n", [(1, 1), (2, 6), (3, 2)])
+    def test_items_match_points_built_by_init(self, n_dim, n, dtype):
+        ball = BallSpec.make(identity_matrix(n_dim), F(1, 2), n)
+        strategy = "optimized" if n_dim == 2 else "oracle"
+        rows = enumerate_points(ball, strategy=strategy).points.rows
+        if dtype is object:
+            rows = rows.astype(object)
+            if n_dim > 1:  # and a point with an entry past 2**64
+                m = [list(r) for r in identity_matrix(n_dim)]
+                m[0][-1] = F(2**70 + 1, 3)
+                big = reduce(m)
+                rows = np.vstack((rows, np.array([(*big.flat_numerator(), big.v)], dtype=object)))
+        points = PointRows(n_dim, rows)
+        assert points.rows.dtype == dtype
+        items = list(points)
+        assert items and items == points[:] == [points[i] for i in range(len(points))]
+        for row, z in zip(rows.tolist(), items):
+            u = tuple(tuple(row[k : k + n_dim]) for k in range(0, n_dim * n_dim, n_dim))
+            ref = RationalGroupPoint(u=u, v=row[-1], n_dim=n_dim)
+            assert z == ref and hash(z) == hash(ref)
+            assert all(type(e) is int for e in (*z.flat_numerator(), z.v, z.n_dim))
+            z.validate()
+        z = items[-1]
+        assert not hasattr(z, "__dict__")
+        for field in ("u", "v", "n_dim"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(z, field, getattr(z, field))
+        copies = [copy.copy(z), copy.deepcopy(z)] + [
+            pickle.loads(pickle.dumps(z, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for back in copies:
+            assert type(back) is RationalGroupPoint and back == z and hash(back) == hash(z)
 
 
 # sympy's primes below four segments: the oracle of primes_below

@@ -28,6 +28,8 @@ from slnapprox.enumeration import enumerate_points
 from slnapprox.errors import AlphaTooLarge, NoWitness, ZeroValue
 from slnapprox.volumes import finite_volume
 
+from monomial_oracle import monomial_value
+
 F = Fraction
 
 IDENTITY = to_fraction_matrix(identity_matrix(2))
@@ -132,11 +134,13 @@ class TestFindWitness:
             ball = BallSpec.make(center, rec.epsilon, n)
             assert ball_membership(rec.z, ball)
             # per-point oracle: first point of least factor count, zeros
-            # skipped, each value factored by sympy, not by the memoized
-            # coprime_part the search uses
+            # skipped, each value summed from the monomials and factored by
+            # sympy, not by family.values and the memoized coprime_part
+            # the search uses
             best, best_count, zeros = None, None, 0
             for z in enumerate_points(ball).points:
-                prod = math.prod(family.values(z))
+                flat = [e for row in z.u for e in row]
+                prod = math.prod(monomial_value(p, flat, z.v) for p in family.polys)
                 if prod == 0:
                     zeros += 1
                     continue
