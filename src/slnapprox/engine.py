@@ -260,11 +260,14 @@ def counting_verification(
     ``count_threshold`` points, and cells whose enumeration exceeds the
     budget (reported with T = None and the reason in ``skipped``), stay in
     the table but are excluded from the spread; the spread is only reported
-    when at least one significant cell exists.
+    when at least one significant cell exists.  The threshold must be at
+    least 1, so that no significant ratio is 0 (ValueError otherwise).
     """
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError(f"epsilon must be positive, got {eps}")
+    if count_threshold < 1:
+        raise ValueError(f"count threshold must be at least 1, got {count_threshold}")
     vols = {n: finite_volume(n, config=config) for n in n_list}
     rows = []
     ratios = []

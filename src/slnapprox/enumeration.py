@@ -9,10 +9,12 @@ det(u) = n**n_dim together with gcd(u, n) = 1.
 Two strategies are provided.  The oracle scans the full integer box and is
 the ground truth; the optimized strategy (2x2 only) solves the linear
 equation a*d - b*c = n**2 for the bottom row of every top row (a, b) of
-the box at once, on numpy arrays: a masked extended Euclid, the j-range of
-each solution progression (c0 + dc*j, d0 + dd*j) inside the box, and its
-length.  The arrays are int64 while every intermediate fits, and hold
-Python ints (``dtype=object``) beyond, through the same code.  Both
+the box at once, on numpy arrays: a Bezout pair of (a, b), read from a
+table built once for |a|, |b| <= 512 and found by a masked extended Euclid
+beyond, the j-range of each solution progression (c0 + dc*j, d0 + dd*j)
+inside the box, and its length.  The arrays are int64 while every
+intermediate fits, and hold Python ints (``dtype=object``) beyond, through
+the same code.  Both
 strategies return canonical order (lexicographic on the flattened
 numerator).  ``count_points`` reads the same row arrays for callers that
 need only the number of points: it builds no point and expands no
@@ -138,6 +140,7 @@ def _egcd_arrays(a: np.ndarray, b: np.ndarray):
 
     Each lane runs the scalar recurrence of (r, s) until its remainder
     vanishes; t is then read off a*s + b*t == g, and is 0 where b == 0.
+    It builds ``_bezout_table`` and is the table's oracle.
     """
     old_r, r = a.copy(), b.copy()
     old_s, s = np.ones_like(a), np.zeros_like(a)
@@ -163,6 +166,46 @@ def _egcd_arrays(a: np.ndarray, b: np.ndarray):
     return g, s, t
 
 
+# |a|, |b| <= _BEZOUT_REACH have their (g, s, t) read from one table of
+# 513**2 int16 triples (1.6 MB); rows of a solved per call while it is built,
+# so that the build adds little to the peak memory
+_BEZOUT_REACH = 512
+_BEZOUT_BUILD_ROWS = 16
+
+
+@lru_cache(maxsize=None)
+def _bezout_table() -> np.ndarray:
+    """The read-only (3, 513**2) int16 array of ``_egcd_arrays(a, b)`` for
+    0 <= a, b <= _BEZOUT_REACH: g, s and t of (a, b) at column a * 513 + b.
+    Built on its first use, _BEZOUT_BUILD_ROWS values of a at a time."""
+    side = _BEZOUT_REACH + 1
+    table = np.empty((3, side * side), dtype=np.int16)
+    b = np.tile(np.arange(side, dtype=np.int64), _BEZOUT_BUILD_ROWS)
+    for first in range(0, side, _BEZOUT_BUILD_ROWS):
+        stop = min(side, first + _BEZOUT_BUILD_ROWS)
+        a = np.repeat(np.arange(first, stop, dtype=np.int64), side)
+        table[:, first * side : stop * side] = _egcd_arrays(a, b[: a.size])
+    table.flags.writeable = False
+    return table
+
+
+def _bezout(a: np.ndarray, b: np.ndarray):
+    """(g, s, t) with a*s + b*t == g == gcd(a, b) >= 0, lane by lane.
+
+    Read from ``_bezout_table`` at (|a|, |b|), the signs of s and t those of
+    a and b, when the arrays are int64 and every |a|, |b| is at most
+    _BEZOUT_REACH; ``_egcd_arrays`` otherwise.  The two may give different
+    pairs (s, t) for a negative a or b.
+    """
+    if a.dtype == object:
+        return _egcd_arrays(a, b)
+    abs_a, abs_b = np.abs(a), np.abs(b)
+    if max(abs_a.max(), abs_b.max()) > _BEZOUT_REACH:
+        return _egcd_arrays(a, b)
+    g, s, t = _bezout_table()[:, abs_a * (_BEZOUT_REACH + 1) + abs_b].astype(np.int64)
+    return g, np.where(a < 0, -s, s), np.where(b < 0, -t, t)
+
+
 def _step_bounds(x0, step, lo, hi):
     """j-range arrays with lo <= x0 + step*j <= hi, and where step == 0 the
     mask of rows that leave j unconstrained (there j_lo > j_hi otherwise)."""
@@ -183,7 +226,9 @@ def _sl2_rows(ball: BallSpec, budget: int):
     Yields ``_Rows`` blocks in canonical (a, b) order; nothing for an empty
     box.  a*d - b*c = n**2 has integer solutions exactly when g = gcd(a, b)
     divides n**2, and then they are (c0 + j*a/g, d0 + j*b/g) with
-    (d0, -c0) = (s, t) * n**2/g from a*s + b*t = g.  The arrays are int64
+    (d0, -c0) = (s, t) * n**2/g from a*s + b*t = g.  Any Bezout pair
+    serves: another shifts j by a multiple of k = n**2/g, so each row keeps
+    its points, their order and the residues of j mod k.  The arrays are int64
     while every intermediate stays below 2**62 (c0 reaches
     max|entry| * n**2), and Python ints in ``dtype=object`` arrays beyond.
     """
@@ -202,7 +247,7 @@ def _sl2_rows(ball: BallSpec, budget: int):
         a = (flat // width).astype(dtype) + a_lo
         b = (flat % width).astype(dtype) + b_lo
         del flat
-        g, s, t = _egcd_arrays(a, b)
+        g, s, t = _bezout(a, b)
         # g = 0 is the zero row, which solves nothing
         live = np.flatnonzero(g)
         live = live[m % g[live] == 0]

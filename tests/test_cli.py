@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -779,6 +780,55 @@ class TestVerifyCount:
         assert lines[0] == "center,n,epsilon,T,volume,ratio,significant"
         assert len(lines) == 12  # 5 centers x 2 moduli + header + spread
         assert lines[-1].startswith("# spread ")
+
+
+    def test_threshold_below_one_exits_invalid(self):
+        code, out, err = run_process(
+            "verify-count", "--threshold", "0", "--n-list", "53", "--epsilon", "1/1000"
+        )
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "invalid parameters: count threshold must be at least 1, got 0\n"
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    ARGVS = [
+        ["params", "--alpha", "1/20"],
+        ["volumes", "--lmax", "1"],
+        ["verify-count", "--n-list", "53", "--threshold", "100"],
+        ["enumerate", "--radius", "1/2", "-n", "6"],
+        ["witness", "-n", "50", "--alpha", "0.1666", "--poly", "trace-minus-2"],
+        ["density", "--q", "5,7"],
+        ["--group", "sl3", "density", "--q", "2,3"],
+        ["volumes", "--lmax", "x"],
+        ["verify-count", "--threshold", "0"],
+    ]
+
+    def test_interleaved_commands_repeat_their_first_output(self, capsys):
+        def call(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            # the only field that differs between two calls of one command
+            out = re.sub(r'"elapsed_(m?s)": ?[-+.e0-9]+', r'"elapsed_\1"', captured.out)
+            return code, out, captured.err
+
+        first = [call(argv) for argv in self.ARGVS]
+        assert [code for code, _, _ in first] == [EXIT_OK] * 7 + [EXIT_INVALID] * 2
+        order = list(range(len(self.ARGVS)))
+        for shuffled in (order[::-1], order[1::2] + order[::2]):
+            assert [call(self.ARGVS[i]) for i in shuffled] == [first[i] for i in shuffled]
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_default_lists_are_unchanged(self, capsys):
+        run(capsys, "volumes", "--lmax", "0")
+        run(capsys, "verify-count", "--threshold", "100")
+        parser = cli.build_parser()
+        assert parser.parse_args(["volumes"]).p_list == [2, 3, 5, 7, 11, 13]
+        assert parser.parse_args(["verify-count"]).n_list == [53, 59, 61, 67, 71]
 
 
 def test_every_package_error_exits_invalid(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import bisect
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -47,7 +48,7 @@ from slnapprox.core import (
 from slnapprox.enumeration import enumerate_points
 from slnapprox.errors import BudgetExceeded, NotUnimodular
 
-from monomial_oracle import monomial_value
+from monomial_oracle import monomial_value, ordered_value
 
 F = Fraction
 
@@ -437,6 +438,128 @@ class TestPolynomials:
         path.write_text(json.dumps({"n_dim": "2", "polys": [[["-3", ["1", 0, 0, 0]]]]}))
         (poly,) = family_from_file(str(path)).polys
         assert poly == Polynomial.from_monomials({(1, 0, 0, 0): -3}, 2)
+
+
+def _big_member(terms=3000, seed=2701):
+    """A 2x2 member of ``terms`` monomials, every exponent below 8."""
+    rng = random.Random(seed)
+    exps = rng.sample(list(itertools.product(range(8), repeat=4)), terms)
+    return Polynomial.from_monomials(
+        {e: rng.choice([-1, 1]) * rng.randrange(1, 10**6) for e in exps}, 2
+    )
+
+
+class TestGeneratedEvaluator:
+    """``eval_flat`` and ``PolynomialFamily.values`` run functions generated
+    from the term tables; ``monomial_oracle`` is their reference."""
+
+    @pytest.mark.parametrize("generated", [True, False], ids=["generated", "loop"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _big_member,
+            lambda: Polynomial.from_monomials({(500, 0, 0, 0): 3, (0, 1, 0, 0): -2}, 2),
+            lambda: Polynomial.from_monomials({(0, 0, 0, 0): 7}, 2),
+        ],
+        ids=["3000-terms", "exponent-500", "constant"],
+    )
+    def test_long_members_match_the_oracles(self, monkeypatch, make, generated):
+        # a 3000-term member, and a product of 500 variables, compile: the
+        # products are cut into statements of a few factors each; past the
+        # budget of factors the same operations run in the term loop
+        if not generated:
+            monkeypatch.setattr(core, "_GENERATED_FACTORS", 0)
+        poly = make()
+        values, v = [3, -2, 5, 7], 11
+        got = poly.eval_flat(values, v)
+        assert isinstance(poly._evaluate, functools.partial) is not generated
+        assert type(got) is int and got == monomial_value(poly, values, v)
+        fracs = [F(-2, 3), F(1, 2), F(5, 7), F(3)]
+        got = poly.eval_flat(fracs)
+        assert type(got) is type(ordered_value(poly, fracs)) and got == monomial_value(poly, fracs)
+        rows = np.array([[3, -2, 5, 7, 11], [-1, 4, 0, 9, 2], [97, 89, -83, 79, 5]])
+        for dtype in (np.int64, object):
+            cols = rows.astype(dtype).T
+            got = poly.eval_flat(cols, cols[-1])
+            # int64 wraps where the term loop wraps, to the same array
+            want = ordered_value(poly, cols, cols[-1])
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+        exact = poly.eval_flat(rows.astype(object).T, rows[:, -1].astype(object))
+        assert exact.tolist() == [monomial_value(poly, r[:4], r[4]) for r in rows.tolist()]
+
+    @pytest.mark.parametrize("generated", [True, False], ids=["generated", "loop"])
+    def test_three_by_three_families_match_the_oracle(self, monkeypatch, generated):
+        if not generated:
+            monkeypatch.setattr(core, "_GENERATED_FACTORS", 0)
+        rng = random.Random(2702)
+        mixed = PolynomialFamily(
+            polys=tuple(
+                Polynomial.from_monomials(
+                    {tuple(rng.randrange(3) for _ in range(9)): rng.randrange(-9, 10) or 1
+                     for _ in range(6)}, 3)
+                for _ in range(3)
+            ),
+            n_dim=3,
+        )
+        families = [family_from_preset(name, 3) for name in FAMILY_PRESETS] + [mixed]
+        ball = BallSpec.make(identity_matrix(3), F(1, 2), 2)
+        points = enumerate_points(ball, strategy="oracle").points
+        assert len(points) > 10
+        for fam in families:
+            for z in points:
+                got = fam.values(z)
+                want = tuple(monomial_value(p, z.flat_numerator(), z.v) for p in fam.polys)
+                assert type(got) is tuple and got == want
+                assert all(type(x) is int for x in got)
+                assert got == tuple(p.eval_flat(z.flat_numerator(), z.v) for p in fam.polys)
+            assert fam._evaluate.__code__.co_filename.startswith("<evaluator") is generated
+
+    def test_evaluated_family_pickles_and_copies(self):
+        fam = PolynomialFamily(
+            polys=(Polynomial.trace_minus(2), Polynomial.from_monomials({(2, 0, 0, 1): -3}, 2)),
+            n_dim=2,
+        )
+        twin = PolynomialFamily(polys=fam.polys, n_dim=2)
+        before = hash(fam)
+        z = reduce(((F(1, 6), 1), (F(5, 6), 11)))
+        values = fam.values(z)
+        fam.polys[0].eval_flat((1, 2, 3, 4), 5)
+        copies = [copy.copy(fam), copy.deepcopy(fam)] + [
+            pickle.loads(pickle.dumps(fam, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for other in [fam, *copies]:
+            assert other == fam == twin
+            assert hash(other) == before == hash(twin)
+            assert other.values(z) == values
+            assert other.polys[0].eval_flat((1, 2, 3, 4), 5) == 1 + 4 - 2 * 5
+        pickle.dumps(fam.polys[0])
+
+    def test_source_coefficient_executes_nothing(self, tmp_path):
+        # a coefficient is bound by name, so its text never reaches the
+        # compiler: a string coefficient fails on the first addition
+        marker = tmp_path / "ran"
+        text = f"open({str(marker)!r}, 'w').close()"
+        poly = Polynomial(monomials=(((1, 0, 0, 0), text),), n_dim=2)
+        with pytest.raises(TypeError):
+            poly.eval_flat((1, 2, 3, 4))
+        with pytest.raises(TypeError):
+            PolynomialFamily(polys=(poly,), n_dim=2).values(reduce(IDENTITY))
+        assert not marker.exists()
+
+    def test_fresh_families_reuse_the_generated_code(self):
+        z = reduce(((F(1, 6), 1), (F(5, 6), 11)))
+        first = family_from_preset("trace-minus-2")
+        first.values(z)
+        misses = core._evaluator_factory.cache_info().misses
+        fresh = family_from_preset("trace-minus-2")
+        assert fresh is not first and fresh.values(z) == first.values(z)
+        # a member of the same shape and other coefficients shares it too
+        shifted = PolynomialFamily(polys=(Polynomial.trace_minus(3),), n_dim=2)
+        assert shifted.values(z) == (49,)
+        assert core._evaluator_factory.cache_info().misses == misses
+        code = first._evaluate.__code__
+        assert fresh._evaluate.__code__ is code and shifted._evaluate.__code__ is code
 
 
 def strip_by_factorization(w, n):

@@ -226,6 +226,13 @@ class TestCountingVerification:
             det = c[0][0] * c[1][1] - c[0][1] * c[1][0]
             assert det == 1
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_one_rejected(self, threshold):
+        # a zero-count cell would be significant, and its ratio 0 would
+        # divide the spread
+        with pytest.raises(ValueError, match="at least 1"):
+            counting_verification([IDENTITY], [53], F(1, 1000), count_threshold=threshold)
+
     def test_two_cell_spread(self):
         rep = counting_verification(
             [IDENTITY], [53, 59], F(1, 2), count_threshold=100

@@ -10,8 +10,12 @@ import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +453,98 @@ class TestEgcdArrays:
     @given(lanes=_lanes(2**100))
     def test_python_int_lanes(self, lanes):
         self._check(lanes, object)
+
+
+REACH = enumeration._BEZOUT_REACH
+# entries at 0 and on both sides of the table's reach, with either sign
+NEAR_REACH = (
+    st.sampled_from([0, 1, -1, 2])
+    | st.integers(REACH - 3, REACH + 3)
+    | st.integers(-REACH - 3, -REACH + 3)
+)
+
+
+@st.composite
+def reach_balls(draw):
+    """A ball whose numerator box is 2w + 1 wide around (a, b, c, d): a and
+    b near the table's reach, (c, d) a bottom row of (a, b) when one exists.
+    Past n = 2**31 the rows are Python ints."""
+    n = draw(st.integers(1, 40) | st.integers(2**31, 2**31 + 99))
+    a, b = draw(NEAR_REACH), draw(NEAR_REACH)
+    g, s, t = _egcd(a, b)
+    m = n * n
+    if g and m % g == 0:
+        c, d = -t * (m // g), s * (m // g)
+    else:
+        c, d = draw(NEAR_REACH), draw(NEAR_REACH)
+    w = draw(st.integers(0, 2))
+    center = [[F(a, n), F(b, n)], [F(c, n), F(d, n)]]
+    return BallSpec.make(center, F(4 * w + 1, 4 * n), n)
+
+
+class TestBezoutTable:
+    """Top rows within the reach read (g, s, t) from ``_bezout_table``;
+    ``_egcd_arrays`` is its oracle and solves every other block."""
+
+    def test_table_is_the_loop_on_every_pair(self):
+        side = REACH + 1
+        a = np.repeat(np.arange(side, dtype=np.int64), side)
+        b = np.tile(np.arange(side, dtype=np.int64), side)
+        table = enumeration._bezout_table()
+        assert table.dtype == np.int16 and not table.flags.writeable
+        assert np.array_equal(table, np.stack(enumeration._egcd_arrays(a, b)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lanes=_lanes(REACH + 88))
+    def test_signed_lanes_give_a_bezout_pair(self, lanes):
+        a = np.array([x for x, _ in lanes] or [0], dtype=np.int64)
+        b = np.array([y for _, y in lanes] or [0], dtype=np.int64)
+        g, s, t = enumeration._bezout(a, b)
+        assert g.dtype == s.dtype == t.dtype == np.int64
+        assert np.array_equal(g, enumeration._egcd_arrays(a, b)[0])
+        assert np.array_equal(a * s + b * t, g)
+
+    def test_blocks_past_the_reach_run_the_loop(self, monkeypatch):
+        enumeration._bezout_table()  # built by the loop before the count
+        calls = []
+        loop = enumeration._egcd_arrays
+        monkeypatch.setattr(enumeration, "_egcd_arrays", lambda a, b: calls.append(a) or loop(a, b))
+        monkeypatch.setattr(enumeration, "_ROW_BLOCK", 5)
+        # a in [510, 514], b in [-1, 3]: one block of five rows per a
+        ball = BallSpec.make([[F(512), F(1)], [F(0), F(1, 512)]], F(9, 4), 1)
+        assert entry_bounds(ball)[0] == [(510, 514), (-1, 3)]
+        assert count_points(ball) == len(scalar_scan(ball))
+        assert sorted(int(a.max()) for a in calls) == [513, 514]
+
+    @settings(max_examples=120, deadline=None)
+    @given(ball=reach_balls(), block=st.sampled_from([1, 3, 4096]))
+    def test_boxes_across_the_reach(self, ball, block):
+        # small blocks put rows on both sides of the reach in one box, some
+        # read from the table and some solved by the loop
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_ROW_BLOCK", block)
+            result = enumerate_points(ball, strategy="both")
+            assert count_points(ball) == result.count == len(result.points)
+        assert flats(result) == scalar_scan(ball)
+
+    def test_table_is_built_on_first_use(self):
+        src = str(Path(enumeration.__file__).parents[1])
+        code = (
+            "from slnapprox import core, enumeration as e\n"
+            "built = [e._bezout_table.cache_info().currsize]\n"
+            "e.count_points(core.BallSpec.make(((1, 0), (0, 1)), '1/1000', 700))\n"
+            "built.append(e._bezout_table.cache_info().currsize)\n"
+            "e.count_points(core.BallSpec.make(((1, 0), (0, 1)), '1/2', 24))\n"
+            "built.append(e._bezout_table.cache_info().currsize)\n"
+            "print(built)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # past the reach the loop runs, and the table waits for a row within
+        assert proc.stdout == "[0, 0, 1]\n"
 
 
 class TestEntryBounds:
