@@ -18,7 +18,7 @@ import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import chain, repeat
 
@@ -546,27 +546,14 @@ def ball_membership(z: RationalGroupPoint, ball: BallSpec) -> bool:
 # recurses once per operator of a chain, so a long product is cut
 _CHAIN = 32
 # factors (one per coefficient and per variable of each term) that the
-# generated evaluator of one set of term tables may hold: the compiler takes
-# about 2 us and 600 bytes a factor, a 60,000-term member 10 s and 1.3 GB,
-# so larger tables are evaluated by ``_term_loop`` instead
+# generated evaluator of one family may hold: the compiler takes about 2 us
+# and 600 bytes a factor, a 60,000-term member 10 s and 1.3 GB, so larger
+# families are evaluated by each member's ``eval_flat`` instead
 _GENERATED_FACTORS = 1 << 16
 
 
-def _term_loop(terms: tuple, values: Sequence, v):
-    """v**deg * f(values / v) by a loop over the term table of f: the
-    operations the generated evaluators perform, in their order."""
-    total = 0
-    for c, deficit, indices in terms:
-        # v**0 is skipped unless it alone gives a constant member its type
-        term = c * v**deficit if deficit or not indices else c
-        for i in indices:
-            term = term * values[i]
-        total = total + term
-    return total
-
-
 def _sum_lines(shape: tuple, total: str, first: int) -> list[str]:
-    """Statements leaving in ``total`` what ``_term_loop`` returns.
+    """Statements leaving in ``total`` what ``Polynomial.eval_flat`` returns.
 
     ``shape`` holds each term's (deficit, indices); term k of the table is
     coefficient ``_c{first + k}`` times ``_v**deficit`` (skipped when the
@@ -587,41 +574,34 @@ def _sum_lines(shape: tuple, total: str, first: int) -> list[str]:
 
 
 @lru_cache(maxsize=256)
-def _evaluator_factory(shapes: tuple, n_dim: int | None):
+def _evaluator_factory(shapes: tuple, n_dim: int):
     """A function of the coefficients, in table order, that returns the
-    evaluator of term tables of these shapes, made once per shapes.
+    evaluator of a family whose term tables have these shapes, made once
+    per shapes.
 
-    With n_dim None there is one table, and the evaluator is
-    ``(values, v) -> total``, each variable read as values[i].  Otherwise it
-    is ``z -> (total_0, ...)``, one total per table, the variables unpacked
-    from the n_dim x n_dim ``z.u`` and v read from ``z.v``.  The source holds
-    no number but indices and deficits, ints that ``_terms`` and
-    ``_evaluator`` made; the coefficients are arguments of the factory,
-    bound in its closure.
+    The evaluator is ``z -> (total_0, ...)``, one total per table, the
+    variables unpacked from the n_dim x n_dim ``z.u`` and v read from
+    ``z.v``.  The source holds no number but indices and deficits, ints that
+    ``_terms`` and ``PolynomialFamily._evaluate`` made; the coefficients are
+    arguments of the factory, bound in its closure.
     """
     body = []
     first = 0
     for m, shape in enumerate(shapes):
         body += _sum_lines(shape, f"_f{m}", first)
         first += len(shape)
-    if n_dim is None:
-        used = sorted({i for _, indices in shapes[0] for i in indices})
-        head = [f"_x{i:d} = _values[{i:d}]" for i in used]
-        signature, result = "_values, _v", "_f0"
-    else:
-        rows = (
-            "(" + "".join(f"_x{i * n_dim + j:d}, " for j in range(n_dim)) + ")"
-            for i in range(n_dim)
-        )
-        head = ["".join(f"{row}, " for row in rows) + "= _z.u"]
-        if any(d or not ix for shape in shapes for d, ix in shape):
-            head.append("_v = _z.v")
-        signature = "_z"
-        result = "(" + "".join(f"_f{m}, " for m in range(len(shapes))) + ")"
+    rows = (
+        "(" + "".join(f"_x{i * n_dim + j:d}, " for j in range(n_dim)) + ")"
+        for i in range(n_dim)
+    )
+    head = ["".join(f"{row}, " for row in rows) + "= _z.u"]
+    if any(d or not ix for shape in shapes for d, ix in shape):
+        head.append("_v = _z.v")
+    result = "(" + "".join(f"_f{m}, " for m in range(len(shapes))) + ")"
     params = ", ".join(f"_c{k}" for k in range(first))
     source = "\n".join([
         f"def _factory({params}):",
-        f"    def _evaluate({signature}):",
+        "    def _evaluate(_z):",
         *(f"        {line}" for line in head + body),
         f"        return {result}",
         "    return _evaluate",
@@ -629,32 +609,6 @@ def _evaluator_factory(shapes: tuple, n_dim: int | None):
     namespace: dict = {}
     exec(compile(source, f"<evaluator of {first} terms>", "exec"), {}, namespace)
     return namespace["_factory"]
-
-
-def _evaluator(polys: Sequence["Polynomial"], n_dim: int | None):
-    """The evaluator of these polynomials' term tables, as
-    ``_evaluator_factory`` describes it: generated, their coefficients bound
-    to it, or past _GENERATED_FACTORS a closure over ``_term_loop``."""
-    terms = [p._terms for p in polys]
-    if sum(len(ix) + 1 for t in terms for _, _, ix in t) > _GENERATED_FACTORS:
-        if n_dim is None:
-            return partial(_term_loop, terms[0])
-
-        def values(z):
-            flat, v = z.flat_numerator(), z.v
-            return tuple([_term_loop(t, flat, v) for t in terms])
-
-        return values
-    shapes = tuple(tuple((int(d), ix) for _, d, ix in t) for t in terms)
-    return _evaluator_factory(shapes, n_dim)(*(c for t in terms for c, _, _ in t))
-
-
-def _state_without_evaluator(self) -> dict:
-    """The pickled and copied state: the generated evaluator, which does not
-    pickle, is made again when next asked for."""
-    state = dict(self.__dict__)
-    state.pop("_evaluate", None)
-    return state
 
 
 @dataclass(frozen=True)
@@ -723,24 +677,18 @@ class Polynomial:
             for exps, c in self.monomials
         )
 
-    @cached_property
-    def _evaluate(self):
-        # eval_flat's function, made from the term table
-        return _evaluator((self,), None)
-
-    __getstate__ = _state_without_evaluator
-
     def eval_flat(self, values: Sequence, v: int = 1):
         """Homogenized value v**degree * f(values / v): the integer F(u, v) on
         the numerator of a point u/v, and plain f(values) for v = 1.  The
-        values may be ints, Fractions or the columns of a point array.
-
-        Runs the function ``_evaluator`` makes from the term table, code
-        generated from it or, past _GENERATED_FACTORS, ``_term_loop``: each
-        term c * v**deficit (c alone when the deficit is 0 and the term has
-        a variable), times its variables left to right, added to 0 in table
-        order."""
-        return self._evaluate(values, v)
+        values may be ints, Fractions or the columns of a point array."""
+        total = 0
+        for c, deficit, indices in self._terms:
+            # v**0 is skipped unless it alone gives a constant member its type
+            term = c * v**deficit if deficit or not indices else c
+            for i in indices:
+                term = term * values[i]
+            total = total + term
+        return total
 
     def eval_mod(self, columns: np.ndarray, q: int) -> np.ndarray:
         """f mod q on many matrices at once, as an int64 array in [0, q).
@@ -790,16 +738,32 @@ class PolynomialFamily:
 
     @cached_property
     def _evaluate(self):
-        # values' function, made from the members' term tables
-        return _evaluator(self.polys, self.n_dim)
+        # values' function, generated from the members' term tables; None
+        # past _GENERATED_FACTORS, where each member's loop runs instead
+        terms = [p._terms for p in self.polys]
+        if sum(len(ix) + 1 for t in terms for _, _, ix in t) > _GENERATED_FACTORS:
+            return None
+        shapes = tuple(tuple((int(d), ix) for _, d, ix in t) for t in terms)
+        factory = _evaluator_factory(shapes, self.n_dim)
+        return factory(*(c for t in terms for c, _, _ in t))
 
-    __getstate__ = _state_without_evaluator
+    def __getstate__(self) -> dict:
+        # the generated evaluator does not pickle; it is made again when
+        # next asked for
+        state = dict(self.__dict__)
+        state.pop("_evaluate", None)
+        return state
 
     def values(self, z: RationalGroupPoint) -> tuple[int, ...]:
         """The integers v**deg(f_i) * f_i(z) on the numerator of z = u/v; each
         is f_i(z) times a unit of Z[1/v], so it has the same coprime part.
-        Each is the value ``eval_flat`` gives, by the same operations."""
-        return self._evaluate(z)
+        The generated evaluator performs ``eval_flat``'s operations, in its
+        order, so it gives the same values and types."""
+        evaluate = self._evaluate
+        if evaluate is None:
+            flat, v = z.flat_numerator(), z.v
+            return tuple([p.eval_flat(flat, v) for p in self.polys])
+        return evaluate(z)
 
 
 FAMILY_PRESETS = {

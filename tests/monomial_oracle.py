@@ -14,21 +14,3 @@ def monomial_value(poly, values, v=1):
             term = term * x**e
         total = total + term
     return total
-
-
-def ordered_value(poly, values, v=1):
-    """The same value by the operations of ``Polynomial``'s term table, in
-    its order: for each monomial c * x**e in turn, c * v**(deg - |e|) (c
-    alone when deg = |e| > 0), times each variable once per unit of its
-    exponent, left to right, added to 0.  So on int64 columns it wraps
-    exactly where the generated evaluator wraps, and gives the same type."""
-    deg = max(sum(exps) for exps, _ in poly.monomials)
-    total = 0
-    for exps, c in poly.monomials:
-        deficit = deg - sum(exps)
-        term = c * v**deficit if deficit or not any(exps) else c
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                term = term * values[i]
-        total = total + term
-    return total
