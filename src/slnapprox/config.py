@@ -12,8 +12,7 @@ override them (see ``Config.from_json``).  The schema is flat:
       "spectral_shell_budget": 10000000,
       "volume_crosscheck_limit": 200000,
       "factor_trial_limit": 1000000,
-      "factor_bit_budget": 256,
-      "word_budget": 1000
+      "factor_bit_budget": 256
     }
 
 The integrability exponent iota is derived from ``r_g`` (see
@@ -42,8 +41,6 @@ class Config:
     volume_crosscheck_limit: int = 2 * 10**5
     factor_trial_limit: int = 10**6
     factor_bit_budget: int = 256
-    # word_budget bounds the group words delta_n walks
-    word_budget: int = 1000
 
     @property
     def derived_iota(self) -> int:

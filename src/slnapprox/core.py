@@ -545,10 +545,10 @@ def ball_membership(z: RationalGroupPoint, ball: BallSpec) -> bool:
 # variables multiplied per statement of a generated evaluator: the compiler
 # recurses once per operator of a chain, so a long product is cut
 _CHAIN = 32
-# factors (one per coefficient and per variable of each term) that the
-# generated evaluator of one family may hold: the compiler takes about 2 us
-# and 600 bytes a factor, a 60,000-term member 10 s and 1.3 GB, so larger
-# families are evaluated by each member's ``eval_flat`` instead
+# factors (one per coefficient and per variable of each term) that a family
+# may hold: the compiler of its generated evaluator takes about 2 us and 600
+# bytes a factor, a 60,000-term member 10 s and 1.3 GB, so a larger family
+# is rejected when it is made
 _GENERATED_FACTORS = 1 << 16
 
 
@@ -726,6 +726,10 @@ class PolynomialFamily:
             raise ValueError("a family needs at least one polynomial")
         if any(p.n_dim != self.n_dim for p in self.polys):
             raise ValueError("family members disagree on dimension")
+        # counted on the monomials, before ``_terms`` spells out any exponent
+        factors = sum(sum(e) + 1 for p in self.polys for e, _ in p.monomials)
+        if factors > _GENERATED_FACTORS:
+            raise ValueError(f"the family has {factors} factors, more than {_GENERATED_FACTORS}")
 
     @property
     def t(self) -> int:
@@ -738,11 +742,8 @@ class PolynomialFamily:
 
     @cached_property
     def _evaluate(self):
-        # values' function, generated from the members' term tables; None
-        # past _GENERATED_FACTORS, where each member's loop runs instead
+        # values' function, generated from the members' term tables
         terms = [p._terms for p in self.polys]
-        if sum(len(ix) + 1 for t in terms for _, _, ix in t) > _GENERATED_FACTORS:
-            return None
         shapes = tuple(tuple((int(d), ix) for _, d, ix in t) for t in terms)
         factory = _evaluator_factory(shapes, self.n_dim)
         return factory(*(c for t in terms for c, _, _ in t))
@@ -754,16 +755,20 @@ class PolynomialFamily:
         state.pop("_evaluate", None)
         return state
 
+    def exact_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The nonempty columns ``cols`` (entries, then any v) as int64 while
+        prod_i (sum |c| * B**deg f_i) < 2**63, B = max |entry|, which bounds
+        the product of the members' ``eval_flat`` values, else Python ints."""
+        b = max(-int(cols.min()), int(cols.max()))
+        bound = math.prod(sum(abs(c) for _, c in p.monomials) * b**p.degree for p in self.polys)
+        return cols if cols.dtype != object and bound < 2**63 else cols.astype(object)
+
     def values(self, z: RationalGroupPoint) -> tuple[int, ...]:
         """The integers v**deg(f_i) * f_i(z) on the numerator of z = u/v; each
         is f_i(z) times a unit of Z[1/v], so it has the same coprime part.
         The generated evaluator performs ``eval_flat``'s operations, in its
         order, so it gives the same values and types."""
-        evaluate = self._evaluate
-        if evaluate is None:
-            flat, v = z.flat_numerator(), z.v
-            return tuple([p.eval_flat(flat, v) for p in self.polys])
-        return evaluate(z)
+        return self._evaluate(z)
 
 
 FAMILY_PRESETS = {

@@ -11,17 +11,18 @@ product rule.  For a one-member 2x2 family of degree at most 1 the count
 at an odd p is a closed form in the coefficients mod p (a Legendre symbol
 at most); every other family, and p = 2, is counted by a scan of the
 group, which stays the oracle of the closed form.  The density budget
-charges each prime its group order either way.  A scan generates the
+charges each prime its work: the group order for a scan, p for the closed
+form.  A scan generates the
 2x2 or 3x3 group mod q in int64 blocks of columns, one way for both: the
 determinant is linear in the last row, so its last entry is solved from
 det = 1 on whole arrays of the other entries; the family is evaluated
 on each block with reductions mod q.  The gcd obstruction ``delta_n`` is
-exact, decided by such scans mod prime powers.
+exact: the gcd of f on one finite grid of integer group points, with the
+primes up to the degree of f decided by such scans mod prime powers.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,20 +32,22 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
 from .core import (
-    FracMatrix,
     PolynomialFamily,
     check_int64_modulus,
     mat_det,
-    mat_mul,
     n_coprime_part,
     prime_factorization,
-    reduce,
+    primes_below,
     trial_division,
 )
 from .errors import BudgetExceeded, MissingDensities, UnsupportedDimension, ZeroValue
 
 # bound on the group elements in one block of ``iterate_group_mod``
 _BLOCK_ELEMENTS = 1 << 20
+# grid points in one block of ``delta_n``: each holds its parameters, its
+# entries and the members' temporaries, and on a 5.8M-point 3x3 grid blocks
+# of 2**16 peaked at 75 MB against 520 MB for 2**20, and ran faster
+_GRID_BLOCK = 1 << 16
 
 
 def _prime_power_order(p: int, a: int, n_dim: int) -> int:
@@ -130,10 +133,13 @@ def _trial_limit(config: Config) -> int:
     return root if root**3 >= budget else root + 1
 
 
-def _factor_within_budget(q: int, config: Config) -> dict[int, int]:
-    """The factorization of the positive q by trial division up to L with
-    L**3 >= the density budget.  A prime p > L has p*(p*p - 1) > L**3, so a
-    rest left unfinished is over budget (BudgetExceeded), not factored."""
+def _squarefree_primes(q: int, config: Config) -> list[int]:
+    """The primes of a square-free positive q, by trial division up to L with
+    L**3 >= the density budget; ValueError for any other q.  A prime p > L
+    has p*(p*p - 1) > L**3, so a rest left unfinished is over budget
+    (BudgetExceeded), not factored."""
+    if q < 1:
+        raise ValueError("q must be positive")
     limit = _trial_limit(config)
     factors, rest, done = trial_division(q, limit)
     if not done:
@@ -141,19 +147,10 @@ def _factor_within_budget(q: int, config: Config) -> dict[int, int]:
             f"{q} has a prime factor above {limit}: the group mod it has more "
             f"than {config.density_order_budget} elements"
         )
-    if rest > 1:
-        factors[rest] = factors.get(rest, 0) + 1
-    return factors
-
-
-def _squarefree_primes(q: int, config: Config) -> list[int]:
-    """The primes of a square-free positive q; ValueError for any other q."""
-    if q < 1:
-        raise ValueError("q must be positive")
-    fac = _factor_within_budget(q, config)
-    if any(a > 1 for a in fac.values()):
+    if any(a > 1 for a in factors.values()):
         raise ValueError(f"q = {q} is not square-free")
-    return list(fac)
+    # a prime rest was never a trial divisor, so it is new
+    return [*factors, rest] if rest > 1 else list(factors)
 
 
 def _check_scan_budget(elements: int, what: str, config: Config) -> None:
@@ -256,13 +253,15 @@ def density_table(
 
     Each distinct prime of the moduli is counted once (``_affine_zero_count``
     where it applies, else a scan) and rho(q) is the product of its primes'
-    values.  Before any count starts, the total group order of those
-    primes, what scans of them would visit, is held to
+    values.  Before any count starts, the work of those primes is held to
     ``config.density_order_budget`` (BudgetExceeded) as each new prime is
-    met: ``moduli`` is read, and each modulus checked and factored, only
-    while the total is within budget, so a lazy run of moduli of any
+    met: a scanned prime costs its group order, the elements the scan
+    visits, and a closed-form prime costs p, a floor that stops a run of
+    them too.  ``moduli`` is read, and each modulus checked and factored,
+    only while the total is within budget, so a lazy run of moduli of any
     length fails at the first one past it.
     """
+    form = _affine_form(family)
     primes_of: dict[int, list[int]] = {}
     orders: dict[int, int] = {}
     total = 0
@@ -272,13 +271,12 @@ def density_table(
             if p in orders:
                 continue
             orders[p] = _prime_power_order(p, 1, family.n_dim)
-            total += orders[p]
+            total += orders[p] if form is None or p == 2 else p
             if total > config.density_order_budget:
                 raise BudgetExceeded(
                     f"the density scan over {len(orders)} primes up to {p} already "
-                    f"has {total} elements, budget {config.density_order_budget}"
+                    f"costs {total}, budget {config.density_order_budget}"
                 )
-    form = _affine_form(family)
     rho = {}
     for p in orders:
         zeros = _zero_count(family, p) if form is None or p == 2 else _affine_zero_count(form, p)
@@ -348,46 +346,38 @@ class GcdCertificate:
     family: PolynomialFamily
     n: int
     delta: int
-    delta_factor_count: int
-    sample_size: int
-    zero_skips: int
+    sample_size: int  # grid points evaluated
 
 
-def group_words(n: int, n_dim: int = 2):
-    """Deterministic breadth-first enumeration of the denominator-n group.
+def _grid_factors(n_dim: int) -> list[tuple[int, int]]:
+    """The (i, j) of gamma's factors E_ij: the upper ones, the lower ones,
+    then the first n_dim - 1 upper ones again."""
+    upper = [(i, j) for i in range(n_dim) for j in range(i + 1, n_dim)]
+    return upper + [(j, i) for i, j in upper] + upper[: n_dim - 1]
 
-    Generators are the elementary matrices with a single off-diagonal entry
-    from {1, -1, 1/n, -1/n}.  Yields each element once, identity first, as a
-    matrix of Fractions.
-    """
-    gens = []
-    vals = [Fraction(1), Fraction(-1)]
-    if n > 1:
-        vals += [Fraction(1, n), Fraction(-1, n)]
-    for i in range(n_dim):
-        for j in range(n_dim):
-            if i == j:
-                continue
-            for x in vals:
-                g = [[Fraction(int(r == c)) for c in range(n_dim)] for r in range(n_dim)]
-                g[i][j] = x
-                gens.append(tuple(tuple(row) for row in g))
-    start: FracMatrix = tuple(
-        tuple(Fraction(int(r == c)) for c in range(n_dim)) for r in range(n_dim)
-    )
-    seen = {start}
-    frontier = [start]
-    yield start
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(g, m)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    yield prod
-        frontier = nxt
+
+def _gamma(x: Sequence, n_dim: int) -> list:
+    """The entries (row major) of gamma(x), the product of the E_ij(x_k), for
+    parameters that are ints, arrays or symbols: right multiplication by
+    E_ij(x_k) adds x_k times column i to column j."""
+    mat = [[int(r == c) for c in range(n_dim)] for r in range(n_dim)]
+    for (i, j), xk in zip(_grid_factors(n_dim), x):
+        for row in mat:
+            row[j] = row[j] + xk * row[i]
+    return [e for row in mat for e in row]
+
+
+def _grid_blocks(d: int, n_dim: int):
+    """gamma on the grid {0, ..., d}**m in blocks of at most ``_GRID_BLOCK``
+    columns, one row per entry.  The entries are nonnegative and grow with
+    each parameter, so the blocks are int64 when gamma(d, ..., d) is below
+    2**63 and Python ints beyond."""
+    m = len(_grid_factors(n_dim))
+    dtype = np.int64 if max(_gamma([d] * m, n_dim)) < 2**63 else object
+    size = (d + 1) ** m
+    for start in range(0, size, _GRID_BLOCK):
+        x = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, size)), (d + 1,) * m)
+        yield np.array(_gamma([xk.astype(dtype) for xk in x], n_dim))
 
 
 def delta_n(
@@ -400,41 +390,54 @@ def delta_n(
     product f of the family on the denominator-n group, exact.
 
     For p prime to n the group maps onto the group mod p**e (strong
-    approximation), so p**e divides every value iff f is 0 on the group mod
-    p**e.  The answer divides g, the gcd of the n-coprime parts of the
-    values v^deg * f(u/v) on group words, which are walked until g is 1, a
-    nonzero value leaves g unchanged while it has no prime too large to
-    scan, or ``config.word_budget`` words are spent (ZeroValue if none is
-    nonzero).  For each p**a exactly dividing g the group mod p, p**2, ...,
-    p**a is scanned while f vanishes on it; each scan, and the factoring of
-    g, is held to the density budget.
+    approximation), so p**e divides delta iff f is 0 on the group mod p**e,
+    and delta is the n-coprime part of delta_1, the gcd of f on the integer
+    group.  gamma(x) is the product of the E_ij(x_k) of ``_grid_factors``
+    (m = 3 parameters for 2x2, 8 for 3x3); its entries are multilinear, so
+    f o gamma has degree at most d = deg f in each parameter.  G, the gcd
+    of f o gamma on the grid {0, ..., d}**m, is exact:
+
+    (a) G is its gcd on all of Z**m, so delta_1 | G: the coefficients of
+        f o gamma in the basis prod_k C(x_k, e_k), e_k <= d, are finite
+        differences of its grid values, and each value on Z**m is an
+        integer combination of those coefficients.
+    (b) gamma is dominant over Q and every F_p: its Jacobian has an m x m
+        minor of +-1 at an integer point, -1 on the entries a, b, c at
+        (0, 1, 0) for 2x2, +1 on the first 8 entries at
+        (0, 0, 0, 1, 1, 0, 0, 0) for 3x3.
+    (c) For p > d write f = p**j * h on the group, h nonzero in the
+        coordinate ring mod p (det - 1 is prime mod p).  By (b) h o gamma
+        is nonzero mod p, of degree below p in each variable, so it is
+        nonzero at a point of F_p**m: v_p(G) = j = v_p(delta).
+
+    So delta is G's n-coprime part but at each prime p <= d, whose exponent
+    the scans of the group mod p, p**2, ..., p**v_p(G) decide.  The grid
+    and each scan are held to the density budget before they start; the
+    grid stops after the first block that leaves G no prime to n.  If f is
+    0 on the whole grid, it is 0 on the group (ZeroValue).
     """
-    if config.word_budget < 100:
-        raise ValueError("word budget below 100 is not meaningful")
-    g = samples = zeros = 0
-    limit = _trial_limit(config)
-    for gamma in itertools.islice(group_words(n, family.n_dim), config.word_budget):
-        samples += 1
-        w = math.prod(family.values(reduce(gamma)))
-        if w == 0:
-            zeros += 1
-            continue
-        g, old = math.gcd(g, n_coprime_part(w, n)), g
-        # walk on while g has a prime too large to scan: delta may lack it
-        if g == 1 or g == old and trial_division(g, limit)[1] <= limit:
+    d, n_dim = family.total_degree, family.n_dim
+    m = len(_grid_factors(n_dim))
+    _check_scan_budget((d + 1) ** m, f"the grid {{0..{d}}}**{m} of group points", config)
+    g = samples = 0
+    for block in _grid_blocks(d, n_dim):
+        cols = family.exact_columns(block)
+        values = math.prod(p.eval_flat(cols) for p in family.polys)
+        g = math.gcd(g, int(np.gcd.reduce(np.ravel(values))))
+        samples += block.shape[1]
+        if g and n_coprime_part(g, n) == 1:
             break
     if g == 0:
-        raise ZeroValue(f"the family vanishes on the first {samples} group words")
-    delta, count = 1, 0
-    for p, a in _factor_within_budget(g, config).items():
+        raise ZeroValue(f"the family vanishes on the group: f is 0 on all {samples} grid points")
+    rest, delta = n_coprime_part(g, n), 1
+    for p in primes_below(d + 1):
+        a = 0
+        while rest % p == 0:
+            rest, a = rest // p, a + 1
         for e in range(1, a + 1):
-            order = _prime_power_order(p, e, family.n_dim)
+            order = _prime_power_order(p, e, n_dim)
             _check_scan_budget(order, f"group mod {p**e}", config)
             if _zero_count(family, p**e) < order:
                 break
             delta *= p
-            count += 1
-    return GcdCertificate(
-        family=family, n=n, delta=delta, delta_factor_count=count,
-        sample_size=samples, zero_skips=zeros,
-    )
+    return GcdCertificate(family=family, n=n, delta=delta * rest, sample_size=samples)

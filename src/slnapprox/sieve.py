@@ -205,9 +205,8 @@ def value_histogram(
     """a_k = number of points whose coprime part equals k; zeros land at 0.
 
     Every family member is evaluated by ``Polynomial.eval_flat`` on the
-    columns of the point rows at once.  The columns are int64 while
-    prod_i (sum |c| * B**deg f_i) < 2**63 for B = max |entry, v|, which
-    bounds the product of the values, and Python ints beyond.  The primes
+    columns of the point rows at once, int64 or Python ints as
+    ``PolynomialFamily.exact_columns`` decides.  The primes
     of n (n >= 1) are stripped by ``n_coprime_part`` once per distinct value.
     """
     rows = _point_rows(points, family.n_dim)
@@ -215,12 +214,7 @@ def value_histogram(
         return Counter()
     if rows.n_dim != family.n_dim:
         raise ValueError(f"point of n_dim {rows.n_dim}, family of n_dim {family.n_dim}")
-    arr = rows.rows
-    b = max(-int(arr.min()), int(arr.max()))
-    bound = math.prod(
-        sum(abs(c) for _, c in p.monomials) * b**p.degree for p in family.polys
-    )
-    cols = arr.T if arr.dtype != object and bound < 2**63 else arr.T.astype(object)
+    cols = family.exact_columns(rows.rows.T)
     v = cols[-1]
     dens, row_den = np.unique(v, return_inverse=True)
     units = np.array([n_coprime_part(d, n) == 1 for d in dens.tolist()])

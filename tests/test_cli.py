@@ -350,6 +350,7 @@ REMOVED_SETTING_CAUSES = {
     "config-c1": "unknown config keys",
     "config-c2": "unknown config keys",
     "config-iota": "unknown config keys",
+    "config-word-budget": "unknown config keys",
     "spectral-reps": "unrecognized arguments",
 }
 
@@ -393,6 +394,9 @@ REMOVED_SETTING_CAUSES = {
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"c2": 1.0}'),
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"iota": 2}'),
         (["spectral", "--p", "2", "--q", "5", "--reps", "hermite"], None),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"word_budget": 1000}'),
+        (["witness", "-n", "60", "--alpha", "0.1666", "--poly", "{file}"],
+         '{"n_dim": 2, "polys": [[[1, [10000000, 0, 0, 0]], [1, [0, 0, 0, 0]]]]}'),
     ],
     ids=["volumes-composite-p", "spectral-composite-p", "centers-not-matrices",
          "point-line-not-object", "alpha-zero-denominator", "a-zero-denominator",
@@ -405,7 +409,8 @@ REMOVED_SETTING_CAUSES = {
          "sieve-negative-q-max", "sieve-zero-n", "sieve-negative-n",
          "negative-budget", "density-p-range-0", "density-p-range-negative",
          "density-p-range-1", "config-gcd-window", "config-dyadic-bits",
-         "config-c1", "config-c2", "config-iota", "spectral-reps"],
+         "config-c1", "config-c2", "config-iota", "spectral-reps",
+         "config-word-budget", "family-past-the-factor-bound"],
 )
 def test_malformed_input_exits_invalid(request, tmp_path, argv, file_text):
     path = tmp_path / "input.json"
@@ -431,15 +436,19 @@ def test_sieve_checks_arguments_before_delta_scan(capsys, monkeypatch, tmp_path,
 
 def test_sieve_checks_density_budget_before_scanning(capsys, monkeypatch, tmp_path):
     # z = 8**(40/10) = 4096 needs SL_2(F_p) for every odd prime below 4096;
-    # a check per prime would first scan all p < 467 (about 1.9e9 elements)
+    # a*d has no closed form, so a check per prime would first scan all
+    # p < 467 (about 1.9e9 elements)
     def scan(*args, **kwargs):
         raise AssertionError("a group scan ran past the density budget")
 
     cell = tmp_path / "cell.jsonl"
     code, _, _ = run(capsys, "enumerate", "--radius", "1/2", "-n", "2", "--out", str(cell))
     assert code == EXIT_OK
+    family = tmp_path / "ad.json"
+    family.write_text(json.dumps({"n_dim": 2, "polys": [[[1, [1, 0, 0, 1]]]]}))
     monkeypatch.setattr(slnapprox.densities, "_zero_count", scan)
-    code, _, err = run(capsys, "sieve", "--points", str(cell), "--tau", "40", "--s", "10")
+    code, _, err = run(capsys, "sieve", "--points", str(cell), "--poly", str(family),
+                       "--tau", "40", "--s", "10")
     assert code == EXIT_BUDGET
     assert "density scan" in err
 
@@ -587,7 +596,7 @@ def fuzz_files(tmp_path_factory):
         # small budgets keep every drawn command line quick
         "config": json.dumps(
             {"density_order_budget": 20000, "spectral_vertex_budget": 2000,
-             "word_budget": 200, "volume_crosscheck_limit": 2000}
+             "volume_crosscheck_limit": 2000}
         ),
     }
     for name, text in files.items():

@@ -11,6 +11,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -454,7 +455,8 @@ class TestGeneratedEvaluator:
     members' term tables; ``eval_flat``'s loop and ``monomial_oracle`` are
     its references."""
 
-    @pytest.mark.parametrize("generated", [True, False], ids=["generated", "loop"])
+    # one path is left; its id is kept so the tests keep their names
+    @pytest.mark.parametrize("path", ["generated"])
     @pytest.mark.parametrize(
         "make",
         [
@@ -464,15 +466,11 @@ class TestGeneratedEvaluator:
         ],
         ids=["3000-terms", "exponent-500", "constant"],
     )
-    def test_long_members_match_the_oracles(self, monkeypatch, make, generated):
+    def test_long_members_match_the_oracles(self, make, path):
         # a 3000-term member, and a product of 500 variables, compile: the
-        # products are cut into statements of a few factors each; past the
-        # budget of factors each member's eval_flat runs instead
-        if not generated:
-            monkeypatch.setattr(core, "_GENERATED_FACTORS", 0)
+        # products are cut into statements of a few factors each
         poly = make()
         fam = PolynomialFamily(polys=(poly, Polynomial.trace_minus(2)), n_dim=2)
-        assert (fam._evaluate is not None) is generated
         z = reduce(((F(1, 6), 1), (F(5, 6), 11)))
         got = fam.values(z)
         assert type(got) is tuple and all(type(x) is int for x in got)
@@ -490,10 +488,8 @@ class TestGeneratedEvaluator:
                 want = p.eval_flat(cols, cols[4])
                 assert value.dtype == want.dtype == dtype and np.array_equal(value, want)
 
-    @pytest.mark.parametrize("generated", [True, False], ids=["generated", "loop"])
-    def test_three_by_three_families_match_the_oracle(self, monkeypatch, generated):
-        if not generated:
-            monkeypatch.setattr(core, "_GENERATED_FACTORS", 0)
+    @pytest.mark.parametrize("path", ["generated"])
+    def test_three_by_three_families_match_the_oracle(self, path):
         rng = random.Random(2702)
         mixed = PolynomialFamily(
             polys=tuple(
@@ -514,7 +510,6 @@ class TestGeneratedEvaluator:
                 want = tuple(monomial_value(p, z.flat_numerator(), z.v) for p in fam.polys)
                 assert type(got) is tuple and got == want
                 assert all(type(x) is int for x in got)
-            assert (fam._evaluate is not None) is generated
 
     def test_evaluated_family_pickles_and_copies(self):
         fam = PolynomialFamily(
@@ -543,6 +538,27 @@ class TestGeneratedEvaluator:
         with pytest.raises(TypeError):
             PolynomialFamily(polys=(poly,), n_dim=2).values(reduce(IDENTITY))
         assert not marker.exists()
+
+    def test_family_size_is_bounded_when_made(self, tmp_path):
+        # a**10**7 + 1 holds 10**7 + 2 factors: it is rejected from its
+        # monomials, before any term table spells out the exponent
+        huge = {(10**7, 0, 0, 0): 1, (0, 0, 0, 0): 1}
+        path = tmp_path / "deg7.json"
+        path.write_text(json.dumps(
+            {"n_dim": 2, "polys": [[[c, list(e)] for e, c in huge.items()]]}
+        ))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="10000002 factors"):
+            family_from_file(str(path))
+        with pytest.raises(ValueError, match="more than 65536"):
+            PolynomialFamily(polys=(Polynomial.from_monomials(huge, 2),), n_dim=2)
+        assert time.perf_counter() - start < 1.0
+        # the bound counts every member: two of half the budget pass, a
+        # third factor does not
+        half = Polynomial.from_monomials({(core._GENERATED_FACTORS // 2 - 1, 0, 0, 0): 1}, 2)
+        PolynomialFamily(polys=(half, half), n_dim=2)
+        with pytest.raises(ValueError):
+            PolynomialFamily(polys=(half, half, Polynomial.entry(0, 0)), n_dim=2)
 
     def test_fresh_families_reuse_the_generated_code(self):
         z = reduce(((F(1, 6), 1), (F(5, 6), 11)))

@@ -16,6 +16,7 @@ from slnapprox.core import (
     Polynomial,
     PolynomialFamily,
     family_from_preset,
+    mat_mul,
     n_coprime_part,
     reduce,
 )
@@ -24,7 +25,6 @@ from slnapprox.densities import (
     delta_n,
     density_table,
     group_order_mod,
-    group_words,
     iterate_group_mod,
     lang_weil_report,
     local_density,
@@ -363,9 +363,16 @@ class TestLocalDensity:
     def test_budget(self):
         import dataclasses
 
+        # the group mod 7 has 336 elements: a scan of it is over budget, the
+        # closed form of entry11 at 7 costs 7
         tight = dataclasses.replace(DEFAULT_CONFIG, density_order_budget=100)
         with pytest.raises(BudgetExceeded):
-            local_density(ENTRY11, 7, config=tight)
+            local_density(ABCD, 7, config=tight)
+        with pytest.raises(BudgetExceeded):
+            local_density(ENTRY11, 7, method="direct", config=tight)
+        assert local_density(ENTRY11, 7, config=tight) == local_density(
+            ENTRY11, 7, method="direct"
+        )
 
     def test_two_member_family(self):
         fam = PolynomialFamily(
@@ -422,12 +429,32 @@ class TestDensityFunction:
             raise AssertionError("a group scan ran past the density budget")
 
         monkeypatch.setattr(densities, "_zero_count", scan)
-        # orders 6, 24 and 120 each fit the budget, their sum 150 does not
+        # a scanned prime costs its group order: 6, 24 and 120 each fit the
+        # budget, their sum 150 does not
         cfg = Config(density_order_budget=140)
         with pytest.raises(BudgetExceeded):
-            density_table(ENTRY11, [2, 3, 5], config=cfg)
+            density_table(ABCD, [2, 3, 5], config=cfg)
         with pytest.raises(BudgetExceeded):
-            local_density(ENTRY11, 30, config=cfg)
+            local_density(ABCD, 30, config=cfg)
+        # an odd prime of the closed form costs p: 6 + 3 + 5 for entry11
+        with pytest.raises(BudgetExceeded, match="costs 14, budget 13"):
+            density_table(ENTRY11, [2, 3, 5], config=Config(density_order_budget=13))
+
+    def test_closed_form_primes_run_past_the_scan_budget(self, monkeypatch):
+        # every prime up to 463 costs p, not p**3 - p: their sum is far
+        # below the budget, which the orders alone pass at 463
+        def scan(family, q):
+            if q != 2:
+                raise AssertionError(f"an odd prime {q} of the closed form was scanned")
+            return 2
+
+        family = family_from_preset("trace-minus-2")
+        direct = local_density(family, 7, method="direct")
+        monkeypatch.setattr(densities, "_zero_count", scan)
+        primes = list(sympy.primerange(2, 464))
+        assert sum(p**3 - p for p in primes) > DEFAULT_CONFIG.density_order_budget
+        table = density_table(family, primes)
+        assert table.values[7] == direct and len(table.values) == len(primes)
 
     def test_budget_reads_primes_lazily(self, monkeypatch):
         # an unbounded run of primes stops as soon as the budget is passed,
@@ -440,8 +467,9 @@ class TestDensityFunction:
                 yield p
 
         monkeypatch.setattr(densities, "_zero_count", lambda family, q: scanned.append(q) or 0)
+        # entry11 costs 6 at p = 2 and p at each odd prime: 32 at 11
         with pytest.raises(BudgetExceeded, match="density scan over 5 primes up to 11"):
-            density_table(ENTRY11, primes(), config=Config(density_order_budget=1500))
+            density_table(ENTRY11, primes(), config=Config(density_order_budget=25))
         assert read == [2, 3, 5, 7, 11]
         assert scanned == []
         density_table(ENTRY11, [2, 3, 5], config=Config(density_order_budget=150))
@@ -462,7 +490,7 @@ class TestDensityFunction:
 
         monkeypatch.setattr(densities, "_zero_count", scan)
         with pytest.raises(BudgetExceeded, match="density scan over 5 primes up to 11"):
-            density_table(ENTRY11, moduli(), config=Config(density_order_budget=1500))
+            density_table(ENTRY11, moduli(), config=Config(density_order_budget=25))
         assert read == [2, 3, 6, 5, 7, 11]
         with pytest.raises(ValueError, match="not square-free"):
             density_table(ENTRY11, iter([2, 4, 3]), config=Config(density_order_budget=10))
@@ -507,6 +535,41 @@ class TestLangWeil:
     def test_threshold_is_not_a_parameter(self):
         with pytest.raises(TypeError):
             lang_weil_report(ENTRY11, (2, 3), threshold=1)
+
+
+def group_words(n, n_dim=2):
+    """Deterministic breadth-first enumeration of the denominator-n group.
+
+    Generators are the elementary matrices with a single off-diagonal entry
+    from {1, -1, 1/n, -1/n}.  Yields each element once, identity first, as a
+    matrix of Fractions.  The walk of the oracles of delta_n.
+    """
+    gens = []
+    vals = [F(1), F(-1)]
+    if n > 1:
+        vals += [F(1, n), F(-1, n)]
+    for i in range(n_dim):
+        for j in range(n_dim):
+            if i == j:
+                continue
+            for x in vals:
+                g = [[F(int(r == c)) for c in range(n_dim)] for r in range(n_dim)]
+                g[i][j] = x
+                gens.append(tuple(tuple(row) for row in g))
+    start = tuple(tuple(F(int(r == c)) for c in range(n_dim)) for r in range(n_dim))
+    seen = {start}
+    frontier = [start]
+    yield start
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = mat_mul(g, m)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+                    yield prod
+        frontier = nxt
 
 
 class TestGroupWords:
@@ -563,21 +626,59 @@ def sampled_delta(family, n, n_dim=2, budget=1000, window=50):
     return g
 
 
+# group orders the walk oracle scans; a case past them has no oracle answer
+ORACLE_SCAN_LIMIT = 10**6
+
+
+def walk_delta(family, n, n_dim=2):
+    """Oracle of delta_n by the rule of earlier releases: the gcd g of
+    ``sampled_delta``, then for each p**a exactly dividing g a scan of the
+    group mod p, p**2, ..., p**a while the family vanishes on it.  0 if the
+    family is 0 on every word, None if a scan is past ORACLE_SCAN_LIMIT."""
+    g = sampled_delta(family, n, n_dim)
+    if g == 0:
+        return 0
+    delta = 1
+    for p, a in sympy.factorint(g).items():
+        for e in range(1, a + 1):
+            order = group_order_mod(p**e, n_dim)
+            if order > ORACLE_SCAN_LIMIT:
+                return None
+            if densities._zero_count(family, p**e) < order:
+                break
+            delta *= p
+    return delta
+
+
+def _families(n_dim, member_degree, max_t):
+    """Families of at most max_t members of degree at most member_degree,
+    with up to 3 terms each and coefficients up to 30 in size."""
+    nvars = n_dim * n_dim
+    exps = st.lists(st.integers(0, nvars - 1), max_size=member_degree).map(
+        lambda ix: tuple(ix.count(i) for i in range(nvars))
+    )
+    member = st.dictionaries(
+        exps, st.integers(1, 30) | st.integers(-30, -1), min_size=1, max_size=3
+    )
+    return st.lists(member, min_size=1, max_size=max_t).map(
+        lambda ms: PolynomialFamily(
+            polys=tuple(Polynomial.from_monomials(m, n_dim) for m in ms), n_dim=n_dim
+        )
+    )
+
+
 class TestDeltaN:
     def test_corner_entry_trivial(self):
         cert = delta_n(ENTRY11, 1)
         assert cert.delta == 1
-        assert cert.sample_size == 1  # f(identity) = 1 settles it
+        assert cert.sample_size == 8  # the grid {0, 1}**3 is one block
 
     def test_sum_entries_divides_two(self):
         # a+b+c+d is 2 at the identity and 3 at [[1, 1], [0, 1]]
-        cert = delta_n(family_from_preset("sum-entries"), 1)
-        assert (cert.delta, cert.delta_factor_count) == (1, 0)
+        assert delta_n(family_from_preset("sum-entries"), 1).delta == 1
 
     def test_corner_entry_modulus_six(self):
-        cert = delta_n(ENTRY11, 6)
-        assert cert.delta == 1
-        assert cert.delta_factor_count == 0
+        assert delta_n(ENTRY11, 6).delta == 1
 
     @pytest.mark.parametrize(
         "family, expected",
@@ -589,8 +690,7 @@ class TestDeltaN:
 
     def test_square_of_two(self):
         # 4 | a**2 (a**2 - 1) everywhere, 8 does not: the scan mod 4 passes
-        cert = delta_n(A_CUBIC, 1)
-        assert (cert.delta, cert.delta_factor_count) == (12, 3)
+        assert delta_n(A_CUBIC, 1).delta == 12
         assert [delta_n(A_CUBIC, n).delta for n in (2, 3, 5, 6, 7)] == [3, 4, 12, 1, 12]
 
     def test_three_by_three(self):
@@ -607,9 +707,37 @@ class TestDeltaN:
     def test_matches_sampled_oracle(self, name):
         family = DELTA_FAMILIES[name]
         for n in (1, 2, 3, 5, 6, 7, 12, 24, 197):
-            cert = delta_n(family, n)
-            assert cert.delta == sampled_delta(family, n), (name, n)
-            assert cert.delta_factor_count == sum(sympy.factorint(cert.delta).values())
+            assert delta_n(family, n).delta == sampled_delta(family, n), (name, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=_families(2, 2, 2) | _families(3, 2, 1) | _families(3, 1, 2),
+        n=st.sampled_from((1, 2, 3, 5, 6, 7, 10)),
+    )
+    def test_matches_the_walk_oracle(self, family, n):
+        # 2x2 families of product degree <= 4 and 3x3 ones of degree <= 2
+        want = walk_delta(family, n, family.n_dim)
+        assume(want is not None)
+        if want == 0:
+            with pytest.raises(ZeroValue):
+                delta_n(family, n)
+        else:
+            assert delta_n(family, n).delta == want
+
+    @pytest.mark.parametrize("n_dim, x, rows, minor", [
+        (2, (0, 1, 0), (0, 1, 2), -1),
+        (3, (0, 0, 0, 1, 1, 0, 0, 0), tuple(range(8)), 1),
+    ])
+    def test_grid_map_has_a_unit_minor(self, n_dim, x, rows, minor):
+        # gamma is dominant over Q and every F_p: at an integer point its
+        # Jacobian has a full minor of determinant +-1
+        params = sympy.symbols(f"x0:{len(x)}")
+        jacobian = sympy.Matrix(densities._gamma(params, n_dim)).jacobian(params)
+        at = jacobian.subs(dict(zip(params, x)))
+        assert at.extract(list(rows), list(range(len(x)))).det() == minor
+        # and every entry is multilinear: degree at most 1 in each parameter
+        for entry in densities._gamma(params, n_dim):
+            assert all(sympy.degree(entry, xk) <= 1 for xk in params)
 
     def test_delta_divides_fresh_values(self):
         fam = family_from_preset("trace-minus-2")
@@ -631,49 +759,65 @@ class TestDeltaN:
         d6 = delta_n(fam, 6).delta
         assert d1 % d6 == 0
 
-    def test_budget_too_small(self):
-        with pytest.raises(ValueError):
-            delta_n(ENTRY11, 2, config=Config(word_budget=10))
-
-    def test_shortest_walk_is_exact(self):
-        # the walk stops early; the least word budget gives the same answers
-        least = Config(word_budget=100)
-        for name, family in DELTA_FAMILIES.items():
-            for n in (1, 5, 6):
-                cert = delta_n(family, n, config=least)
-                assert cert.sample_size <= 100
-                assert cert.delta == delta_n(family, n).delta, (name, n)
-
     def test_vanishing_family_raises_zero_value(self):
-        # ad - bc - 1 is 0 on the whole group: no word has a nonzero value
-        fam = _family({(1, 0, 0, 1): 1, (0, 1, 1, 0): -1, (0, 0, 0, 0): -1})
-        with pytest.raises(ZeroValue, match="first 100 group words"):
-            delta_n(fam, 1, config=Config(word_budget=100))
+        # det - 1 is 0 on the whole group, so on the whole grid
+        for n_dim in (2, 3):
+            entries = sympy.symbols(f"x0:{n_dim * n_dim}")
+            det = sympy.Poly(sympy.Matrix(n_dim, n_dim, entries).det() - 1, *entries)
+            fam = PolynomialFamily(
+                polys=(Polynomial.from_monomials(
+                    {e: int(c) for e, c in det.terms()}, n_dim
+                ),),
+                n_dim=n_dim,
+            )
+            with pytest.raises(ZeroValue, match="vanishes on the group"):
+                delta_n(fam, 1)
 
-    def test_walk_passes_a_prime_too_large_to_scan(self):
-        # the first values leave g = 1000003 unchanged; it has no scan within
-        # budget, so the walk goes on until a value drops it
-        cert = delta_n(BIG_PLUS_BC, 1)
-        assert cert.delta == 1
-        assert cert.sample_size > 2
+    def test_large_constant_term_is_not_in_delta(self, monkeypatch):
+        # 1000003 + b*c is 1000003 wherever c = 0, and 1000004 at b = c = 1
+        monkeypatch.setattr(densities, "_zero_count", self._no_scan)
+        assert delta_n(BIG_PLUS_BC, 1).delta == 1
 
-    def test_large_prime_content_is_over_budget(self):
+    def test_large_prime_content_is_exact(self, monkeypatch):
         # every value of 1000003*a is a multiple of a prime far above the
-        # cube root of the budget: SL_2(F_1000003) is never factored or scanned
+        # degree: it is read off the grid, and SL_2(F_1000003) never scanned
+        monkeypatch.setattr(densities, "_zero_count", self._no_scan)
         fam = _family({(1, 0, 0, 0): 1000003})
-        with pytest.raises(BudgetExceeded, match="prime factor above 465"):
-            delta_n(fam, 1)
+        assert [delta_n(fam, n).delta for n in (1, 6, 1000003)] == [1000003, 1000003, 1]
+
+    @staticmethod
+    def _no_scan(*args, **kwargs):
+        raise AssertionError("a group scan ran")
 
     def test_scan_is_checked_before_it_starts(self, monkeypatch):
-        def scan(*args, **kwargs):
-            raise AssertionError("a group scan ran past the density budget")
+        scanned = []
+        zero_count = densities._zero_count
+        monkeypatch.setattr(
+            densities, "_zero_count", lambda family, q: scanned.append(q) or zero_count(family, q)
+        )
+        # 8*(a^3 - a) is 0 mod 16 on the group: its 64 grid points fit a
+        # budget of 100, and so do the groups mod 2 and 4, of 6 and 48
+        # elements; the group mod 8 has 384, and its scan never starts
+        fam = _family({(3, 0, 0, 0): 8, (1, 0, 0, 0): -8})
+        with pytest.raises(BudgetExceeded, match="group mod 8"):
+            delta_n(fam, 1, config=Config(density_order_budget=100))
+        assert scanned == [2, 4]
+        assert delta_n(fam, 1).delta == 48
 
-        monkeypatch.setattr(densities, "_zero_count", scan)
-        # delta of a^3 - a is 6; the group mod 2 has 6 elements, over a budget of 5
-        with pytest.raises(BudgetExceeded, match="group mod 2"):
-            delta_n(CUBIC, 1, config=Config(density_order_budget=5))
+    def test_grid_is_checked_before_it_starts(self, monkeypatch):
+        # a^3 - a has degree 3: its grid {0..3}**3 has 64 points
+        def blocks(*args):
+            raise AssertionError("the grid was evaluated past the density budget")
 
-    def test_zero_skips_counted(self):
-        fam = family_from_preset("trace-minus-2")
-        cert = delta_n(fam, 1)
-        assert cert.zero_skips > 0  # identity itself has trace 2
+        monkeypatch.setattr(densities, "_grid_blocks", blocks)
+        with pytest.raises(BudgetExceeded, match="has 64 elements, budget 63"):
+            delta_n(CUBIC, 1, config=Config(density_order_budget=63))
+
+    def test_grid_in_python_ints_past_int64(self):
+        # (2**40 a + 1)**2 passes 2**63 on the grid, so its columns are
+        # Python ints; its values at a = 1 and a = 2 are coprime
+        big = _family({(2, 0, 0, 0): 2**80, (1, 0, 0, 0): 2**41, (0, 0, 0, 0): 1})
+        assert delta_n(big, 1).delta == sampled_delta(big, 1) == 1
+        wide = _family({(1, 0, 0, 0): 2**70 * 3})
+        assert delta_n(wide, 1).delta == 2**70 * 3
+        assert delta_n(wide, 2).delta == 3
