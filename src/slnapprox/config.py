@@ -10,14 +10,14 @@ override them (see ``Config.from_json``).  The schema is flat:
       "density_order_budget": 100000000,
       "spectral_vertex_budget": 20000,
       "spectral_shell_budget": 10000000,
-      "volume_crosscheck_limit": 200000,
-      "factor_trial_limit": 1000000,
-      "factor_bit_budget": 256
+      "volume_crosscheck_limit": 200000
     }
 
 The integrability exponent iota is derived from ``r_g`` (see
 ``Config.derived_iota``); no key sets it.
 Ball centers are always snapped to the 2**-53 dyadic grid; no key sets it.
+Factoring is bounded by the constants ``core.FACTOR_TRIAL_LIMIT`` and
+``core.RHO_STEP_CAP``; no key sets them.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ class Config:
     # spectral_shell_budget bounds the generators a Hecke shell streams
     spectral_shell_budget: int = 10**7
     volume_crosscheck_limit: int = 2 * 10**5
-    factor_trial_limit: int = 10**6
-    factor_bit_budget: int = 256
 
     @property
     def derived_iota(self) -> int:

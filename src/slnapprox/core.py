@@ -24,7 +24,6 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, Config
 from .errors import BudgetExceeded, NotUnimodular
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -116,41 +115,160 @@ def trial_division(m: int, limit: int) -> tuple[dict[int, int], int, bool]:
     return factors, rest, d * d > rest
 
 
-def factorize_full(
-    m: int, config: Config = DEFAULT_CONFIG
-) -> tuple[dict[int, int], int, bool]:
-    """Factor a positive integer: trial division, then a general factorizer.
+# the factorization of one number: trial division by every d up to
+# FACTOR_TRIAL_LIMIT, then at most RHO_STEP_CAP iterations of x -> x*x + c
+# over all of the rho splits its rest needs
+FACTOR_TRIAL_LIMIT = 10**6
+RHO_STEP_CAP = 1 << 21
+# the strong pseudoprime and Lucas tests run only past these primes
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# rho iterations whose differences share one gcd with the number
+_RHO_BATCH = 128
 
-    Returns (factors, cofactor, complete).  When the remaining cofactor is
-    composite and wider than the configured bit budget it is left unfactored
-    and complete is False.
+
+def is_probable_prime(n: int) -> bool:
+    """Whether n is prime, by the Baillie-PSW test (Baillie-Wagstaff 1980).
+
+    A strong Fermat test to base 2, then a strong Lucas test with
+    Selfridge's parameters: D the first of 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  No composite is known to
+    pass both, and none below 2**64 does.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _SMALL_PRIMES[-1] ** 2:
+        return True
+    # strong Fermat test to base 2 on n - 1 = d * 2**s, d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and x != n - 1:
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    # a square has no D with (D/n) = -1
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        # the Jacobi symbol (D/n) by quadratic reciprocity
+        a, m, jacobi = D % n, n, 1
+        while a:
+            while a % 2 == 0:
+                a //= 2
+                if m % 8 in (3, 5):
+                    jacobi = -jacobi
+            a, m = m, a
+            if a % 4 == 3 and m % 4 == 3:
+                jacobi = -jacobi
+            a %= m
+        if m != 1 and D % n:
+            return False  # D shares a factor with n, and n does not divide D
+        if m == 1 and jacobi == -1:
+            break
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    # strong Lucas test on n + 1 = d * 2**s, d odd: U_d = 0, or V at
+    # d * 2**r is 0 for some r < s; U, V, Q**k step through the bits of d
+    s = ((n + 1) & (-n - 1)).bit_length() - 1
+    d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q % n
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) * half % n, (D * U + V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _rho_divisor(n: int, steps: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite n by Brent's rho (Brent 1980).
+
+    Returns (divisor, steps left).  Runs x -> x*x + c from x = 2 for
+    c = 1, 2, ... while steps are left, and its divisor is 1 when they ran
+    out first.  The differences of a batch of ``_RHO_BATCH`` iterations
+    share one gcd; a batch whose product is 0 mod n is replayed one step at
+    a time.
+    """
+    c = 0
+    while steps > 0:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps > 0:
+            x = y
+            advance = min(r, steps)
+            for _ in range(advance):
+                y = (y * y + c) % n
+            steps -= advance
+            k = 0
+            while k < r and g == 1 and steps > 0:
+                ys = y
+                batch = min(_RHO_BATCH, r - k, steps)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+                steps -= batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g, steps
+    return 1, steps
+
+
+def factorize_full(m: int) -> tuple[dict[int, int], int, bool]:
+    """Factor a positive integer: trial division, then BPSW and Brent's rho.
+
+    Returns (factors, cofactor, complete).  Trial division runs to
+    ``FACTOR_TRIAL_LIMIT``; ``is_probable_prime`` decides each rest it
+    leaves, and ``_rho_divisor`` splits a composite one, the splits of m
+    sharing ``RHO_STEP_CAP`` steps.  The composite parts left when the
+    steps run out multiply to the cofactor, and complete is False.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    factors, rest, done = trial_division(m, config.factor_trial_limit)
-    if rest == 1:
+    factors, rest, done = trial_division(m, FACTOR_TRIAL_LIMIT)
+    if done:  # rest is 1 or a prime
+        if rest > 1:
+            factors[rest] = 1
         return factors, 1, True
-    if not done:
-        # imported here, not at module level: sympy is most of an import of
-        # the package, and only a cofactor that trial division left needs it
-        import sympy
+    cofactor, steps, pending = 1, RHO_STEP_CAP, [rest]
+    while pending:
+        k = pending.pop()
+        if is_probable_prime(k):
+            factors[k] = factors.get(k, 0) + 1
+        else:
+            d, steps = _rho_divisor(k, steps)
+            if d == 1:
+                cofactor *= k
+            else:
+                pending += [d, k // d]
+    if cofactor > 1:
+        log.warning("cofactor %d bits left unfactored", cofactor.bit_length())
+    return factors, cofactor, cofactor == 1
 
-        done = sympy.isprime(rest)
-    if done:
-        factors[rest] = factors.get(rest, 0) + 1
-        return factors, 1, True
-    if rest.bit_length() <= config.factor_bit_budget:
-        for p, a in sympy.factorint(rest).items():
-            factors[p] = factors.get(p, 0) + a
-        return factors, 1, True
-    log.warning("cofactor %d bits left unfactored", rest.bit_length())
-    return factors, rest, False
 
-
-def complete_factorization(m: int, config: Config = DEFAULT_CONFIG) -> dict[int, int]:
+def complete_factorization(m: int) -> dict[int, int]:
     """The factors of m from ``factorize_full``; a cofactor it leaves
     unfactored raises BudgetExceeded."""
-    factors, _, complete = factorize_full(m, config)
+    factors, _, complete = factorize_full(m)
     if not complete:
         raise BudgetExceeded(f"{m} has a cofactor past the factoring budget")
     return factors
@@ -500,8 +618,7 @@ class BallSpec:
     @cached_property
     def factorization(self) -> tuple[tuple[int, int], ...]:
         """(p, a) for each prime power p**a exactly dividing the modulus,
-        computed only when asked by ``complete_factorization`` with the
-        default budgets."""
+        computed only when asked by ``complete_factorization``."""
         return tuple(sorted(complete_factorization(self.modulus).items()))
 
     @classmethod

@@ -42,12 +42,12 @@ from .core import (
 )
 from .errors import BudgetExceeded, MissingDensities, UnsupportedDimension, ZeroValue
 
-# bound on the group elements in one block of ``iterate_group_mod``
-_BLOCK_ELEMENTS = 1 << 20
-# grid points in one block of ``delta_n``: each holds its parameters, its
-# entries and the members' temporaries, and on a 5.8M-point 3x3 grid blocks
-# of 2**16 peaked at 75 MB against 520 MB for 2**20, and ran faster
-_GRID_BLOCK = 1 << 16
+# bound on the group elements in one block of ``iterate_group_mod`` and on
+# the grid points in one block of ``delta_n``: each holds its entries and
+# the members' temporaries.  On a 5.8M-point 3x3 grid blocks of 2**16
+# peaked at 75 MB against 520 MB for 2**20, and ran faster; the scan of
+# SL_3(Z/8) peaked at 48 MB against 273 MB
+_BLOCK = 1 << 16
 
 
 def _prime_power_order(p: int, a: int, n_dim: int) -> int:
@@ -71,7 +71,7 @@ def iterate_group_mod(q: int, n_dim: int = 2):
 
     Each block is an int64 array of shape (n_dim**2, m) whose row i holds
     entry i (row major) of m group elements, with m at most about
-    ``_BLOCK_ELEMENTS``.  The determinant is w . x, x the last row and w the
+    ``_BLOCK``.  The determinant is w . x, x the last row and w the
     cofactors of the rows above, so for each choice of the rows above and
     of x but its last entry, w_n * x_n == 1 - (the rest of w . x) (mod q) is
     solved for x_n on whole arrays, through g = gcd(w_n, q).  q must be
@@ -94,7 +94,7 @@ def iterate_group_mod(q: int, n_dim: int = 2):
     )
     heads = np.array(np.unravel_index(np.arange(q ** (n_dim - 1)), (q,) * (n_dim - 1)))
     # the rows above admit at most q**(n_dim - 1) last rows each
-    chunk = max(1, _BLOCK_ELEMENTS // q ** (n_dim - 1))
+    chunk = max(1, _BLOCK // q ** (n_dim - 1))
     for start in range(0, q**above, chunk):
         upper = np.array(
             np.unravel_index(np.arange(start, min(start + chunk, q**above)), (q,) * above)
@@ -368,15 +368,15 @@ def _gamma(x: Sequence, n_dim: int) -> list:
 
 
 def _grid_blocks(d: int, n_dim: int):
-    """gamma on the grid {0, ..., d}**m in blocks of at most ``_GRID_BLOCK``
+    """gamma on the grid {0, ..., d}**m in blocks of at most ``_BLOCK``
     columns, one row per entry.  The entries are nonnegative and grow with
     each parameter, so the blocks are int64 when gamma(d, ..., d) is below
     2**63 and Python ints beyond."""
     m = len(_grid_factors(n_dim))
     dtype = np.int64 if max(_gamma([d] * m, n_dim)) < 2**63 else object
     size = (d + 1) ** m
-    for start in range(0, size, _GRID_BLOCK):
-        x = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, size)), (d + 1,) * m)
+    for start in range(0, size, _BLOCK):
+        x = np.unravel_index(np.arange(start, min(start + _BLOCK, size)), (d + 1,) * m)
         yield np.array(_gamma([xk.astype(dtype) for xk in x], n_dim))
 
 

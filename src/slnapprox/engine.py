@@ -187,7 +187,7 @@ def find_witness(
         if prod == 0:
             zeros += 1
             continue
-        fc = sieved(prod, n, config).factor_count
+        fc = sieved(prod, n).factor_count
         if best_count is None or fc < best_count:
             best, best_count = z, fc
     if best is None:
@@ -268,7 +268,7 @@ def counting_verification(
         raise ValueError(f"epsilon must be positive, got {eps}")
     if count_threshold < 1:
         raise ValueError(f"count threshold must be at least 1, got {count_threshold}")
-    vols = {n: finite_volume(n, config=config) for n in n_list}
+    vols = {n: finite_volume(n) for n in n_list}
     rows = []
     ratios = []
     for x in x_list:

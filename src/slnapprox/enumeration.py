@@ -292,7 +292,7 @@ def _optimized_scan_sl2(ball: BallSpec, budget: int) -> np.ndarray:
     return np.concatenate(found) if found else np.zeros((0, 4), dtype=object)
 
 
-def _imprimitive_correction(rows: _Rows, config: Config) -> int:
+def _imprimitive_correction(rows: _Rows) -> int:
     """What rows with h > 1 lose: minus their solutions with gcd(c, d, h) > 1.
 
     With k = n**2 / g the solutions satisfy dc*d - dd*c = k and start at
@@ -309,7 +309,7 @@ def _imprimitive_correction(rows: _Rows, config: Config) -> int:
     q, lo, hi = q[q > 1], rows.j_lo[on] - 1, rows.j_hi[on]
     found: set[int] = set()
     for v in np.unique(q).tolist():
-        found.update(complete_factorization(v, config))
+        found.update(complete_factorization(v))
     primes = sorted(found)
 
     def terms(first: int, idx, e: int, sign: int) -> int:
@@ -338,7 +338,7 @@ def count_points(ball: BallSpec, config: Config = DEFAULT_CONFIG) -> int:
         raise UnsupportedDimension("point counting is 2x2 only")
     count = 0
     for rows in _sl2_rows(ball, config.optimized_row_budget):
-        count += int((rows.j_hi - rows.j_lo + 1).sum()) + _imprimitive_correction(rows, config)
+        count += int((rows.j_hi - rows.j_lo + 1).sum()) + _imprimitive_correction(rows)
     return count
 
 

@@ -66,7 +66,7 @@ def sieving_primes(z: float, n: int, delta: int = 1) -> tuple[int, ...]:
 class SievedValue:
     """A value of f cleared to its n-coprime integer part, with factors.
 
-    When factorization hit the bit budget, ``complete`` is False, the
+    When factorization ran out of rho steps, ``complete`` is False, the
     composite remainder sits in ``cofactor``, and ``factor_count`` is a
     certified lower bound (the cofactor contributes 2, the least a
     composite can).
@@ -88,28 +88,24 @@ class SievedValue:
 SIEVED_MEMO_SIZE = 4096
 
 
-def coprime_part(w: int, n: int, config: Config = DEFAULT_CONFIG) -> SievedValue:
+def coprime_part(w: int, n: int) -> SievedValue:
     """Split the integer w into a unit of Z[1/n] times [w]_n and factor [w]_n.
 
-    Each distinct (w, n) is factored once per pair of factoring budgets
-    (``factor_trial_limit``, ``factor_bit_budget``), the only fields of the
-    config that the factorization reads: the result is kept between calls
+    Each distinct (w, n) is factored once: the result is kept between calls
     in a memo of at most ``SIEVED_MEMO_SIZE`` entries, the least recently
-    used dropped first.  A factorization left incomplete under one budget
-    is never returned under another.  The ``SievedValue`` is frozen, so
-    callers may share it.
+    used dropped first.  The ``SievedValue`` is frozen, so callers may
+    share it.
     """
     if w == 0:
         raise ZeroValue("coprime part of 0 is undefined")
-    return _sieved(w, n, config.factor_trial_limit, config.factor_bit_budget)
+    return _sieved(w, n)
 
 
 @lru_cache(maxsize=SIEVED_MEMO_SIZE)
-def _sieved(w: int, n: int, trial_limit: int, bit_budget: int) -> SievedValue:
-    """``coprime_part`` of a nonzero w under the given factoring budgets."""
+def _sieved(w: int, n: int) -> SievedValue:
+    """``coprime_part`` of a nonzero w."""
     m = n_coprime_part(w, n)
-    budgets = Config(factor_trial_limit=trial_limit, factor_bit_budget=bit_budget)
-    factors, cofactor, complete = factorize_full(m, budgets)
+    factors, cofactor, complete = factorize_full(m)
     return SievedValue(
         raw=w,
         n=n,
@@ -125,7 +121,6 @@ def is_r_prime(
     family: PolynomialFamily,
     n: int,
     r: int,
-    config: Config = DEFAULT_CONFIG,
 ):
     """Whether f_1(z)...f_t(z) has at most r prime factors in Z[1/n].
 
@@ -137,7 +132,7 @@ def is_r_prime(
         raise ValueError(f"point of n_dim {point.n_dim}, family of n_dim {family.n_dim}")
     if n_coprime_part(point.v, n) != 1:
         raise ValueError(f"denominator {point.v} is not a unit of Z[1/{n}]")
-    sv = coprime_part(math.prod(family.values(point)), n, config)
+    sv = coprime_part(math.prod(family.values(point)), n)
     if sv.complete:
         return sv.factor_count <= r
     if sv.factor_count > r:

@@ -26,20 +26,12 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_CONFIG, Config
-from .core import complete_factorization, primes_below, trial_division
+from .core import complete_factorization, is_probable_prime, primes_below
 
 
-@lru_cache(maxsize=256)
 def _require_prime(p: int) -> None:
-    # bounded trial division rejects any p with a small factor, and only a p
-    # it leaves undecided meets a primality test: p is never factored, nor
-    # trial-divided to its square root; a prime is decided once per process
-    factors, _, done = trial_division(p, DEFAULT_CONFIG.factor_trial_limit)
-    if not (factors or done):
-        import sympy
-
-        done = sympy.isprime(p)
-    if p < 2 or factors or not done:
+    # a primality test, never a factorization of p
+    if not is_probable_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
 
 
@@ -86,7 +78,7 @@ def hnf_representatives(p: int, ell: int) -> Iterator[tuple[tuple[int, int], tup
 @lru_cache(maxsize=None)
 def _local_volume_checked(p: int, ell: int, crosscheck_limit: int) -> int:
     # primality is checked here, under the cache, so each (p, ell) pair's
-    # prime is factored once
+    # prime is decided once
     _require_prime(p)
     closed = 1 if ell == 0 else (p + 1) * p ** (2 * ell - 1)
     if p ** (2 * ell) <= crosscheck_limit:
@@ -110,14 +102,14 @@ def local_ball_volume(p: int, ell: int, *, config: Config = DEFAULT_CONFIG) -> i
     return _local_volume_checked(p, ell, config.volume_crosscheck_limit)
 
 
-def finite_volume(n: int, *, config: Config = DEFAULT_CONFIG) -> int:
+def finite_volume(n: int) -> int:
     """n * psi(n) = n**2 * prod over p | n of (1 + 1/p), the product of the
     local shell volumes; n is factored by ``complete_factorization``, which
     raises BudgetExceeded past its budget."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     vol = n * n
-    for p in complete_factorization(n, config):
+    for p in complete_factorization(n):
         vol = vol // p * (p + 1)
     return vol
 

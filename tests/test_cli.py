@@ -395,6 +395,9 @@ REMOVED_SETTING_CAUSES = {
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"iota": 2}'),
         (["spectral", "--p", "2", "--q", "5", "--reps", "hermite"], None),
         (["--config", "{file}", "params", "--alpha", "1/20"], '{"word_budget": 1000}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"], '{"factor_bit_budget": 256}'),
+        (["--config", "{file}", "params", "--alpha", "1/20"],
+         '{"factor_trial_limit": 1000000}'),
         (["witness", "-n", "60", "--alpha", "0.1666", "--poly", "{file}"],
          '{"n_dim": 2, "polys": [[[1, [10000000, 0, 0, 0]], [1, [0, 0, 0, 0]]]]}'),
     ],
@@ -410,7 +413,8 @@ REMOVED_SETTING_CAUSES = {
          "negative-budget", "density-p-range-0", "density-p-range-negative",
          "density-p-range-1", "config-gcd-window", "config-dyadic-bits",
          "config-c1", "config-c2", "config-iota", "spectral-reps",
-         "config-word-budget", "family-past-the-factor-bound"],
+         "config-word-budget", "config-factor-bit-budget", "config-factor-trial-limit",
+         "family-past-the-factor-bound"],
 )
 def test_malformed_input_exits_invalid(request, tmp_path, argv, file_text):
     path = tmp_path / "input.json"
@@ -890,8 +894,11 @@ class TestStartup:
         assert proc.stdout == "[]\n"
 
     def test_common_commands_import_neither_sympy_nor_scipy(self):
-        # sympy is imported only for a cofactor that trial division left, and
-        # nothing imports scipy: these command lines need neither
+        # the package factors and decides primality itself, and nothing
+        # imports scipy: these command lines need neither, down to a p that
+        # is a 196-bit semiprime (exit 4) and a modulus N of that size whose
+        # factoring runs out of rho steps (exit 2 for its volume, exit 3
+        # when it ends the witness radius probe)
         argvs = [
             ["params", "--alpha", "1/20"],
             ["density", "--p-range", "43"],
@@ -900,7 +907,12 @@ class TestStartup:
             ["witness", "-n", "120", "--alpha", "0.16"],
             ["verify-count", "--n-list", "53"],
             ["spectral", "--p", "2", "--q", "5", "--lmax", "2"],
+            ["volumes", "--p-list", SEMIPRIME_P, "--lmax", "1"],
+            ["spectral", "--p", SEMIPRIME_P, "--q", "5", "--lmax", "1"],
+            ["verify-count", "--n-list", SEMIPRIME_P],
+            ["witness", "-n", SEMIPRIME_P, "--alpha", "1.5"],
         ]
+        want = [EXIT_OK] * 7 + [EXIT_INVALID, EXIT_INVALID, EXIT_BUDGET, EXIT_NO_WITNESS]
         code = (
             "import contextlib, io, json, sys\n"
             "from slnapprox.cli import main\n"
@@ -915,4 +927,4 @@ class TestStartup:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[EXIT_OK] * len(argvs), []]
+        assert json.loads(proc.stdout) == [want, []]

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slnapprox
-from slnapprox import core
+from slnapprox import core, sieve
 from slnapprox.core import (
     PRIME_SEGMENT,
     BallSpec,
@@ -35,9 +35,11 @@ from slnapprox.core import (
     ball_membership,
     complete_factorization,
     FAMILY_PRESETS,
+    factorize_full,
     family_from_file,
     family_from_preset,
     identity_matrix,
+    is_probable_prime,
     mat_det,
     n_coprime_part,
     padic_norm,
@@ -622,9 +624,93 @@ class TestCompleteFactorization:
         assert complete_factorization(10**18 + 3) == {10**18 + 3: 1}
 
     def test_cofactor_past_the_bit_budget(self):
+        # two 150-bit primes: rho would need about 2**75 steps
         n = sympy.nextprime(2**150) * sympy.nextprime(2**151)
         with pytest.raises(BudgetExceeded, match="factoring budget"):
             complete_factorization(n)
+
+
+# strong pseudoprimes to base 2, so only the Lucas half of BPSW rejects
+# them; the last two pass Miller-Rabin to every prime base up to 37 and 41
+STRONG_PSEUDOPRIMES = (
+    3215031751, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+# strong Lucas pseudoprimes for Selfridge's parameters
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499)
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+              46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401)
+
+
+class TestIsProbablePrime:
+    @pytest.mark.parametrize(
+        "n",
+        [*STRONG_PSEUDOPRIMES, *STRONG_LUCAS_PSEUDOPRIMES, *CARMICHAEL,
+         2**89 - 1, 2**107 - 1, (2**89 - 1) * (2**107 - 1), 2**127 - 1,
+         sympy.nextprime(2**150) ** 2, 1000003**3],
+    )
+    def test_named_numbers_match_sympy(self, n):
+        assert is_probable_prime(n) == sympy.isprime(n)
+
+    def test_small_numbers_match_sympy(self):
+        assert [n for n in range(-5, 20000) if is_probable_prime(n)] == list(
+            sympy.primerange(2, 20000))
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(n=st.one_of(st.integers(0, 2**64), st.integers(0, 2**256)))
+    def test_matches_sympy(self, n):
+        assert is_probable_prime(n) == sympy.isprime(n)
+
+
+def balanced_semiprimes():
+    rng = random.Random(72)
+    for bits in (40, 48, 56, 64, 72):
+        for _ in range(3):
+            half = bits // 2
+            p, q = (sympy.nextprime(rng.getrandbits(half) | 1 << (half - 1)) for _ in "pq")
+            yield p * q
+
+
+class TestFactorizeFull:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(m=st.integers(1, 2**64 - 1))
+    def test_matches_sympy(self, m):
+        assert factorize_full(m) == (sympy.factorint(m), 1, True)
+
+    @pytest.mark.parametrize("m", list(balanced_semiprimes()))
+    def test_balanced_semiprimes(self, m):
+        assert factorize_full(m) == (sympy.factorint(m), 1, True)
+
+    def test_prime_powers_past_the_trial_limit(self):
+        for m in (1000003**2, 1000003**3 * 1000033, (10**9 + 7) ** 2 * 3):
+            assert factorize_full(m) == (sympy.factorint(m), 1, True)
+
+    def test_exhausted_step_cap(self, monkeypatch):
+        # the step cap covers every split of one number: 2**13 steps split
+        # off 1000003, and none are left for the product of two 41-bit primes
+        p, q = sympy.nextprime(2**40), sympy.nextprime(2**41)
+        m = 1000003 * p * q
+        monkeypatch.setattr(core, "RHO_STEP_CAP", 1 << 13)
+        assert factorize_full(m) == ({1000003: 1}, p * q, False)
+        sieve._sieved.cache_clear()
+        try:
+            sv = sieve.coprime_part(m, 1)
+            assert (sv.complete, sv.cofactor, sv.factor_count) == (False, p * q, 3)
+        finally:
+            sieve._sieved.cache_clear()
+        with pytest.raises(BudgetExceeded, match="factoring budget"):
+            complete_factorization(m)
+        monkeypatch.setattr(core, "RHO_STEP_CAP", 0)
+        assert factorize_full(m) == ({}, m, False)
+
+    def test_one_cap_for_all_splits(self, monkeypatch):
+        # each of the two splits of p * q * r takes 894 steps: 1024 would
+        # cover either alone, not both
+        p, q, r = (sympy.nextprime(2**k) for k in (22, 23, 24))
+        monkeypatch.setattr(core, "RHO_STEP_CAP", 1024)
+        assert factorize_full(p * q * r) == ({r: 1}, p * q, False)
+        monkeypatch.setattr(core, "RHO_STEP_CAP", 2048)
+        assert factorize_full(p * q * r) == ({p: 1, q: 1, r: 1}, 1, True)
 
 
 class TestJsonRoundTrip:

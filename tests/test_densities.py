@@ -156,7 +156,7 @@ class TestGroupEnumeration:
     def test_small_blocks(self, monkeypatch, q, n_dim):
         # shrink the block bound so every chunking path runs
         limit = 30
-        monkeypatch.setattr(densities, "_BLOCK_ELEMENTS", limit)
+        monkeypatch.setattr(densities, "_BLOCK", limit)
         blocks = list(iterate_group_mod(q, n_dim))
         assert len(blocks) > 1
         assert all(0 < b.shape[1] <= limit for b in blocks)

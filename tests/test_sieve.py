@@ -1,6 +1,5 @@
 """Coprime parts, almost-prime counting, axiom checks, the lower bound."""
 
-import dataclasses
 import io
 import json
 import math
@@ -17,8 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slnapprox import sieve
-from slnapprox.config import DEFAULT_CONFIG, Config
+from slnapprox import core, sieve
 from slnapprox.core import (
     BallSpec,
     PointRows,
@@ -54,6 +52,18 @@ F = Fraction
 
 IDENTITY = ((F(1), F(0)), (F(0), F(1)))
 ENTRY11 = family_from_preset("entry11")
+
+
+@pytest.fixture
+def stingy(monkeypatch):
+    """Factoring budgets too small for 10007 * 10009: trial division to 10
+    and no rho step.  The memo is emptied before and after, so no entry
+    crosses the budgets."""
+    monkeypatch.setattr(core, "FACTOR_TRIAL_LIMIT", 10)
+    monkeypatch.setattr(core, "RHO_STEP_CAP", 0)
+    sieve._sieved.cache_clear()
+    yield
+    sieve._sieved.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +151,9 @@ class TestCoprimePart:
             fab = coprime_part(a * b, 1)
             assert fab.factor_count == fa.factor_count + fb.factor_count
 
-    def test_incomplete_factorization_lower_bound(self):
-        stingy = dataclasses.replace(
-            DEFAULT_CONFIG, factor_trial_limit=10, factor_bit_budget=8
-        )
+    def test_incomplete_factorization_lower_bound(self, stingy):
         m = 10007 * 10009
-        sv = coprime_part(m, 1, config=stingy)
+        sv = coprime_part(m, 1)
         assert not sv.complete
         assert sv.cofactor == m
         assert sv.factor_count == 2  # composite cofactor counts at least 2
@@ -176,34 +183,23 @@ class TestCoprimePartMemo:
         sieve._sieved.cache_clear()
         real, calls = sieve.factorize_full, []
 
-        def counting(m, config=DEFAULT_CONFIG):
+        def counting(m):
             calls.append(m)
-            return real(m, config)
+            return real(m)
 
         monkeypatch.setattr(sieve, "factorize_full", counting)
         for w in (12, 35, 12, -12, 35, 12):
             assert coprime_part(w, 2) == sieved_oracle(w, 2)
         assert calls == [3, 35, 3]  # one call per distinct w
 
-    @pytest.mark.parametrize("stingy_first", [False, True])
-    def test_configs_never_share_an_entry(self, stingy_first):
+    def test_one_entry_per_value_and_denominator(self):
         sieve._sieved.cache_clear()
-        stingy = Config(factor_trial_limit=10, factor_bit_budget=8)
-        w = 10007 * 10009
-        configs = (stingy, DEFAULT_CONFIG) if stingy_first else (DEFAULT_CONFIG, stingy)
-        for config in configs * 2:
-            sv = coprime_part(w, 1, config)
-            if config is stingy:
-                assert (sv.complete, sv.cofactor, sv.factors) == (False, w, ())
-            else:
-                assert sv == sieved_oracle(w, 1)
+        w = 10007 * 10009 * 6
+        for n in (1, 2, 1, 2):
+            assert coprime_part(w, n) == sieved_oracle(w, n)
         assert sieve._sieved.cache_info().currsize == 2
-        # an equal config, and one differing outside the budgets, share the
-        # entry of its budgets
-        for config in (Config(factor_trial_limit=10, factor_bit_budget=8),
-                       Config(factor_trial_limit=10, factor_bit_budget=8, r_g=6)):
-            assert coprime_part(w, 1, config) is coprime_part(w, 1, stingy)
-        assert sieve._sieved.cache_info().currsize == 2
+        assert coprime_part(w, 2) is coprime_part(w, 2)
+        assert coprime_part(w, 1) is not coprime_part(w, 2)
 
     def test_memo_never_passes_its_bound(self):
         sieve._sieved.cache_clear()
@@ -259,15 +255,14 @@ class TestTrialDivision:
     def test_rest_past_the_square_root_is_prime_unasked(self, monkeypatch):
         # trial division that reached sqrt(rest) leaves a prime rest, so the
         # witness path makes no primality call for it
-        def isprime(n):
-            raise AssertionError(f"sympy.isprime({n}) called")
+        def is_probable_prime(n):
+            raise AssertionError(f"is_probable_prime({n}) called")
 
-        # factorize_full imports sympy where it needs it: patch the module
-        monkeypatch.setattr(sympy, "isprime", isprime)
+        monkeypatch.setattr(core, "is_probable_prime", is_probable_prime)
         assert factorize_full(2 * 3 * 10007) == ({2: 1, 3: 1, 10007: 1}, 1, True)
-        stingy = dataclasses.replace(DEFAULT_CONFIG, factor_trial_limit=10)
-        with pytest.raises(AssertionError, match="isprime"):
-            factorize_full(10007 * 10009, stingy)
+        monkeypatch.setattr(core, "FACTOR_TRIAL_LIMIT", 10)
+        with pytest.raises(AssertionError, match="is_probable_prime"):
+            factorize_full(10007 * 10009)
 
 
 class TestIsRPrime:
@@ -281,14 +276,11 @@ class TestIsRPrime:
         assert is_r_prime(z, ENTRY11, 2, 2) is True
         assert is_r_prime(z, ENTRY11, 2, 1) is False
 
-    def test_incomplete_factorization_indeterminate(self):
-        stingy = dataclasses.replace(
-            DEFAULT_CONFIG, factor_trial_limit=10, factor_bit_budget=8
-        )
+    def test_incomplete_factorization_indeterminate(self, stingy):
         m = 10007 * 10009
         z = reduce(((m, 1), (m * m - 1, m)))
-        assert is_r_prime(z, ENTRY11, 1, 2, config=stingy) is None
-        assert is_r_prime(z, ENTRY11, 1, 1, config=stingy) is False
+        assert is_r_prime(z, ENTRY11, 1, 2) is None
+        assert is_r_prime(z, ENTRY11, 1, 1) is False
 
 
 class TestSievingPrimes:

@@ -107,8 +107,8 @@ class TestLocalVolumes:
         def factor(*args, **kwargs):
             raise AssertionError("p was factored or trial-divided to its square root")
 
-        monkeypatch.setattr(core, "prime_factorization", factor)
-        monkeypatch.setattr(sympy, "factorint", factor)
+        for name in ("prime_factorization", "trial_division", "factorize_full"):
+            monkeypatch.setattr(core, name, factor)
         p = 10**18 + 3  # prime
         assert local_ball_volume(p, 1) == (p + 1) * p
         # no factor below the trial limit; one past it; one with a small
@@ -160,10 +160,11 @@ class TestFiniteVolume:
         n = 10**18 + 3  # prime
         assert finite_volume(n) == n * (n + 1)
 
-    def test_unfinished_factorization_over_budget(self):
-        stingy = Config(factor_trial_limit=10, factor_bit_budget=8)
+    def test_unfinished_factorization_over_budget(self, monkeypatch):
+        monkeypatch.setattr(core, "FACTOR_TRIAL_LIMIT", 10)
+        monkeypatch.setattr(core, "RHO_STEP_CAP", 0)
         with pytest.raises(BudgetExceeded):
-            finite_volume(10007 * 10009, config=stingy)
+            finite_volume(10007 * 10009)
 
 
 def growth_loop_oracle(n_max):
