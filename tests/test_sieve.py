@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -56,14 +57,23 @@ ENTRY11 = family_from_preset("entry11")
 
 @pytest.fixture
 def stingy(monkeypatch):
-    """Factoring budgets too small for 10007 * 10009: trial division to 10
-    and no rho step.  The memo is emptied before and after, so no entry
-    crosses the budgets."""
-    monkeypatch.setattr(core, "FACTOR_TRIAL_LIMIT", 10)
-    monkeypatch.setattr(core, "RHO_STEP_CAP", 0)
-    sieve._sieved.cache_clear()
-    yield
-    sieve._sieved.cache_clear()
+    """Factoring budgets too small for 10007 * 10009, for a whole test."""
+    with stingy_budgets(monkeypatch):
+        yield
+
+
+@contextmanager
+def stingy_budgets(monkeypatch):
+    """Trial division to 10 and no rho step.  The memo is emptied on entry
+    and on exit, so no entry crosses the budgets."""
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "FACTOR_TRIAL_LIMIT", 10)
+        patch.setattr(core, "RHO_STEP_CAP", 0)
+        sieve._sieved.cache_clear()
+        try:
+            yield
+        finally:
+            sieve._sieved.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +210,30 @@ class TestCoprimePartMemo:
         assert sieve._sieved.cache_info().currsize == 2
         assert coprime_part(w, 2) is coprime_part(w, 2)
         assert coprime_part(w, 1) is not coprime_part(w, 2)
+
+    @pytest.mark.parametrize("stingy_first", [False, True])
+    def test_configs_never_share_an_entry(self, monkeypatch, stingy_first):
+        # the factoring budgets are module constants and the memo is keyed by
+        # (w, n); a change of budgets empties it, so in either order no entry
+        # factored under one pair of budgets is returned under the other
+        sieve._sieved.cache_clear()
+        w = 10007 * 10009
+
+        def stingy_run():
+            with stingy_budgets(monkeypatch):
+                for _ in range(2):
+                    sv = coprime_part(w, 1)
+                    assert (sv.complete, sv.cofactor, sv.factors) == (False, w, ())
+                assert sieve._sieved.cache_info().currsize == 1
+
+        def default_run():
+            for _ in range(2):
+                assert coprime_part(w, 1) == sieved_oracle(w, 1)
+            assert sieve._sieved.cache_info().currsize == 1
+
+        runs = (stingy_run, default_run) if stingy_first else (default_run, stingy_run)
+        for run in runs * 2:
+            run()
 
     def test_memo_never_passes_its_bound(self):
         sieve._sieved.cache_clear()
