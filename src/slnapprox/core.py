@@ -13,14 +13,13 @@ tuples, hence immutable and hashable.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .errors import BudgetExceeded, NotUnimodular
 
 IntMatrix = tuple[tuple[int, ...], ...]
 FracMatrix = tuple[tuple[Fraction, ...], ...]
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +257,6 @@ def factorize_full(m: int) -> tuple[dict[int, int], int, bool]:
                 cofactor *= k
             else:
                 pending += [d, k // d]
-    if cofactor > 1:
-        log.warning("cofactor %d bits left unfactored", cofactor.bit_length())
     return factors, cofactor, cofactor == 1
 
 
@@ -479,20 +474,22 @@ _set_v = RationalGroupPoint.v.__set__
 _set_n_dim = RationalGroupPoint.n_dim.__set__
 
 
-def _row_point(n: int, row: list) -> RationalGroupPoint:
-    """The point of one n_dim-n row (numerator row-major, then v), its slots
-    written directly: the frozen ``__init__`` would make three
-    ``object.__setattr__`` calls, and validates nothing more."""
-    z = _new_object(RationalGroupPoint)
-    if n == 2:  # the common case, unpacked without slicing
-        a, b, c, d, v = row
-        _set_u(z, ((a, b), (c, d)))
-    else:
-        *flat, v = row
-        _set_u(z, tuple(tuple(flat[k : k + n]) for k in range(0, n * n, n)))
-    _set_v(z, v)
-    _set_n_dim(z, n)
-    return z
+def _points(n: int | None, rows: np.ndarray) -> Iterator[RationalGroupPoint]:
+    """The points of n_dim-n rows (numerator row-major, then v), read from
+    the column lists: nested ``zip`` makes each numerator, for 2x2
+    ``zip(zip(a, b), zip(c, d))``, and the loop writes each point's slots
+    directly, where the frozen ``__init__`` would make three
+    ``object.__setattr__`` calls and validates nothing more."""
+    if not len(rows):  # also the empty rows of n_dim None
+        return
+    *flat, vs = rows.T.tolist()
+    us = zip(*(zip(*flat[k : k + n]) for k in range(0, n * n, n)))
+    for u, v in zip(us, vs):
+        z = _new_object(RationalGroupPoint)
+        _set_u(z, u)
+        _set_v(z, v)
+        _set_n_dim(z, n)
+        yield z
 
 
 def point_row_array(rows: Sequence[Sequence], n_dim: int) -> np.ndarray:
@@ -546,13 +543,12 @@ class PointRows(Sequence):
         return hash((self.n_dim, self.rows.shape))
 
     def __getitem__(self, i):
-        rows = self.rows[i].tolist()
         if isinstance(i, slice):
-            return list(map(_row_point, repeat(self.n_dim), rows))
-        return _row_point(self.n_dim, rows)
+            return list(_points(self.n_dim, self.rows[i]))
+        return next(_points(self.n_dim, self.rows[i, None]))
 
     def __iter__(self):
-        return map(_row_point, repeat(self.n_dim), self.rows.tolist())
+        return _points(self.n_dim, self.rows)
 
 
 def reduce(raw: Sequence[Sequence]) -> RationalGroupPoint:

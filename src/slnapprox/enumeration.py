@@ -12,14 +12,16 @@ equation a*d - b*c = n**2 for the bottom row of every top row (a, b) of
 the box at once, on numpy arrays: a Bezout pair of (a, b), read from a
 table built once for |a|, |b| <= 512 and found by a masked extended Euclid
 beyond, the j-range of each solution progression (c0 + dc*j, d0 + dd*j)
-inside the box, and its length.  The arrays are int64 while every
-intermediate fits, and hold Python ints (``dtype=object``) beyond, through
-the same code.  Both
-strategies return canonical order (lexicographic on the flattened
-numerator).  ``count_points`` reads the same row arrays for callers that
-need only the number of points: it builds no point and expands no
-progression, correcting the rows with gcd(a, b, n) > 1 by Moebius
-inversion.
+inside the box, and its length.  The progressions are expanded on arrays,
+and only the solutions of top rows with h = gcd(a, b, n) > 1 are checked
+for gcd(c, d, h) = 1: a row with h = 1 makes every solution primitive.
+The arrays are int64 while every intermediate fits, and hold Python ints
+(``dtype=object``) beyond, through the same code.  Both strategies return
+canonical order (lexicographic on the flattened numerator) as the rows of
+one ``PointRows``, which streams the points from its column lists.
+``count_points`` reads the same row arrays for callers that need only the
+number of points: it builds no point and expands no progression,
+correcting the rows with h > 1 by Moebius inversion.
 """
 
 from __future__ import annotations
@@ -270,24 +272,25 @@ def _sl2_rows(ball: BallSpec, budget: int):
 def _optimized_scan_sl2(ball: BallSpec, budget: int) -> np.ndarray:
     """The array of the numerators (a, b, c, d) of the ball's points, in canonical order.
 
-    Each progression is expanded with ``np.repeat``, walked in the
-    direction in which (c, d) ascends; rows come in (a, b) order, so the
-    result is sorted as built.
+    Each progression is expanded with ``np.repeat`` from its least (c, d),
+    by steps of +-(dc, dd) in the direction in which (c, d) ascends; rows
+    come in (a, b) order, so the result is sorted as built.
     """
     found = []
     for rows in _sl2_rows(ball, budget):
         length = (rows.j_hi - rows.j_lo + 1).astype(np.int64)
         down = (rows.dc < 0) | ((rows.dc == 0) & (rows.dd < 0))
         start = np.where(down, rows.j_hi, rows.j_lo)
+        sign = np.where(down, -1, 1)
         offset = np.arange(int(length.sum())) - np.repeat(np.cumsum(length) - length, length)
-        j = np.repeat(start, length) + np.repeat(np.where(down, -1, 1), length) * offset
-        c = np.repeat(rows.c0, length) + np.repeat(rows.dc, length) * j
-        d = np.repeat(rows.d0, length) + np.repeat(rows.dd, length) * j
-        keep = np.gcd(np.gcd(c, d), np.repeat(rows.h, length)) == 1
-        found.append(np.stack(
-            [np.repeat(rows.a, length)[keep], np.repeat(rows.b, length)[keep], c[keep], d[keep]],
-            axis=1,
-        ))
+        c = np.repeat(rows.c0 + rows.dc * start, length) + np.repeat(rows.dc * sign, length) * offset
+        d = np.repeat(rows.d0 + rows.dd * start, length) + np.repeat(rows.dd * sign, length) * offset
+        block = np.stack([np.repeat(rows.a, length), np.repeat(rows.b, length), c, d], axis=1)
+        # a row with h = 1 is primitive whatever (c, d); gcd(h, c) <= h first
+        h = np.repeat(rows.h, length)
+        on = np.flatnonzero(h > 1)
+        off = on[np.gcd(np.gcd(h[on], c[on]), d[on]) > 1]
+        found.append(np.delete(block, off, axis=0) if off.size else block)
     # an empty box holds Python ints, so that a v of any size can join it
     return np.concatenate(found) if found else np.zeros((0, 4), dtype=object)
 

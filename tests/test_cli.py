@@ -286,6 +286,15 @@ def test_semiprime_p_exits_invalid_unfactored(argv):
     assert "Traceback" not in err
 
 
+def test_unfactored_count_prints_only_the_budget_line():
+    # the factoring that gives up writes nothing; the CLI's exit line is all
+    code, _, err = run_process("verify-count", "--n-list", SEMIPRIME_P)
+    assert code == EXIT_BUDGET
+    assert err.splitlines() == [
+        f"budget exhausted: {SEMIPRIME_P} has a cofactor past the factoring budget"
+    ]
+
+
 class TestSpectral:
     def test_csv_and_slope(self, capsys):
         code, out, _ = run(

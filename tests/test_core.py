@@ -733,6 +733,11 @@ class TestJsonRoundTrip:
 
 
 class TestPointRowsItems:
+    @staticmethod
+    def reference(row: list, n_dim: int) -> RationalGroupPoint:
+        u = tuple(tuple(row[k : k + n_dim]) for k in range(0, n_dim * n_dim, n_dim))
+        return RationalGroupPoint(u=u, v=row[-1], n_dim=n_dim)
+
     @pytest.mark.parametrize("dtype", [np.int64, object])
     @pytest.mark.parametrize("n_dim, n", [(1, 1), (2, 6), (3, 2)])
     def test_items_match_points_built_by_init(self, n_dim, n, dtype):
@@ -748,25 +753,51 @@ class TestPointRowsItems:
                 rows = np.vstack((rows, np.array([(*big.flat_numerator(), big.v)], dtype=object)))
         points = PointRows(n_dim, rows)
         assert points.rows.dtype == dtype
+        refs = [self.reference(row, n_dim) for row in rows.tolist()]
+        size = len(refs)
         items = list(points)
-        assert items and items == points[:] == [points[i] for i in range(len(points))]
-        for row, z in zip(rows.tolist(), items):
-            u = tuple(tuple(row[k : k + n_dim]) for k in range(0, n_dim * n_dim, n_dim))
-            ref = RationalGroupPoint(u=u, v=row[-1], n_dim=n_dim)
-            assert z == ref and hash(z) == hash(ref)
+        assert size and items == [points[i] for i in range(size)]
+        # iteration, indices from either end, and slices of any step
+        for got, want in (
+            (items, refs),
+            ([points[i] for i in range(-size, 0)], refs),
+            (points[:], refs),
+            (points[::-1], refs[::-1]),
+            (points[1::2], refs[1::2]),
+        ):
+            assert got == want
+            assert list(map(hash, got)) == list(map(hash, want))
+        with pytest.raises(IndexError):
+            points[size]
+        with pytest.raises(IndexError):
+            points[-size - 1]
+        for z in items:
             assert all(type(e) is int for e in (*z.flat_numerator(), z.v, z.n_dim))
+            assert not hasattr(z, "__dict__")
             z.validate()
+            for field in ("u", "v", "n_dim"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(z, field, getattr(z, field))
+            back = pickle.loads(pickle.dumps(z))
+            assert type(back) is RationalGroupPoint and back == z and hash(back) == hash(z)
         z = items[-1]
-        assert not hasattr(z, "__dict__")
-        for field in ("u", "v", "n_dim"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(z, field, getattr(z, field))
         copies = [copy.copy(z), copy.deepcopy(z)] + [
             pickle.loads(pickle.dumps(z, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
         ]
         for back in copies:
             assert type(back) is RationalGroupPoint and back == z and hash(back) == hash(z)
+
+    @pytest.mark.parametrize("n_dim", [None, 2, 3])
+    def test_no_rows(self, n_dim):
+        width = 1 if n_dim is None else n_dim * n_dim + 1
+        for dtype in (np.int64, object):
+            points = PointRows(n_dim, np.zeros((0, width), dtype=dtype))
+            assert len(points) == 0
+            assert list(points) == points[:] == points[::-1] == []
+            for i in (0, -1):
+                with pytest.raises(IndexError):
+                    points[i]
 
 
 # sympy's primes below four segments: the oracle of primes_below

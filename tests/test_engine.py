@@ -16,6 +16,8 @@ from slnapprox.core import (
     family_from_preset,
     identity_matrix,
     n_coprime_part,
+    PolynomialFamily,
+    RationalGroupPoint,
     to_fraction_matrix,
 )
 from slnapprox.engine import (
@@ -149,6 +151,34 @@ class TestFindWitness:
                     best, best_count = z, fc
             found = (rec.z, rec.factor_count, rec.zero_values_skipped)
             assert found == (best, best_count, zeros), (center, n, preset)
+
+    def test_one_values_and_one_coprime_part_call_per_candidate(self, monkeypatch):
+        # the calls a traced run counts: family.values on each candidate, a
+        # real point, and coprime_part on each value that is not zero
+        calls = {"values": 0, "coprime_part": 0}
+        values, coprime_part = PolynomialFamily.values, engine.coprime_part
+
+        def counted_values(family, z):
+            assert type(z) is RationalGroupPoint
+            calls["values"] += 1
+            return values(family, z)
+
+        def counted_coprime_part(w, n):
+            calls["coprime_part"] += 1
+            return coprime_part(w, n)
+
+        monkeypatch.setattr(PolynomialFamily, "values", counted_values)
+        monkeypatch.setattr(engine, "coprime_part", counted_coprime_part)
+        zeros = 0
+        for center in (IDENTITY, BOUNDED_CENTERS[1], BOUNDED_CENTERS[3]):
+            for n in (12, 30, 53):
+                for preset in ("entry11", "trace-minus-2", "sum-entries"):
+                    calls.update(values=0, coprime_part=0)
+                    rec = find_witness(center, n, 0.3, family_from_preset(preset))
+                    assert calls["values"] == rec.candidates
+                    assert calls["coprime_part"] == rec.candidates - rec.zero_values_skipped
+                    zeros += rec.zero_values_skipped
+        assert zeros > 0
 
     def test_integral_target(self):
         rec = find_witness(IDENTITY, 1, 0.5, ENTRY11)

@@ -218,6 +218,24 @@ class TestStrategyEquivalence:
         assert cells >= 20
         assert nonempty >= 10
 
+    @pytest.mark.parametrize("n", [4, 8, 9, 12, 18, 25, 36])
+    def test_gcd_filter_on_rows_sharing_a_prime_with_n(self, n):
+        # the optimized scan gcd-checks only the rows with h = gcd(a, b, n) > 1;
+        # the box scan checks every cell, so "both" tests the restriction
+        # wherever such a row drops a solution and keeps another
+        dropped = kept = 0
+        for center in (IDENTITY, *BOUNDED_CENTERS[:3]):
+            ball = BallSpec.make(center, F(4, n), n)
+            enumerate_points(ball, strategy="both")
+            for a, b, c0, dc, d0, dd, j_lo, j_hi in _scalar_rows(ball):
+                h = math.gcd(a, b, n)
+                if h > 1:
+                    cd = [(c0 + dc * j, d0 + dd * j) for j in range(j_lo, j_hi + 1)]
+                    primitive = sum(math.gcd(c, d, h) == 1 for c, d in cd)
+                    dropped += primitive < len(cd)
+                    kept += primitive > 0
+        assert dropped and kept
+
     def test_both_strategy_checks_internally(self):
         ball = BallSpec.make(IDENTITY, F(1, 2), 2)
         res = enumerate_points(ball, strategy="both")
