@@ -496,10 +496,11 @@ def point_row_array(rows: Sequence[Sequence], n_dim: int) -> np.ndarray:
     """The (len(rows), n_dim**2 + 1) array of point rows, given with int or
     decimal-string entries or as an array: int64 while n_dim! * B**n_dim <
     2**63 for B = max |entry|, so that a determinant of the columns stays
-    exact, and Python ints (``dtype=object``) beyond."""
+    exact, and Python ints (``dtype=object``) beyond.  An int64 array within
+    that bound is returned as it is, not copied."""
     shape = (len(rows), n_dim * n_dim + 1)
     try:
-        arr = np.array(rows, dtype=np.int64).reshape(shape)
+        arr = np.asarray(rows, dtype=np.int64).reshape(shape)
     except OverflowError:
         return np.array([[int(x) for x in row] for row in rows], dtype=object).reshape(shape)
     if arr.size:

@@ -22,6 +22,12 @@ one ``PointRows``, which streams the points from its column lists.
 ``count_points`` reads the same row arrays for callers that need only the
 number of points: it builds no point and expands no progression,
 correcting the rows with h > 1 by Moebius inversion.
+
+``write_jsonl`` writes the rows as canonical JSON lines, and
+``read_jsonl_points`` reads them back a chunk of ``_LINE_BLOCK`` lines at
+a time: the canonical lines that start a chunk are matched by one block
+pattern and parsed as one array, and every other line one at a time, with
+the JSON parse of ``RationalGroupPoint`` as the oracle.
 """
 
 from __future__ import annotations
@@ -209,17 +215,17 @@ def _bezout(a: np.ndarray, b: np.ndarray):
 
 
 def _step_bounds(x0, step, lo, hi):
-    """j-range arrays with lo <= x0 + step*j <= hi, and where step == 0 the
-    mask of rows that leave j unconstrained (there j_lo > j_hi otherwise)."""
+    """j-range arrays with lo <= x0 + step*j <= hi on the lanes where
+    step != 0; the rare lanes where step == 0 (there the range is
+    meaningless), and on each of them whether lo <= x0 <= hi."""
     below, above = x0 - lo, hi - x0
+    flat = np.flatnonzero(step == 0)
+    size = abs(step)
+    size[flat] = 1
     up = step > 0
-    size = np.where(step == 0, 1, abs(step))
     j_lo = -(np.where(up, below, above) // size)
     j_hi = np.where(up, above, below) // size
-    flat = step == 0
-    j_lo = np.where(flat, 1, j_lo)
-    j_hi = np.where(flat, 0, j_hi)
-    return j_lo, j_hi, flat & (below >= 0) & (above >= 0)
+    return j_lo, j_hi, flat, (below[flat] >= 0) & (above[flat] >= 0)
 
 
 def _sl2_rows(ball: BallSpec, budget: int):
@@ -250,17 +256,29 @@ def _sl2_rows(ball: BallSpec, budget: int):
         b = (flat % width).astype(dtype) + b_lo
         del flat
         g, s, t = _bezout(a, b)
-        # g = 0 is the zero row, which solves nothing
-        live = np.flatnonzero(g)
-        live = live[m % g[live] == 0]
+        # g = 0 is the zero row, which solves nothing, and a row solves only
+        # when g divides m; most rows have g = 1, and there k = m and the
+        # steps are (a, b)
+        live = g == 1
+        wide = np.flatnonzero(g > 1)
+        live[wide] = m % g[wide] == 0
+        live = np.flatnonzero(live)
         a, b, g, s, t = a[live], b[live], g[live], s[live], t[live]
-        k = m // g
-        c0, dc, d0, dd = -t * k, a // g, s * k, b // g
-        c_jlo, c_jhi, c_free = _step_bounds(c0, dc, c_lo, c_hi)
-        d_jlo, d_jhi, d_free = _step_bounds(d0, dd, d_lo, d_hi)
-        # a nonzero row has a nonzero step, so at most one side is free
-        j_lo = np.where(c_free, d_jlo, np.where(d_free, c_jlo, np.maximum(c_jlo, d_jlo)))
-        j_hi = np.where(c_free, d_jhi, np.where(d_free, c_jhi, np.minimum(c_jhi, d_jhi)))
+        k, dc, dd = np.full_like(g, m), a.copy(), b.copy()
+        wide = np.flatnonzero(g > 1)
+        gw = g[wide]
+        k[wide], dc[wide], dd[wide] = m // gw, a[wide] // gw, b[wide] // gw
+        c0, d0 = -t * k, s * k
+        c_jlo, c_jhi, c_flat, c_in = _step_bounds(c0, dc, c_lo, c_hi)
+        d_jlo, d_jhi, d_flat, d_in = _step_bounds(d0, dd, d_lo, d_hi)
+        j_lo, j_hi = np.maximum(c_jlo, d_jlo), np.minimum(c_jhi, d_jhi)
+        # a nonzero row has a nonzero step, so at most one side is flat: it
+        # leaves j to the other side where its x0 lies in its interval, and
+        # admits no j elsewhere
+        for flat, inside, (lo, hi) in ((c_flat, c_in, (d_jlo, d_jhi)),
+                                       (d_flat, d_in, (c_jlo, c_jhi))):
+            j_lo[flat] = np.where(inside, lo[flat], 1)
+            j_hi[flat] = np.where(inside, hi[flat], 0)
         keep = np.flatnonzero(j_hi >= j_lo)
         yield _Rows(
             a=a[keep], b=b[keep], c0=c0[keep], dc=dc[keep], d0=d0[keep],
@@ -388,8 +406,10 @@ def enumerate_points(
     )
 
 
-# point lines per fp.write, so a large file is never held as one string
-_LINE_BLOCK = 1 << 12
+# point lines per fp.write, and per chunk the reader matches at once: a greedy
+# repeat keeps backtracking state for every line it matches, and 2**12-line
+# chunks doubled the reader's traced peak
+_LINE_BLOCK = 1 << 10
 
 
 def write_jsonl(result: EnumerationResult, fp) -> None:
@@ -412,6 +432,21 @@ def _point_line_pattern(n_dim: int) -> re.Pattern:
     return re.compile("(-?(?:0|[1-9][0-9]*))".join(map(re.escape, parts)))
 
 
+@lru_cache(maxsize=None)
+def _point_block_pattern(n_dim: int) -> tuple[re.Pattern, dict]:
+    """A pattern matching any run of canonical lines, each ending in a
+    newline, and the ``str.translate`` table that blanks every character of
+    such a line but the digits and signs of n_dim, the entries and v.
+
+    An entry has at most 18 digits: ``np.fromstring`` saturates silently
+    past int64, so a longer one must miss the pattern.
+    """
+    template = point_line_template(n_dim)
+    line = "-?(?:0|[1-9][0-9]{0,17})".join(map(re.escape, template.split("%d")))
+    blank = str.maketrans(dict.fromkeys([c for c in template if not c.isdigit()], " "))
+    return re.compile(f"(?:{line}\n)*"), blank
+
+
 def _first_invalid_row(rows: np.ndarray, n_dim: int) -> int | None:
     """Index of the first row that is no point (v >= 1, det u = v**n_dim and
     gcd(u, v) = 1, as ``RationalGroupPoint.validate``), or None."""
@@ -429,62 +464,82 @@ def read_jsonl_points(fp) -> PointRows:
     """Parse the point records back, one JSON document per line, ignoring
     blank lines and the trailing summary.
 
-    A canonical line (``point_line_template``) is matched by one compiled
-    pattern, and its integers become a row.  Any other line goes through
-    ``json.loads`` and ``RationalGroupPoint.from_json_dict``, the oracle;
-    the first record fixes n_dim, and a record of another n_dim is a
-    ValueError.  The rows are checked on arrays per block of
-    ``_LINE_BLOCK``, and before any other line is parsed, so the first
-    invalid line of the file raises: the oracle is rerun on it, for its
-    exception and message.
+    The file is read in chunks of ``_LINE_BLOCK`` lines.  Once the first
+    record has fixed n_dim, the canonical lines (``point_line_template``,
+    entries of at most 18 digits) at the start of a chunk are matched by one
+    block pattern and read as one array by ``np.fromstring``.  The rest of
+    the chunk goes line by line: a canonical line is matched by one compiled
+    pattern and its integers become a row; any other line goes through
+    ``json.loads`` and ``RationalGroupPoint.from_json_dict``, the oracle.
+    The first record fixes n_dim, and a record of another n_dim is a
+    ValueError.  The rows are checked on arrays per block of at most
+    ``_LINE_BLOCK`` lines, in file order and before any later line that is
+    not canonical is parsed, so the first invalid line of the file raises:
+    the oracle is rerun on it, for its exception and message.
     """
     loads = json.loads
     from_json_dict = RationalGroupPoint.from_json_dict
     n_dim = None
-    match = None
+    match = prefix_pattern = None
     blocks: list[np.ndarray] = []
-    rows: list[tuple] = []  # the current block, and the line of each row
+    rows: list[tuple] = []  # the pending line-by-line block, and the line of each row
     lines: list[str] = []
     unchecked = False  # whether rows holds a canonical line
 
-    def pack() -> None:
-        block = point_row_array(rows, n_dim)
+    def check(block: np.ndarray, block_lines: list[str]) -> None:
         bad = _first_invalid_row(block, n_dim)
         if bad is not None:
-            RationalGroupPoint.from_json(lines[bad])
+            RationalGroupPoint.from_json(block_lines[bad])
             raise AssertionError("a point line passed the oracle, not the row checks; this is a bug")
         blocks.append(block)
+
+    def pack() -> None:
+        nonlocal unchecked
+        check(point_row_array(rows, n_dim), lines)
         rows.clear()
         lines.clear()
+        unchecked = False
 
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        m = match(line) if match else None
-        if m is not None:
-            rows.append(m.groups())
-            unchecked = True
-        else:
-            if unchecked:
-                pack()
-                unchecked = False
-            d = loads(line)
-            if not isinstance(d, dict):
-                raise ValueError(f"point record is not a JSON object: {line[:60]!r}")
-            if "u" not in d:
+    while chunk := list(itertools.islice(fp, _LINE_BLOCK)):
+        done = 0
+        if prefix_pattern is not None:
+            text = "".join(chunk)
+            end = prefix_pattern.match(text).end()
+            if end:
+                if rows:
+                    pack()
+                prefix = text[:end]
+                done = prefix.count("\n")
+                values = np.fromstring(prefix.translate(blank), dtype=np.int64, sep=" ")
+                # the first column is n_dim
+                check(point_row_array(values.reshape(done, -1)[:, 1:], n_dim), chunk)
+        for line in itertools.islice(chunk, done, None):
+            line = line.strip()
+            if not line:
                 continue
-            z = from_json_dict(d)
-            if n_dim is None:
-                n_dim = z.n_dim
-                match = _point_line_pattern(n_dim).fullmatch
-            elif z.n_dim != n_dim:
-                raise ValueError(f"point records of n_dim {n_dim} and {z.n_dim} in one file")
-            rows.append((*z.flat_numerator(), z.v))
-        lines.append(line)
-        if len(rows) == _LINE_BLOCK:
-            pack()
-            unchecked = False
+            m = match(line) if match else None
+            if m is not None:
+                rows.append(m.groups())
+                unchecked = True
+            else:
+                if unchecked:
+                    pack()
+                d = loads(line)
+                if not isinstance(d, dict):
+                    raise ValueError(f"point record is not a JSON object: {line[:60]!r}")
+                if "u" not in d:
+                    continue
+                z = from_json_dict(d)
+                if n_dim is None:
+                    n_dim = z.n_dim
+                    match = _point_line_pattern(n_dim).fullmatch
+                    prefix_pattern, blank = _point_block_pattern(n_dim)
+                elif z.n_dim != n_dim:
+                    raise ValueError(f"point records of n_dim {n_dim} and {z.n_dim} in one file")
+                rows.append((*z.flat_numerator(), z.v))
+            lines.append(line)
+            if len(rows) == _LINE_BLOCK:
+                pack()
     if rows:
         pack()
     # n_dim is None exactly when there is no block

@@ -19,23 +19,27 @@ and have to be handled explicitly rather than measured:
 
 * Every generator has determinant p^(2*ell), the square of a unit mod q,
   while the determinant modulo unit squares is well defined on scalar
-  classes.  Functions of that determinant class are therefore invariant
-  for any choice of representatives, and the vertex set always splits into
-  det-class blocks.  The operator norm is accordingly taken on the
-  orthocomplement of the functions constant on each determinant class:
-  that subspace is exactly where decay is possible, and on it the blocks
-  carry isomorphic copies of the walk on the determinant-one classes.
+  classes.  Left multiplication therefore maps the vertices whose
+  determinant is a unit square (the class of the identity) onto
+  themselves, and right multiplication by diag(1, u), which commutes with
+  it, maps that block onto the block of det class u.  The operator is k
+  isomorphic copies of one block, k = |units / unit squares| (2 for an
+  odd prime power q, 4 at q = 8 and 12), and its norm off the functions
+  constant on each determinant class is the norm of the identity's block
+  on its mean-zero functions.  Only that block is built.
 
 A level has n = |GL_2(Z/q)| / phi(q) = |SL_2(Z/q)| vertices, the order
-``densities.group_order_mod(q, 2)`` gives.  No n x n matrix is formed.
-A table indexed by the integer code of a matrix mod q gives the vertex of
-its scalar class, left multiplication by each distinct generator image is
-stored as the vertex permutation it induces, and the gap comes from a
-Lanczos iteration on numpy arrays that applies the permutations and the
-class-mean projection to a vector and keeps at most LANCZOS_MAX_STEPS
-basis vectors.  The shell is streamed: generator codes are read
-SHELL_BLOCK at a time and tallied per vertex, so memory is about
-(images + 1) * n ints plus the q**4 code table, whatever the degree.
+``densities.group_order_mod(q, 2)`` gives, and the identity's block n / k
+of them.  No n x n matrix is formed.  A table indexed by the integer code
+of a matrix mod q gives the vertex of its scalar class, left
+multiplication by each distinct generator image is stored as the
+permutation of the block it induces, and the gap comes from a Lanczos
+iteration on numpy arrays that applies the permutations and subtracts the
+mean of a vector, keeping at most LANCZOS_MAX_STEPS basis vectors.  The
+shell is streamed: generator codes are read SHELL_BLOCK at a time and
+tallied per vertex, so memory is about (images + 1) * n / k ints plus the
+q**4 code table, whatever the degree.  The vertex budget still charges
+all n vertices, which the code table indexes.
 Time still grows with the (p+1) * p**(2*ell-1) generators, each
 Lagrange-reduced in Python, so ``Config.spectral_shell_budget`` bounds
 their count, read off the closed form before the level table or any
@@ -88,16 +92,18 @@ class LevelTable:
     A matrix [[a, b], [c, d]] mod q has the code ((a*q + b)*q + c)*q + d,
     so code order is the lexicographic order of matrices.  Each class is
     represented by its least member; ``vertices`` holds these in code order
-    as an (n, 4) int array of (a, b, c, d).  ``det_classes`` numbers the
-    vertices' determinants modulo unit squares (well defined on classes) by
-    the least element of det * (unit squares) mod q.  ``index[code]`` is the
-    vertex of the class of any invertible matrix and -1 for a singular one.
+    as an (n, 4) int array of (a, b, c, d).  ``index[code]`` is the vertex
+    of the class of any invertible matrix and -1 for a singular one.
+    ``block`` holds the vertices whose determinant is a unit square mod q
+    (well defined on classes), in code order, and ``position[i]`` is the
+    row of vertex i in ``block``, -1 outside it.
     """
 
     q: int
     vertices: np.ndarray
-    det_classes: np.ndarray
     index: np.ndarray
+    block: np.ndarray
+    position: np.ndarray
 
 
 def _encode(q: int, a, b, c, d):
@@ -143,12 +149,13 @@ def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
     index[vertex_codes] = np.arange(len(vertex_codes))
     index = np.where(invertible, index[least], -1)
     vertices = np.stack([x[vertex_codes] for x in (a, b, c, d)], axis=1)
-    det = det[vertex_codes]
-    least_det = np.min([det * s % q for s in {u * u % q for u in units}], axis=0)
-    det_classes = np.unique(least_det, return_inverse=True)[1]
-    for x in (vertices, det_classes, index):
+    square = np.isin(det[vertex_codes], [u * u % q for u in units])
+    block = vertices[square]
+    position = np.full(len(vertices), -1, dtype=np.intp)
+    position[square] = np.arange(len(block))
+    for x in (vertices, index, block, position):
         x.flags.writeable = False
-    return LevelTable(q=q, vertices=vertices, det_classes=det_classes, index=index)
+    return LevelTable(q=q, vertices=vertices, index=index, block=block, position=position)
 
 
 def lagrange_reduce(m: Mat2) -> Mat2:
@@ -190,20 +197,16 @@ def lagrange_reduce(m: Mat2) -> Mat2:
 
 @dataclass(frozen=True)
 class HeckeOperatorGraph:
-    """Left-multiplication averaging operator on the projective level group.
+    """Left-multiplication averaging operator on the identity's
+    determinant class of the projective level group.
 
-    Left multiplication by an invertible matrix permutes the vertices, so
-    the operator is stored as one permutation per distinct generator image:
-    ``operator[i, j]`` is the index of the vertex image_i * vertex_j, and
-    ``weights[i]`` counts the generators with that image.  The operator
+    Left multiplication by a generator permutes the vertices of that block,
+    so the operator is stored as one permutation per distinct generator
+    image: ``operator[i, j]`` is the index of the vertex image_i * vertex_j,
+    and ``weights[i]`` counts the generators with that image.  The operator
     averages f over the images, (A f)(j) = sum_i weights[i] *
-    f(operator[i, j]) / degree; it is never formed as an n x n matrix.
-
-    ``classes`` labels each vertex with one of 0..k-1, naming blocks known
-    to be preserved by the walk for structural reasons (the determinant
-    classes, for built graphs); the gap is measured orthogonally to
-    functions constant on each block.  Hand-built fixtures may label every
-    vertex 0 to get the plain mean-zero convention.
+    f(operator[i, j]) / degree; it is never formed as an n x n matrix.  The
+    gap is measured on the mean-zero functions.
     """
 
     p: int
@@ -213,7 +216,6 @@ class HeckeOperatorGraph:
     operator: np.ndarray  # int vertex permutations, shape (images, n)
     weights: np.ndarray  # int multiplicities, shape (images,), summing to degree
     degree: int
-    classes: np.ndarray  # int label per vertex, shape (n,), each of 0..k-1 used
 
 
 def _shell_degree(p: int, q: int, ell: int, config: Config) -> int:
@@ -237,7 +239,8 @@ def build_hecke_graph(
     *,
     config: Config = DEFAULT_CONFIG,
 ) -> HeckeOperatorGraph:
-    """Averaging operator over the determinant-p^(2*ell) classes at level q.
+    """Averaging operator over the determinant-p^(2*ell) classes at level q,
+    on the vertices of the identity's determinant class.
 
     Every representative is Lagrange-reduced before reduction mod q, the
     shell is tallied per vertex SHELL_BLOCK generators at a time, and the
@@ -247,52 +250,52 @@ def build_hecke_graph(
     degree = _shell_degree(p, q, ell, config)
     # the vertex budget applies before the first generator is built too
     level = level_table(q, config)
-    n = len(level.vertices)
+    n = len(level.block)
     codes = (
         _encode(q, *(x for row in lagrange_reduce(g) for x in row))
         for g in hnf_representatives(p, ell)
     )
-    # distinct images as vertices, with multiplicity; equal images act equally
+    # distinct images as vertices, with multiplicity; equal images act
+    # equally, and each has a square determinant, so lies in the block
     weights = np.zeros(n, dtype=np.intp)
     while (block := np.fromiter(islice(codes, SHELL_BLOCK), dtype=np.int64)).size:
-        weights += np.bincount(level.index[block], minlength=n)
+        weights += np.bincount(level.position[level.index[block]], minlength=n)
     images = np.flatnonzero(weights)
     weights = weights[images]
     # row i of the products: image_i times every vertex, a block of rows at a time
-    va, vb, vc, vd = level.vertices.T
-    perms = np.empty((len(images), n), dtype=level.index.dtype)
+    va, vb, vc, vd = level.block.T
+    perms = np.empty((len(images), n), dtype=level.position.dtype)
     rows = max(1, SHELL_BLOCK // n)
     for start in range(0, len(images), rows):
         block = perms[start : start + rows]
-        g = level.vertices[images[start : start + rows]]
+        g = level.block[images[start : start + rows]]
         ga, gb, gc, gd = (col[:, None] for col in g.T)
         codes = _encode(
             q, ga * va + gb * vc, ga * vb + gb * vd, gc * va + gd * vc, gc * vb + gd * vd
         )
-        np.take(level.index, codes, out=block)
+        np.take(level.position, level.index[codes], out=block)
         if block.min() < 0 or (np.sort(block, axis=1) != np.arange(n)).any():
-            raise AssertionError("a generator image does not permute the vertices")
+            raise AssertionError("a generator image does not permute the block")
     if int(weights.sum()) != degree:
         raise AssertionError(f"image weights sum to {weights.sum()}, expected {degree}")
     return HeckeOperatorGraph(
         p=p,
         q=q,
         ell=ell,
-        vertices=level.vertices,
+        vertices=level.block,
         operator=perms,
         weights=weights,
         degree=degree,
-        classes=level.det_classes,
     )
 
 
 def second_singular_value(graph: HeckeOperatorGraph) -> float:
-    """Norm of the symmetrized operator outside the class-constant space.
+    """Norm of the symmetrized operator on the mean-zero functions.
 
     The generator multiset is only inversion-closed up to scalars, so the
     operator is averaged with its transpose: S f = (A f + A^T f) / 2, where
     A^T applies the inverse permutations.  The value is the largest absolute
-    eigenvalue of P S P, with P subtracting the mean of each class, found
+    eigenvalue of P S P, with P subtracting the mean, found
     by a Lanczos iteration from a fixed start vector, so equal graphs give
     equal floats.  Each step orthogonalizes the new direction against the
     whole basis (two classical Gram-Schmidt passes) and reads the Ritz
@@ -302,19 +305,12 @@ def second_singular_value(graph: HeckeOperatorGraph) -> float:
     every eigenvalue it holds has been found, and the bound is met too.
     The eigenpair residual against S is then checked against
     ``_RESIDUAL_TOL``.  A miss, or a basis that would pass
-    ``LANCZOS_MAX_STEPS`` vectors, raises ConvergenceFailure.  The class
-    labels must have shape (n,) and use every value 0..k-1 (ValueError
-    otherwise).
+    ``LANCZOS_MAX_STEPS`` vectors, raises ConvergenceFailure.
     """
     perms = graph.operator
     n = len(graph.vertices)
-    labels = graph.classes
-    values, sizes = np.unique(labels, return_counts=True)
-    if labels.shape != (n,) or (values != np.arange(len(values))).any():
-        raise ValueError("class labels must give each vertex one of 0..k-1, each used")
-    k = len(sizes)
-    if k >= n:
-        return 1.0  # every function is class-constant, nothing to measure
+    if n <= 1:
+        return 1.0  # every function is constant, nothing to measure
     inverses = np.empty_like(perms)
     np.put_along_axis(inverses, perms, np.arange(n)[None, :], axis=1)
     w = graph.weights / (2.0 * graph.degree)
@@ -323,7 +319,7 @@ def second_singular_value(graph: HeckeOperatorGraph) -> float:
         return w @ x[perms] + w @ x[inverses]
 
     def project(x):
-        return x - (np.bincount(labels, weights=x, minlength=k) / sizes)[labels]
+        return x - x.mean()
 
     v = project(np.random.default_rng(0).standard_normal(n))
     # the orthonormal basis is allocated LANCZOS_BLOCK rows at a time, never

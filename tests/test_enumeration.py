@@ -906,6 +906,94 @@ class TestReaderOracle:
                 assert "Traceback" not in capsys.readouterr().err
 
 
+def walk_lines(n_dim, count):
+    """``count`` canonical lines, cycling through the points of one walk."""
+    rng = random.Random(n_dim)
+    steps = [(rng.randrange(3), rng.randrange(3), rng.randrange(-40, 41)) for _ in range(6)]
+    pool = [reduce(identity_matrix(n_dim))] + elementary_walk(n_dim, 7, steps)
+    return [pool[i % len(pool)].to_json() for i in range(count)]
+
+
+def read_like_oracle(text):
+    pts = read_jsonl_points(io.StringIO(text))
+    assert list(pts) == per_line_oracle(text)
+    return pts
+
+
+class TestReaderBlocks:
+    """After the first record, the canonical lines at the start of each
+    chunk of ``_LINE_BLOCK`` lines are read as one block."""
+
+    @pytest.mark.parametrize(
+        "at",
+        [(_LINE_BLOCK,), (2 * _LINE_BLOCK - 1,), (2 * _LINE_BLOCK - 1, 2 * _LINE_BLOCK)],
+        ids=["chunk-first", "chunk-last", "across-chunks"],
+    )
+    def test_non_canonical_lines(self, at):
+        lines = walk_lines(2, 3 * _LINE_BLOCK + 5)
+        for i in at:
+            lines[i] = json.dumps(json.loads(lines[i]))
+        pts = read_like_oracle("\n".join(lines) + "\n" + SUMMARY + "\n")
+        assert len(pts) == len(lines) and pts.rows.dtype == np.int64
+
+    def test_long_entries_come_back_exact(self):
+        # 18 digits fit the block pattern; 19 and 20 take the line path,
+        # where np.fromstring would saturate at the int64 limit
+        lines = walk_lines(2, 3 * _LINE_BLOCK)
+        big = {_LINE_BLOCK + 10: 10**18 - 1, 2 * _LINE_BLOCK + 10: -(10**19 - 1),
+               2 * _LINE_BLOCK + 11: 10**19 + 3}
+        for i, b in big.items():
+            lines[i] = RationalGroupPoint(u=((1, b), (0, 1)), v=1, n_dim=2).to_json()
+        pts = read_like_oracle("\n".join(lines) + "\n")
+        assert pts.rows.dtype == object
+        for i, b in big.items():
+            assert pts.rows[i].tolist() == [1, b, 0, 1, 1]
+
+    def test_line_ends(self):
+        # a last line with no newline, and CRLF line ends
+        lines = walk_lines(2, 2 * _LINE_BLOCK + 3)
+        for text in ("\n".join(lines), "\r\n".join(lines) + "\r\n"):
+            assert len(read_like_oracle(text)) == len(lines)
+
+    def test_summary_mid_chunk(self):
+        lines = walk_lines(2, 3 * _LINE_BLOCK)
+        lines.insert(_LINE_BLOCK + 100, SUMMARY)
+        lines.insert(2 * _LINE_BLOCK + 100, "")
+        assert len(read_like_oracle("\n".join(lines) + "\n")) == 3 * _LINE_BLOCK
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_files_past_two_chunks(self, n_dim, monkeypatch):
+        # every chunk after the first, which fixes n_dim, is one block
+        lines = walk_lines(n_dim, 2 * _LINE_BLOCK + 17)
+        read = []
+        fromstring = np.fromstring
+
+        def spy(text, *args, **kwargs):
+            read.append(text.count("\n"))
+            return fromstring(text, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", spy)
+        pts = read_like_oracle("\n".join(lines) + "\n" + SUMMARY + "\n")
+        assert pts.n_dim == n_dim and len(pts) == len(lines)
+        assert read == [_LINE_BLOCK, 17]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [CORRUPT_FILES["det-not-v-power"][0], CORRUPT_FILES["shared-factor"][0],
+         '{"n_dim":2,"u":[["1","0"],["0","1"]],"v":"0"}'],
+        ids=["det", "shared-factor", "zero-v"],
+    )
+    def test_bad_line_in_a_block_raises_like_oracle(self, bad):
+        lines = walk_lines(2, 3 * _LINE_BLOCK)
+        lines[_LINE_BLOCK + 5] = bad
+        lines[2 * _LINE_BLOCK + 5] = "[1, 2]"
+        text = "\n".join(lines) + "\n"
+        want = oracle_exception(text)
+        with pytest.raises(type(want)) as info:
+            read_jsonl_points(io.StringIO(text))
+        assert type(info.value) is type(want) and str(info.value) == str(want)
+
+
 def render_point_line(z, style):
     """One valid JSON line of z: canonical, or one of the forms only the
     general path reads."""

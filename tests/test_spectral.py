@@ -106,6 +106,12 @@ def oracle_det_classes(q):
     return [tuple(block) for block in buckets.values()]
 
 
+def oracle_identity_block(q):
+    """Indices of the oracle vertices in the identity's determinant class."""
+    identity = oracle_vertices(q).index(((1, 0), (0, 1)))
+    return next(block for block in oracle_det_classes(q) if identity in block)
+
+
 def oracle_lambda2(p, q, ell):
     """Largest |eigenvalue| of the symmetrized matrix off the det classes."""
     a = oracle_operator(p, q, ell)
@@ -119,6 +125,24 @@ def oracle_lambda2(p, q, ell):
     q2 = qmat[:, len(classes):]
     vals = np.linalg.eigvalsh(q2.T @ s @ q2)
     return float(np.max(np.abs(vals)))
+
+
+def class_walk(graph, block):
+    """The graph's generator images acting on the level vertices ``block``
+    (indices into ``level_table(q).vertices``), through the level's code
+    table and not its block selection: a fixture of the same shell."""
+    q = graph.q
+    level = level_table(q, DEFAULT_CONFIG)
+    at = np.full(len(level.vertices), -1)
+    at[list(block)] = np.arange(len(block))
+    va, vb, vc, vd = (col[None, :] for col in level.vertices[list(block)].T)
+    identity = graph.vertices.tolist().index([1, 0, 0, 1])
+    ga, gb, gc, gd = (col[:, None] for col in graph.vertices[graph.operator[:, identity]].T)
+    entries = (ga * va + gb * vc, ga * vb + gb * vd, gc * va + gd * vc, gc * vb + gd * vd)
+    codes = ((entries[0] % q * q + entries[1] % q) * q + entries[2] % q) * q + entries[3] % q
+    return dataclasses.replace(
+        graph, vertices=level.vertices[list(block)], operator=at[level.index[codes]]
+    )
 
 
 def dense(graph):
@@ -187,7 +211,28 @@ class TestProjectiveGroup:
             assert level.index[code(m, q)] == -1
 
     def test_determinant_classes_split_evenly(self):
-        assert np.bincount(level_table(5).det_classes).tolist() == [60, 60]
+        # the identity's block is one of the two det classes of level 5
+        level = level_table(5)
+        assert level.block.shape == (60, 4)
+        assert (level.vertices[level.position >= 0] == level.block).all()
+        assert level.position[level.position >= 0].tolist() == list(range(60))
+
+    @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 12, 25, 27])
+    def test_block_is_the_identity_det_class(self, q):
+        # n / k vertices, k = |units / unit squares|, and every image of a
+        # shell permutes them
+        units = _units(q)
+        k = len(units) // len({u * u % q for u in units})
+        g = build_hecke_graph(next(p for p in (2, 3, 5) if q % p), q, 1)
+        n = len(g.vertices)
+        assert n * k == group_order_mod(q, 2)
+        assert g.vertices is level_table(q, DEFAULT_CONFIG).block
+        vertices = oracle_vertices(q)
+        assert [sum(vertices[i], ()) for i in oracle_identity_block(q)] == [
+            tuple(v) for v in g.vertices.tolist()
+        ]
+        for perm in g.operator:
+            assert (np.sort(perm) == np.arange(n)).all()
 
     def test_vertex_budget(self):
         tight = dataclasses.replace(DEFAULT_CONFIG, spectral_vertex_budget=100)
@@ -251,10 +296,10 @@ class TestOperator:
         # the degree, which is what makes the average doubly stochastic
         g = build_hecke_graph(2, 5, 1)
         assert g.degree == 6
-        assert g.operator.shape == (len(g.weights), 120)
+        assert g.operator.shape == (len(g.weights), 60)
         assert int(g.weights.sum()) == g.degree
         for perm in g.operator:
-            assert sorted(perm) == list(range(120))
+            assert sorted(perm) == list(range(60))
         np.testing.assert_allclose(dense(g).sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(dense(g).sum(axis=1), 1.0, atol=1e-12)
 
@@ -264,33 +309,41 @@ class TestOperator:
          [(2, 5, 2), (3, 5, 1), (5, 8, 1), (2, 9, 1), (7, 4, 1)]],
     )
     def test_permutation_table_matches_dense_build(self, p, q, ell):
+        # the oracle's operator on all vertices, restricted to the block
         g = build_hecke_graph(p, q, ell)
-        np.testing.assert_array_equal(dense(g), oracle_operator(p, q, ell))
+        block = list(oracle_identity_block(q))
+        np.testing.assert_array_equal(dense(g), oracle_operator(p, q, ell)[np.ix_(block, block)])
 
     @pytest.mark.parametrize("p,q,ell", ORACLE_CASES)
     def test_images_preserve_the_det_classes(self, p, q, ell):
+        # every image permutes each oracle det class, and the identity's
+        # class is the built block
         g = build_hecke_graph(p, q, ell)
-        blocks = {frozenset(np.flatnonzero(g.classes == c).tolist())
-                  for c in range(g.classes.max() + 1)}
-        assert blocks == {frozenset(block) for block in oracle_det_classes(q)}
-        for perm in g.operator:
-            for block in blocks:
-                assert set(perm[list(block)].tolist()) == block
+        for block in oracle_det_classes(q):
+            walk = class_walk(g, block)
+            assert (np.sort(walk.operator, axis=1) == np.arange(len(block))).all()
+        same = class_walk(g, oracle_identity_block(q))
+        assert (same.vertices == g.vertices).all() and (same.operator == g.operator).all()
 
     def test_radii_share_the_level_table(self):
         g1 = build_hecke_graph(2, 7, 1)
         assert build_hecke_graph(2, 7, 2).vertices is g1.vertices
-        with pytest.raises(ValueError):
-            level_table(7, DEFAULT_CONFIG).index[0] = 5
+        assert g1.vertices is level_table(7, DEFAULT_CONFIG).block
+        for table in ("index", "block", "position"):
+            with pytest.raises(ValueError):
+                getattr(level_table(7, DEFAULT_CONFIG), table)[0] = 5
 
     def test_degree_larger_radius(self):
         g = build_hecke_graph(2, 7, 1)
         assert g.degree == 6
-        assert len(g.vertices) == 336
+        assert len(g.vertices) == 168
 
     def test_invariant_classes_attached(self):
+        # the graph is built on the identity's class alone, 60 of the 120
+        # vertices of level 5
         g = build_hecke_graph(2, 5, 1)
-        assert np.bincount(g.classes).tolist() == [60, 60]
+        assert g.vertices is level_table(5, DEFAULT_CONFIG).block and len(g.vertices) == 60
+        assert [1, 0, 0, 1] in g.vertices.tolist()
 
     def test_coprimality_required(self):
         with pytest.raises(ValueError):
@@ -344,8 +397,9 @@ class TestOperator:
         assert peak < 1_000_000
 
     def test_product_table_is_filled_in_blocks(self):
-        # (7, 13, 2) has 1006 images of the 2184 vertices, a 17.6 MB table;
-        # one broadcast of all its products peaked at about six times that
+        # (7, 13, 2) has 1006 images of the 1092 vertices of the block, an
+        # 8.8 MB table; one broadcast of all its products peaks at about
+        # seven times that
         build_hecke_graph(7, 13, 1)  # the level table, cached
         tracemalloc.start()
         try:
@@ -353,7 +407,7 @@ class TestOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g.operator.shape == (1006, 2184)
+        assert g.operator.shape == (1006, 1092)
         assert peak < 2 * g.operator.nbytes
 
     def test_blocks_of_one_image_row_build_the_same_table(self, monkeypatch):
@@ -385,35 +439,38 @@ class TestSecondSingularValue:
             operator=np.concatenate([g.operator, g.operator + n], axis=1),
             weights=g.weights,
             degree=g.degree,
-            classes=np.zeros(2 * n, dtype=np.intp),
         )
         assert abs(second_singular_value(fixture) - 1.0) < 1e-9
 
     def test_everything_class_constant(self):
+        # one vertex: every function is constant
         fixture = HeckeOperatorGraph(
             p=2,
             q=5,
             ell=1,
-            vertices=np.array([[1, 0, 0, 1]] * 2),
-            operator=np.array([[1, 0]]),
+            vertices=np.array([[1, 0, 0, 1]]),
+            operator=np.array([[0]]),
             weights=np.array([1]),
             degree=1,
-            classes=np.array([0, 1]),
         )
         assert second_singular_value(fixture) == 1.0
 
-    def test_classes_must_cover_vertices(self):
-        g = build_hecke_graph(2, 5, 1)
-        gap = np.where(g.classes == 1, 2, g.classes)
-        for classes in (g.classes[:-1], gap, np.array([], dtype=np.intp)):
-            partial = dataclasses.replace(g, classes=classes)
-            with pytest.raises(ValueError, match="0..k-1"):
-                second_singular_value(partial)
-
-    @pytest.mark.parametrize("p,q,ell", ORACLE_CASES)
+    @pytest.mark.parametrize(
+        "p,q,ell", ORACLE_CASES + [oracle_case(3, 8, 2), oracle_case(5, 12, 1)]
+    )
     def test_matches_dense_oracle(self, p, q, ell):
+        # the block's gap is the full level's gap off the det classes
         lam = second_singular_value(build_hecke_graph(p, q, ell))
-        assert abs(lam - oracle_lambda2(p, q, ell)) < 1e-9
+        assert abs(lam - oracle_lambda2(p, q, ell)) < 1e-12
+
+    @pytest.mark.parametrize("p,q,ell", [(3, 8, 2), (5, 12, 1), (2, 25, 1)])
+    def test_every_det_class_has_the_block_gap(self, p, q, ell):
+        # the level is k isomorphic copies of the block; at q = 25 the dense
+        # oracle's 15000 x 15000 matrix is out of reach, and this is the check
+        g = build_hecke_graph(p, q, ell)
+        lam = second_singular_value(g)
+        for block in oracle_det_classes(q):
+            assert abs(second_singular_value(class_walk(g, block)) - lam) < 1e-12
 
     def test_repeated_calls_converge(self):
         # the start vector is fixed and nothing else is drawn, so every call
