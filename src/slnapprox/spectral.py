@@ -69,7 +69,7 @@ _RESIDUAL_TOL = 1e-10
 # below this
 _RITZ_TOL = 1e-12
 # the Lanczos basis holds at most this many vectors of n floats: over four
-# times the 83 steps of the slowest level measured, (p, q, ell) = (2, 25, 1)
+# times the 84 steps of the slowest level measured, (p, q, ell) = (2, 25, 1)
 LANCZOS_MAX_STEPS = 400
 # basis vectors allocated at a time, so a short solve keeps a short basis
 LANCZOS_BLOCK = 32
