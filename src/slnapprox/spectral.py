@@ -31,13 +31,16 @@ and have to be handled explicitly rather than measured:
 A level has n = |GL_2(Z/q)| / phi(q) = |SL_2(Z/q)| vertices, the order
 ``densities.group_order_mod(q, 2)`` gives, and the identity's block n / k
 of them.  No n x n matrix is formed.  A table indexed by the integer code
-of a matrix mod q gives the vertex of its scalar class, left
-multiplication by each distinct generator image is stored as the
-permutation of the block it induces, and the gap comes from a Lanczos
-iteration on numpy arrays that applies the permutations and subtracts the
-mean of a vector, keeping at most LANCZOS_MAX_STEPS basis vectors.  The
-shell is streamed: generator codes are read SHELL_BLOCK at a time and
-tallied per vertex, so memory is about (images + 1) * n / k ints plus the
+of a matrix mod q gives the vertex of its scalar class.  The adjugate of
+a matrix has its determinant and acts as its inverse on scalar classes,
+so left multiplication by each distinct image I of the generators and by
+each adjugate image in I^-1 is stored as the permutation of the block it
+induces, weighted to give the symmetrized operator (A + A^T) / 2 with no
+inverse table.  The gap comes from a Lanczos iteration on numpy arrays
+that applies the permutations a block of rows at a time and subtracts
+the mean of a vector, keeping at most LANCZOS_MAX_STEPS basis vectors.
+The shell is streamed: generator codes are read SHELL_BLOCK at a time and
+tallied per vertex, so memory is about |I u I^-1| * n / k ints plus the
 q**4 code table, whatever the degree.  The vertex budget still charges
 all n vertices, which the code table indexes.
 Time still grows with the (p+1) * p**(2*ell-1) generators, each
@@ -59,7 +62,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, Config
 from .densities import group_order_mod
 from .errors import BudgetExceeded, ConvergenceFailure
-from .volumes import hnf_representatives, local_ball_volume
+from .volumes import centred_slope, hnf_representatives, local_ball_volume
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -111,15 +114,15 @@ def _encode(q: int, a, b, c, d):
     return ((a % q * q + b % q) * q + c % q) * q + d % q
 
 
-@lru_cache(maxsize=1)
 def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
     """Canonical vertices and the code -> vertex table of level q.
 
     The expected vertex count comes from ``group_order_mod`` first, so an
     oversized level fails before any table is allocated; the vectorized
-    scan over all q**4 codes then confirms it exactly.  The last table is
-    kept, read-only, so the radii of one level share it.  q must be at
-    least 2 (ValueError).
+    scan over all q**4 codes then confirms it exactly.  The budget checks
+    run on every call; the last table is kept, read-only and keyed on q
+    alone, so the radii of one level share it whatever config they pass.
+    q must be at least 2 (ValueError).
     """
     if q < 2:
         raise ValueError("level must be at least 2")
@@ -134,6 +137,11 @@ def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
         raise BudgetExceeded(
             f"{expected} vertices at level {q}, budget {config.spectral_vertex_budget}"
         )
+    return _level_table(q)
+
+
+@lru_cache(maxsize=1)
+def _level_table(q: int) -> LevelTable:
     codes = np.arange(q**4, dtype=np.int64)
     a, b, c, d = (codes // q**3, codes // q**2 % q, codes // q % q, codes % q)
     det = (a * d - b * c) % q
@@ -143,7 +151,7 @@ def level_table(q: int, config: Config = DEFAULT_CONFIG) -> LevelTable:
     for lam in units[1:]:
         np.minimum(least, _encode(q, lam * a, lam * b, lam * c, lam * d), out=least)
     vertex_codes = codes[invertible & (least == codes)]
-    if len(vertex_codes) != expected:
+    if len(vertex_codes) != (expected := group_order_mod(q, 2)):
         raise AssertionError(f"found {len(vertex_codes)} vertices, expected {expected}")
     index = np.full(q**4, -1, dtype=np.intp)
     index[vertex_codes] = np.arange(len(vertex_codes))
@@ -197,16 +205,19 @@ def lagrange_reduce(m: Mat2) -> Mat2:
 
 @dataclass(frozen=True)
 class HeckeOperatorGraph:
-    """Left-multiplication averaging operator on the identity's
-    determinant class of the projective level group.
+    """Symmetrized averaging operator on the identity's determinant class
+    of the projective level group.
 
     Left multiplication by a generator permutes the vertices of that block,
-    so the operator is stored as one permutation per distinct generator
-    image: ``operator[i, j]`` is the index of the vertex image_i * vertex_j,
-    and ``weights[i]`` counts the generators with that image.  The operator
-    averages f over the images, (A f)(j) = sum_i weights[i] *
-    f(operator[i, j]) / degree; it is never formed as an n x n matrix.  The
-    gap is measured on the mean-zero functions.
+    and by the adjugate of a generator, which acts as its inverse, it
+    permutes them back.  The operator is stored as one permutation per
+    distinct image of the generators and of their adjugates:
+    ``operator[i, j]`` is the index of the vertex image_i * vertex_j, and
+    ``weights[i]`` counts the generators with image_i plus those with
+    adjugate image_i, so the weights sum to 2 * degree.  The operator
+    S f(j) = sum_i weights[i] * f(operator[i, j]) / (2 * degree) is (A +
+    A^T) / 2 for the average A over the generators; it is never formed as
+    an n x n matrix.  The gap is measured on the mean-zero functions.
     """
 
     p: int
@@ -214,8 +225,8 @@ class HeckeOperatorGraph:
     ell: int
     vertices: np.ndarray  # (n, 4) int (a, b, c, d) of each vertex, code order
     operator: np.ndarray  # int vertex permutations, shape (images, n)
-    weights: np.ndarray  # int multiplicities, shape (images,), summing to degree
-    degree: int
+    weights: np.ndarray  # int multiplicities, shape (images,), summing to 2 * degree
+    degree: int  # the generator count of the shell
 
 
 def _shell_degree(p: int, q: int, ell: int, config: Config) -> int:
@@ -239,8 +250,8 @@ def build_hecke_graph(
     *,
     config: Config = DEFAULT_CONFIG,
 ) -> HeckeOperatorGraph:
-    """Averaging operator over the determinant-p^(2*ell) classes at level q,
-    on the vertices of the identity's determinant class.
+    """Symmetrized averaging operator over the determinant-p^(2*ell)
+    classes at level q, on the vertices of the identity's determinant class.
 
     Every representative is Lagrange-reduced before reduction mod q, the
     shell is tallied per vertex SHELL_BLOCK generators at a time, and the
@@ -260,24 +271,50 @@ def build_hecke_graph(
     weights = np.zeros(n, dtype=np.intp)
     while (block := np.fromiter(islice(codes, SHELL_BLOCK), dtype=np.int64)).size:
         weights += np.bincount(level.position[level.index[block]], minlength=n)
-    images = np.flatnonzero(weights)
-    weights = weights[images]
-    # row i of the products: image_i times every vertex, a block of rows at a time
-    va, vb, vc, vd = level.block.T
-    perms = np.empty((len(images), n), dtype=level.position.dtype)
-    rows = max(1, SHELL_BLOCK // n)
-    for start in range(0, len(images), rows):
-        block = perms[start : start + rows]
-        g = level.block[images[start : start + rows]]
-        ga, gb, gc, gd = (col[:, None] for col in g.T)
-        codes = _encode(
-            q, ga * va + gb * vc, ga * vb + gb * vd, gc * va + gd * vc, gc * vb + gd * vd
-        )
-        np.take(level.position, level.index[codes], out=block)
-        if block.min() < 0 or (np.sort(block, axis=1) != np.arange(n)).any():
-            raise AssertionError("a generator image does not permute the block")
     if int(weights.sum()) != degree:
         raise AssertionError(f"image weights sum to {weights.sum()}, expected {degree}")
+    # adj(u) = [[d, -b], [-c, a]] has u's determinant and acts as u's
+    # inverse, so inverse[u] is in the block and A^T's weight at u is A's
+    # weight at inverse[u]
+    va, vb, vc, vd = level.block.T
+    inverse = level.position[level.index[_encode(q, vd, -vb, -vc, va)]]
+    weights += weights[inverse]
+    images = np.flatnonzero(weights)
+    weights = weights[images]
+    # rows of products: image_i times every vertex, a block of rows at a
+    # time, in two preallocated arrays.  Each entry x of the 2 x 2 product
+    # is one matmul into `term`, reduced as x - q * (x // q) (numpy's floor
+    # division by a scalar is several times faster than its remainder), and
+    # the code is accumulated in place, digit by digit
+    perms = np.empty((len(images), n), dtype=np.intp)
+    rows = min(max(1, SHELL_BLOCK // n), len(images))
+    code = np.empty((rows, n), dtype=np.intp)
+    term = np.empty_like(code)
+    columns = (level.block[:, [0, 2]].T.copy(), level.block[:, [1, 3]].T.copy())
+    offsets = np.arange(0, rows * n, n)[:, None]
+    for start in range(0, len(images), rows):
+        block = perms[start : start + rows]
+        g = level.block[images[start : start + rows]].reshape(-1, 2, 2)
+        c, t = code[: len(g)], term[: len(g)]
+        c.fill(0)
+        for entry in range(4):
+            np.matmul(g[:, entry // 2], columns[entry % 2], out=t)
+            c *= q
+            c += t
+            t //= q
+            t *= q
+            c -= t
+        # every code is in range by construction, and a product outside the
+        # block, or a repeat, fails the permutation check below
+        np.take(level.index, c, out=t, mode="clip")
+        np.take(level.position, t, out=block, mode="clip")
+        if block.min() < 0:
+            raise AssertionError("a generator image leaves the block")
+        np.add(block, offsets[: len(g)], out=t)
+        seen = np.zeros(t.size, dtype=bool)
+        seen[t.ravel()] = True
+        if not seen.all():
+            raise AssertionError("a generator image does not permute the block")
     return HeckeOperatorGraph(
         p=p,
         q=q,
@@ -293,10 +330,12 @@ def second_singular_value(graph: HeckeOperatorGraph) -> float:
     """Norm of the symmetrized operator on the mean-zero functions.
 
     The generator multiset is only inversion-closed up to scalars, so the
-    operator is averaged with its transpose: S f = (A f + A^T f) / 2, where
-    A^T applies the inverse permutations.  The value is the largest absolute
-    eigenvalue of P S P, with P subtracting the mean, found
-    by a Lanczos iteration from a fixed start vector, so equal graphs give
+    graph stores S = (A + A^T) / 2, with the adjugate images standing for
+    A^T; S is applied with one gather per step, max(1, SHELL_BLOCK // n)
+    rows of the table at a time.  The value is the largest absolute
+    eigenvalue of P S P, with P subtracting the mean, found by a Lanczos
+    iteration from a fixed start vector, the Weyl sequence frac(i * phi) -
+    1/2 (phi the golden ratio, i = 1 .. n) projected, so equal graphs give
     equal floats.  Each step orthogonalizes the new direction against the
     whole basis (two classical Gram-Schmidt passes) and reads the Ritz
     values off the tridiagonal matrix.  It stops once the Ritz pair of
@@ -311,17 +350,19 @@ def second_singular_value(graph: HeckeOperatorGraph) -> float:
     n = len(graph.vertices)
     if n <= 1:
         return 1.0  # every function is constant, nothing to measure
-    inverses = np.empty_like(perms)
-    np.put_along_axis(inverses, perms, np.arange(n)[None, :], axis=1)
     w = graph.weights / (2.0 * graph.degree)
+    rows = max(1, SHELL_BLOCK // n)
 
     def sym(x):
-        return w @ x[perms] + w @ x[inverses]
+        y = np.zeros(n)
+        for start in range(0, len(perms), rows):
+            y += w[start : start + rows] @ x[perms[start : start + rows]]
+        return y
 
     def project(x):
         return x - x.mean()
 
-    v = project(np.random.default_rng(0).standard_normal(n))
+    v = project(np.arange(1, n + 1) * ((1 + math.sqrt(5)) / 2) % 1.0 - 0.5)
     # the orthonormal basis is allocated LANCZOS_BLOCK rows at a time, never
     # past the step cap; `basis` views the rows filled so far
     blocks: list[np.ndarray] = []
@@ -401,9 +442,9 @@ def gap_decay_report(
     usable = [r for r in rows if r.lambda2 > 0]
     if len(usable) < 2:
         return GapDecayReport(p=p, q=q, rows=tuple(rows), slope=None, passed=None)
-    xs = np.log([r.volume for r in usable])
-    ys = np.log([r.lambda2 for r in usable])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = centred_slope(
+        np.log([r.volume for r in usable]), np.log([r.lambda2 for r in usable])
+    )
     return GapDecayReport(
         p=p, q=q, rows=tuple(rows), slope=slope, passed=slope <= SLOPE_THRESHOLD
     )

@@ -183,8 +183,8 @@ def growth_exponent(n_max: int) -> GrowthEstimate:
     # the sieve's partial products never exceed the final volume
     if n_max * n_max * (1 + n_max.bit_length()) >= 2**62:
         raise ValueError(f"n_max = {n_max} is too large for int64 volumes")
-    n = np.arange(n_max + 1, dtype=np.int64)
-    vol = n * n
+    vol = np.arange(n_max + 1, dtype=np.int64)
+    vol *= vol
     root = math.isqrt(n_max)
     primes = np.fromiter(primes_below(n_max + 1), dtype=np.int64)
     split = np.searchsorted(primes, root, side="right")
@@ -203,15 +203,23 @@ def growth_exponent(n_max: int) -> GrowthEstimate:
             window=(1, n_max),
             degenerate=True,
         )
-    x = np.log(n[2:])
-    y = np.log(vol[2:])
-    x -= x.mean()
+    x = np.arange(2, n_max + 1, dtype=np.float64)
+    np.log(x, out=x)
     return GrowthEstimate(
         samples=samples,
-        fitted_exponent=float(np.dot(x, y - y.mean()) / np.dot(x, x)),
+        fitted_exponent=centred_slope(x, np.log(vol[2:])),
         window=(1, n_max),
         degenerate=False,
     )
+
+
+def centred_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, for float arrays of two or more
+    points: sum(x' * y') / sum(x' * x') with x' and y' centred on their
+    means, computed in place, so x and y are overwritten."""
+    x -= x.mean()
+    y -= y.mean()
+    return float(np.dot(x, y) / np.dot(x, x))
 
 
 # ---------------------------------------------------------------------------

@@ -902,6 +902,35 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_pipeline_commands_never_import_numpy_random(self, tmp_path):
+        # the Lanczos start vector is numpy arithmetic, and nothing else on
+        # these paths draws a random number, so numpy.random is never loaded
+        points = str(tmp_path / "points.jsonl")
+        argvs = [
+            ["verify-count", "--n-list", "53", "--epsilon", "1/2"],
+            ["enumerate", "--radius", "1/2", "-n", "53", "--out", points],
+            ["sieve", "--points", points],
+            ["density", "--poly", "entry11", "--p-range", "43"],
+            ["spectral", "--p", "2", "--q", "11", "--lmax", "3"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from slnapprox import cli, volumes\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "volumes.harish_chandra_xi(2, 4)\n"
+            "volumes.growth_exponent(1000)\n"
+            "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+        )
+        src = str(Path(slnapprox.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[EXIT_OK] * len(argvs), False]
+
     def test_common_commands_import_neither_sympy_nor_scipy(self):
         # the package factors and decides primality itself, and nothing
         # imports scipy: these command lines need neither, down to a p that

@@ -146,12 +146,12 @@ def class_walk(graph, block):
 
 
 def dense(graph):
-    """The n x n matrix a permutation-table graph stands for."""
+    """The n x n matrix S a permutation-table graph stands for."""
     n = len(graph.vertices)
     op = np.zeros((n, n))
     for perm, w in zip(graph.operator, graph.weights):
         op[np.arange(n), perm] += w
-    return op / graph.degree
+    return op / (2 * graph.degree)
 
 
 def oracle_case(p, q, ell):
@@ -234,6 +234,18 @@ class TestProjectiveGroup:
         for perm in g.operator:
             assert (np.sort(perm) == np.arange(n)).all()
 
+    def test_one_cache_entry_per_level(self):
+        # the table is cached on q alone, so the two call forms share it
+        spectral._level_table.cache_clear()
+        tables = [level_table(7, *form) for _ in range(3) for form in ((), (DEFAULT_CONFIG,))]
+        assert all(t is tables[0] for t in tables)
+        info = spectral._level_table.cache_info()
+        assert (info.misses, info.hits) == (1, 5)
+        # the budget is still checked against the cached level
+        tight = dataclasses.replace(DEFAULT_CONFIG, spectral_vertex_budget=100)
+        with pytest.raises(BudgetExceeded):
+            level_table(7, tight)
+
     def test_vertex_budget(self):
         tight = dataclasses.replace(DEFAULT_CONFIG, spectral_vertex_budget=100)
         with pytest.raises(BudgetExceeded):
@@ -292,16 +304,18 @@ class TestLagrangeReduce:
 
 class TestOperator:
     def test_doubly_stochastic(self):
-        # every image permutes the vertices and the multiplicities sum to
-        # the degree, which is what makes the average doubly stochastic
+        # every image permutes the vertices and the multiplicities of the
+        # generators and their adjugates sum to twice the degree, which is
+        # what makes the symmetrized average doubly stochastic
         g = build_hecke_graph(2, 5, 1)
         assert g.degree == 6
         assert g.operator.shape == (len(g.weights), 60)
-        assert int(g.weights.sum()) == g.degree
+        assert int(g.weights.sum()) == 2 * g.degree
         for perm in g.operator:
             assert sorted(perm) == list(range(60))
         np.testing.assert_allclose(dense(g).sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(dense(g).sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(dense(g), dense(g).T)
 
     @pytest.mark.parametrize(
         "p,q,ell",
@@ -309,10 +323,12 @@ class TestOperator:
          [(2, 5, 2), (3, 5, 1), (5, 8, 1), (2, 9, 1), (7, 4, 1)]],
     )
     def test_permutation_table_matches_dense_build(self, p, q, ell):
-        # the oracle's operator on all vertices, restricted to the block
+        # (A + A^T) / 2 of the oracle's operator on all vertices, restricted
+        # to the block; an entry is a multiple of 1 / (2 * degree)
         g = build_hecke_graph(p, q, ell)
         block = list(oracle_identity_block(q))
-        np.testing.assert_array_equal(dense(g), oracle_operator(p, q, ell)[np.ix_(block, block)])
+        a = oracle_operator(p, q, ell)[np.ix_(block, block)]
+        np.testing.assert_allclose(dense(g), (a + a.T) / 2, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("p,q,ell", ORACLE_CASES)
     def test_images_preserve_the_det_classes(self, p, q, ell):
@@ -397,9 +413,9 @@ class TestOperator:
         assert peak < 1_000_000
 
     def test_product_table_is_filled_in_blocks(self):
-        # (7, 13, 2) has 1006 images of the 1092 vertices of the block, an
-        # 8.8 MB table; one broadcast of all its products peaks at about
-        # seven times that
+        # (7, 13, 2) has 1062 images and adjugate images of the 1092
+        # vertices of the block, a 9.3 MB table; one broadcast of all its
+        # products peaks at about seven times that
         build_hecke_graph(7, 13, 1)  # the level table, cached
         tracemalloc.start()
         try:
@@ -407,8 +423,26 @@ class TestOperator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g.operator.shape == (1006, 1092)
+        assert g.operator.shape == (1062, 1092)
         assert peak < 2 * g.operator.nbytes
+
+    @pytest.mark.parametrize("broken", ["repeat", "outside"])
+    def test_products_off_the_block_are_caught(self, monkeypatch, broken):
+        # a level table whose block rows repeat, or lose a vertex, makes
+        # some generator image fail the permutation check
+        level = level_table(5)
+        g = build_hecke_graph(2, 5, 1)
+        rows = np.flatnonzero(level.position >= 0)
+        identity = g.vertices.tolist().index([1, 0, 0, 1])
+        unhit = np.setdiff1d(np.arange(len(rows)), g.operator[:, identity])
+        position = level.position.copy()
+        position[rows[unhit[0]]] = position[rows[unhit[1]]] if broken == "repeat" else -1
+        monkeypatch.setattr(
+            spectral, "_level_table", lambda q: dataclasses.replace(level, position=position)
+        )
+        match = "does not permute" if broken == "repeat" else "leaves the block"
+        with pytest.raises(AssertionError, match=match):
+            build_hecke_graph(2, 5, 1)
 
     def test_blocks_of_one_image_row_build_the_same_table(self, monkeypatch):
         whole = build_hecke_graph(2, 5, 3)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -13,6 +14,7 @@ from slnapprox.errors import BudgetExceeded
 from slnapprox.volumes import (
     _valuation_capped,
     _xi_column_sum,
+    centred_slope,
     finite_volume,
     growth_exponent,
     harish_chandra_xi,
@@ -247,6 +249,20 @@ class TestGrowthExponent:
         assert hash(est.samples) == hash(samples)
         with pytest.raises(ValueError):
             est.samples.volumes[0] = 0
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 100, 10000])
+    def test_centred_slope_matches_polyfit(self, size):
+        # np.polyfit is the oracle, on log-log data like the fits' own
+        rng = np.random.default_rng(size)
+        for slope in (-0.25, 2.0):
+            x = np.log(np.arange(2.0, size + 2.0))
+            y = slope * x + 0.1 * rng.standard_normal(size)
+            want = float(np.polyfit(x, y, 1)[0])
+            assert abs(centred_slope(x.copy(), y.copy()) - want) <= 1e-12
+        # x and y are centred in place
+        x, y = np.log(np.arange(2.0, 50.0)), np.log(np.arange(2.0, 50.0) ** 2)
+        assert abs(centred_slope(x, y) - 2.0) <= 1e-12
+        assert abs(x.mean()) <= 1e-12 and abs(y.mean()) <= 1e-12
 
     def test_int64_guard_allocates_nothing(self, monkeypatch):
         class NoNumpy:
